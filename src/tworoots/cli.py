@@ -3,8 +3,9 @@
 Subcommands cover the main operations: classification, root and basis
 listings, orbit tables, highest 2-roots, expansion over the canonical
 basis, word action matrices, the module decomposition, kernel orders,
-arc pictures, and the self-check suites.  Every subcommand accepts
---json for machine readable output; plain text is the default.
+arc pictures, and the self-check suites.  Every subcommand except
+verify accepts --json for machine readable output; plain text is the
+default.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .forms import (action_kernel_order, affine_radical_witness,
 from .orbits import closed_form_highest, orbit_tables
 from .roots import paper_labels, positive_roots
 from .skein import render_skein
-from .symsquare import canonical_basis, standard_coords, vee
+from .symsquare import canonical_basis, sign_coherent, standard_coords
 from .verify import SUITES, run_suites
 
 
@@ -210,15 +211,7 @@ def cmd_matrix(args) -> int:
     word = parse_word(args.word)
     basis = canonical_basis(d)
     m = basis.word_matrix(word)
-    coherent = True
-    if args.check_sign_coherence:
-        for j in range(len(m)):
-            col = [row[j] for row in m]
-            pos = any(x > 0 for x in col)
-            neg = any(x < 0 for x in col)
-            if pos == neg:
-                coherent = False
-                break
+    coherent = all(sign_coherent(col)[1] in (1, -1) for col in zip(*m))
     if args.json:
         rec = {"diagram": diagram_to_json(d), "word": word,
                "matrix": [list(row) for row in m]}

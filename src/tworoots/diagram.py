@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction as Q
 
 from . import linalg
 
@@ -116,10 +115,6 @@ def classify(d: Diagram) -> TypeClass:
                 return TypeClass.INDEFINITE
         return TypeClass.AFFINE
     return TypeClass.INDEFINITE
-
-
-def is_finite(d: Diagram) -> bool:
-    return classify(d) is TypeClass.FINITE
 
 
 def parabolic_restrict(d: Diagram, vertices) -> tuple[Diagram, dict[int, int]]:

@@ -7,6 +7,7 @@ subdiagram."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -16,7 +17,7 @@ from .diagram import (Diagram, TypeClass, cartan, classify, parabolic_restrict,
                       y_diagram)
 from .roots import delta, simple_root
 from .symsquare import (SymMatrix, _as_int, canonical_basis, conjugate, madd,
-                        m_functional, msub, reflection_matrix, sign_coherent,
+                        msub, reflection_matrix, sign_coherent,
                         simple_matrices, vee)
 
 
@@ -40,9 +41,17 @@ def c_apply(d: Diagram, alpha, s: SymMatrix) -> SymMatrix:
     return msub(conjugate(reflection_matrix(d, alpha), s), s)
 
 
+def _check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime (by trial division)."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError("modulus must be a prime, got %d" % p)
+
+
 def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
     """Gram matrix of the given elements under the half product form,
     optionally reduced mod a prime."""
+    if p is not None:
+        _check_prime(p)
     g = [[bprime(d, s, t) for t in mats] for s in mats]
     if p is not None:
         for row in g:
@@ -57,6 +66,7 @@ def radical_basis(g: linalg.Mat, p: int | None = None) -> tuple:
     """Coordinate vectors spanning the radical of a Gram matrix."""
     if p is None:
         return linalg.nullspace(g)
+    _check_prime(p)
     return linalg.nullspace_mod(g, p)
 
 
@@ -85,6 +95,8 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
     if cls is TypeClass.AFFINE:
         raise ValueError("affine diagram: the form is degenerate; "
                          "see affine_radical_witness")
+    if p is not None:
+        _check_prime(p)
     basis = canonical_basis(d)
     n = d.n
     report: dict = {
@@ -121,21 +133,13 @@ def action_kernel_order(d: Diagram, table, group_order: int,
     closed by breadth-first search and divided into the group order."""
     basis = canonical_basis(d)
     idxs = table.basis_members
-    pos = {k: t for t, k in enumerate(idxs)}
-    m = len(idxs)
-    big = len(basis)
+    rest = sorted(set(range(len(basis))) - set(idxs))
     gens = []
-    for i in range(d.n):
-        p = basis.action_matrix(i)
-        sub = np.zeros((m, m), dtype=np.int64)
-        for c, k in enumerate(idxs):
-            for r in range(big):
-                if p[r][k]:
-                    if r not in pos:
-                        raise RuntimeError("summand is not invariant")
-                    sub[pos[r], c] = p[r][k]
-        gens.append(sub)
-    ident = np.eye(m, dtype=np.int64)
+    for act in basis.action_matrices_np():
+        if act[np.ix_(rest, idxs)].any():
+            raise RuntimeError("summand is not invariant")
+        gens.append(act[np.ix_(idxs, idxs)])
+    ident = np.eye(len(idxs), dtype=np.int64)
     seen = {ident.tobytes()}
     frontier = [ident]
     while frontier:
@@ -170,8 +174,7 @@ def kernel_intersection(d: Diagram, state_cap: int = 10 ** 6) -> dict:
     tables = orbit_tables(d)
     refl = [np.array(simple_matrices(d)[i], dtype=np.int64)
             for i in range(d.n)]
-    act = [np.array(basis.action_matrix(i), dtype=np.int64)
-           for i in range(d.n)]
+    act = basis.action_matrices_np()
     ident_r = np.eye(d.n, dtype=np.int64)
     ident_a = np.eye(len(basis), dtype=np.int64)
     seen = {ident_r.tobytes(): ident_a}

@@ -13,16 +13,8 @@ Vec = tuple
 Mat = tuple
 
 
-def vec(entries: Sequence) -> Vec:
-    return tuple(entries)
-
-
 def mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(tuple(r) for r in rows)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
@@ -36,18 +28,6 @@ def mat_vec(m: Mat, v: Sequence) -> Vec:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> Vec:
-    return tuple(c * x for x in v)
 
 
 def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
@@ -114,24 +94,6 @@ def inverse(m: Mat) -> Mat:
     return mat(row[n:] for row in aug[:n])
 
 
-def solve(m: Mat, rhs: Sequence) -> Vec:
-    """Solve m @ x = rhs exactly.  m may be rectangular; raises if the
-    system is inconsistent or underdetermined."""
-    nrows, ncols = len(m), len(m[0])
-    aug = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(m)]
-    aug, pivots = _echelon(aug)
-    pivots = [p for p in pivots if p < ncols]
-    if len(pivots) < ncols:
-        raise ValueError("underdetermined system")
-    for row in aug[len(pivots):]:
-        if row[-1] != 0:
-            raise ValueError("inconsistent system")
-    x = [Q(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][-1]
-    return tuple(x)
-
-
 def nullspace(m: Mat) -> tuple[Vec, ...]:
     """Basis of the right kernel, one vector per free column."""
     if not m:
@@ -193,11 +155,6 @@ def _echelon_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[i
         if r == nrows:
             break
     return rows, pivots
-
-
-def rank_mod(m: Mat, p: int) -> int:
-    rows = [[int(x) % p for x in row] for row in m]
-    return len(_echelon_mod(rows, p)[1])
 
 
 def nullspace_mod(m: Mat, p: int) -> tuple[Vec, ...]:

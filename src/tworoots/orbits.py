@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
 from .diagram import Diagram, TypeClass, classify
-from .roots import (Root, bform, height, is_positive, negate, positive_roots,
-                    simple_reflect)
+from .roots import (Root, bform, closure, height, is_positive, negate,
+                    positive_roots, simple_reflect)
 from .symsquare import SymMatrix, canonical_basis, root_pair, vee
 
 Pair = tuple[Root, Root]
@@ -70,6 +71,26 @@ class OrbitTable:
         return len(self.members)
 
 
+def _pair_steps(d: Diagram, coords: dict):
+    """Moves of the orbit walk on (pair, expansion) states: each simple
+    reflection that moves the pair, carrying the expansion by its module
+    matrix, which must agree with any expansion already in coords."""
+    mats = canonical_basis(d).action_matrices_np()
+
+    def moves(state):
+        p, c = state
+        for i, m in enumerate(mats):
+            q = simple_pair_action(d, i, p)
+            if q == p:
+                continue
+            cq = m @ c
+            known = coords.get(q)
+            if known is not None and not np.array_equal(known, cq):
+                raise RuntimeError("inconsistent expansion along orbit")
+            yield q, cq
+    return moves
+
+
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     """Partition of the positive 2-roots into orbits, finite types only."""
     cached = _TABLE_CACHE.get(d)
@@ -78,42 +99,22 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
-    mats = basis.action_matrices_np()
-    k = len(basis)
-    visited: set[SymMatrix] = set()
     coords: dict[Pair, np.ndarray] = {}
-    raw_orbits: list[list[Pair]] = []
+    steps = _pair_steps(d, coords)
+    orbits: list[tuple[Pair, ...]] = []
     for j, e in enumerate(basis.elements):
-        if e.matrix in visited:
+        if e.pair in coords:
             continue
-        c0 = np.zeros(k, dtype=np.int64)
+        c0 = np.zeros(len(basis), dtype=np.int64)
         c0[j] = 1
-        coords[e.pair] = c0
-        visited.add(e.matrix)
-        members = [e.pair]
-        queue = [e.pair]
-        while queue:
-            p = queue.pop()
-            cp = coords[p]
-            for i in range(d.n):
-                q = simple_pair_action(d, i, p)
-                if q == p:
-                    continue
-                cq = mats[i] @ cp
-                key = vee_pair(q)
-                if key in visited:
-                    if not np.array_equal(coords[q], cq):
-                        raise RuntimeError("inconsistent expansion along orbit")
-                else:
-                    visited.add(key)
-                    coords[q] = cq
-                    members.append(q)
-                    queue.append(q)
-        raw_orbits.append(members)
-    raw_orbits.sort(key=lambda ms: min(vee_pair(p) for p in ms))
+        members = []
+        for q, c in closure([(e.pair, c0)], steps, key=itemgetter(0)):
+            coords[q] = c
+            members.append(q)
+        orbits.append(tuple(sorted(members, key=vee_pair)))
+    orbits.sort(key=lambda ms: vee_pair(ms[0]))
     tables = []
-    for oid, members in enumerate(raw_orbits, start=1):
-        members = tuple(sorted(members, key=vee_pair))
+    for oid, members in enumerate(orbits, start=1):
         member_set = set(members)
         basis_members = tuple(kk for kk, e in enumerate(basis.elements)
                               if e.pair in member_set)
@@ -129,24 +130,14 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
 def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:
     """Orbit members of coordinate height at most the bound; works in any
     type and truncates the walk at the bound."""
-    basis = canonical_basis(d)
-    mats = basis.action_matrices_np()
-    start = np.array([int(x) for x in basis.expand(vee_pair(p))],
+    p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
+    start = np.array([int(x) for x in canonical_basis(d).expand(vee_pair(p))],
                      dtype=np.int64)
-    coords = {p: start}
-    queue = [p]
-    while queue:
-        q = queue.pop()
-        cq = coords[q]
-        for i in range(d.n):
-            r = simple_pair_action(d, i, q)
-            if r == q or r in coords:
-                continue
-            cr = mats[i] @ cq
-            if int(cr.sum()) > height_bound:
-                continue
-            coords[r] = cr
-            queue.append(r)
+    coords: dict[Pair, np.ndarray] = {}
+    walk = closure([(p, start)], _pair_steps(d, coords), key=itemgetter(0),
+                   prune=lambda state: int(state[1].sum()) > height_bound)
+    for q, c in walk:
+        coords[q] = c
     return tuple(sorted(coords, key=vee_pair))
 
 

@@ -8,7 +8,6 @@ Reflection in a norm-2 root alpha sends v to v - B(alpha, v) alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from . import linalg
 from .diagram import Diagram, TypeClass, cartan, classify, neighbors
@@ -65,6 +64,32 @@ def simple_reflect(d: Diagram, i: int, v):
     return tuple(out)
 
 
+def closure(seeds, moves, key=None, prune=None):
+    """Walk from the seeds, yielding each state the first time it is
+    reached; the caller may stop iterating at any point.  moves(state)
+    iterates over the states one step away, and states count as the same
+    when key(state) agrees (the state itself by default).  A step to a
+    state already reached is dropped before prune is asked; a new state
+    for which prune(state) holds is dropped and not walked from.  Seeds
+    are never pruned."""
+    seen = set()
+    stack = []
+    for t in seeds:
+        k = t if key is None else key(t)
+        if k not in seen:
+            seen.add(k)
+            stack.append(t)
+            yield t
+    while stack:
+        for t in moves(stack.pop()):
+            k = t if key is None else key(t)
+            if k in seen or (prune is not None and prune(t)):
+                continue
+            seen.add(k)
+            stack.append(t)
+            yield t
+
+
 def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, ...]:
     """All positive roots, by closing the simple roots under simple
     reflections.  Infinite types require an explicit height bound."""
@@ -72,27 +97,20 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
     cached = _POSITIVE_CACHE.get(key)
     if cached is not None:
         return cached
+    if height_bound is not None and height_bound < 1:
+        raise ValueError("height bound must be at least 1, got %d"
+                         % height_bound)
     if height_bound is None and classify(d) is not TypeClass.FINITE:
         raise ValueError("infinite root system: pass a height bound")
-    seen: set[Root] = set()
-    frontier: list[Root] = []
-    for i in range(d.n):
-        r = simple_root(d, i)
-        seen.add(r)
-        frontier.append(r)
-    while frontier:
-        nxt: list[Root] = []
-        for r in frontier:
-            for i in range(d.n):
-                s = simple_reflect(d, i, r)
-                if s in seen or not is_positive(s):
-                    continue
-                if height_bound is not None and height(s) > height_bound:
-                    continue
-                seen.add(s)
-                nxt.append(s)
-        frontier = nxt
-    result = tuple(sorted(seen, key=lambda r: (height(r), r)))
+
+    def dropped(r) -> bool:
+        return not is_positive(r) or (height_bound is not None
+                                      and height(r) > height_bound)
+
+    found = closure((simple_root(d, i) for i in range(d.n)),
+                    lambda r: (simple_reflect(d, i, r) for i in range(d.n)),
+                    prune=dropped)
+    result = tuple(sorted(found, key=lambda r: (height(r), r)))
     _POSITIVE_CACHE[key] = result
     return result
 

@@ -8,7 +8,9 @@ S |-> trace(A S).
 
 The canonical basis pairs each simple root alpha_i with its elementary
 partners; expansions over it are computed by one exact rational solve that
-is factored once per diagram and reused.
+is factored once per diagram and reused.  Each simple reflection acts on
+the basis by one integer matrix, and the matrices and columns of words
+are products of these.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
+import numpy as np
+
 from . import linalg
 from .diagram import Diagram, TypeClass, adjacent, cartan, classify
 from .roots import (Root, bform, elementary_roots, height, is_root,
-                    positive_roots, simple_root)
+                    positive_roots, simple_reflect, simple_root)
 
 SymMatrix = tuple[tuple, ...]
 
@@ -53,10 +57,6 @@ def mscale(c, s: SymMatrix) -> SymMatrix:
 
 def is_zero(s: SymMatrix) -> bool:
     return all(x == 0 for row in s for x in row)
-
-
-def is_nonnegative(s: SymMatrix) -> bool:
-    return all(x >= 0 for row in s for x in row)
 
 
 def m_functional(d: Diagram, s: SymMatrix):
@@ -148,12 +148,6 @@ class BasisElement:
             for k, c in enumerate(beta) if c) or "0")
 
 
-@dataclass(frozen=True)
-class ActionCase:
-    kind: str               # "fix" | "negate" | "add"
-    partner: int | None = None
-
-
 class CanonicalBasis:
     """The distinguished basis alpha_i v beta, beta elementary for i,
     together with the exact expansion solver over it."""
@@ -181,7 +175,6 @@ class CanonicalBasis:
             for m, p, lbl in zip(mats, pairs, labels)
         )
         self.index = index
-        self.pair_index = {e.pair: k for k, e in enumerate(self.elements)}
         by_vertex: dict[int, list[int]] = {i: [] for i in range(d.n)}
         for k, e in enumerate(self.elements):
             for i, _ in e.labels:
@@ -206,8 +199,6 @@ class CanonicalBasis:
         else:
             self._pivot_rows = ()
             self._solve_inv = ()
-        self._actions: dict[int, tuple[ActionCase, ...]] = {}
-        self._action_mats: dict[int, linalg.Mat] = {}
         self._action_np = None
 
     def __len__(self) -> int:
@@ -216,9 +207,6 @@ class CanonicalBasis:
     def wrt(self, i: int) -> tuple[int, ...]:
         """Indices of the elements alpha_i v beta for this vertex."""
         return self._by_vertex[i]
-
-    def index_of_pair(self, a, b) -> int:
-        return self.pair_index[root_pair(a, b)]
 
     # -- expansion ---------------------------------------------------------
 
@@ -249,71 +237,53 @@ class CanonicalBasis:
                 s = madd(s, mscale(c, e.matrix))
         return s
 
-    def ht2(self, s: SymMatrix):
-        return sum(self.expand(s))
-
-    def leq2(self, s: SymMatrix, t: SymMatrix) -> bool:
-        return all(c >= 0 for c in self.expand(msub(t, s)))
-
     # -- simple reflection action -----------------------------------------
 
-    def simple_action(self, i: int) -> tuple[ActionCase, ...]:
-        cached = self._actions.get(i)
-        if cached is not None:
-            return cached
-        out = []
-        for e in self.elements:
-            image = apply_simple(self.diagram, i, e.matrix)
-            if image == e.matrix:
-                out.append(ActionCase("fix"))
-            elif image == mneg(e.matrix):
-                out.append(ActionCase("negate"))
-            else:
-                diff = msub(image, e.matrix)
-                partner = self.index.get(diff)
-                if partner is None:
-                    raise RuntimeError("reflection image left the basis lattice")
-                out.append(ActionCase("add", partner))
-        result = tuple(out)
-        self._actions[i] = result
-        return result
+    def action_matrices_np(self):
+        """One integer matrix per simple reflection: column j expands s_i
+        of element j over the basis.  As s_i(a v b) = s_i a v s_i b, each
+        element is fixed, negated, or sent to itself plus one partner.
+        Built on first use and shared read-only."""
+        if self._action_np is None:
+            d = self.diagram
+            k = len(self.elements)
+            mats = []
+            for i in range(d.n):
+                m = np.zeros((k, k), dtype=np.int64)
+                for j, e in enumerate(self.elements):
+                    a, b = e.pair
+                    image = vee(simple_reflect(d, i, a),
+                                simple_reflect(d, i, b))
+                    if image == e.matrix:
+                        m[j, j] = 1
+                    elif image == mneg(e.matrix):
+                        m[j, j] = -1
+                    else:
+                        partner = self.index.get(msub(image, e.matrix))
+                        if partner is None:
+                            raise RuntimeError(
+                                "reflection image left the basis lattice")
+                        m[j, j] = m[partner, j] = 1
+                m.flags.writeable = False
+                mats.append(m)
+            self._action_np = tuple(mats)
+        return self._action_np
 
-    def action_matrix(self, i: int) -> linalg.Mat:
-        cached = self._action_mats.get(i)
-        if cached is not None:
-            return cached
-        k = len(self.elements)
-        rows = [[0] * k for _ in range(k)]
-        for j, case in enumerate(self.simple_action(i)):
-            if case.kind == "fix":
-                rows[j][j] = 1
-            elif case.kind == "negate":
-                rows[j][j] = -1
-            else:
-                rows[j][j] = 1
-                rows[case.partner][j] = 1
-        result = linalg.mat(rows)
-        self._action_mats[i] = result
-        return result
+    def _act(self, word, x):
+        """x multiplied on the left by the matrix of s_{w[0]} ... s_{w[-1]}."""
+        n = self.diagram.n
+        if any(not 0 <= i < n for i in word):
+            raise ValueError("word letters must be vertices 0..%d" % (n - 1))
+        mats = self.action_matrices_np()
+        for i in reversed(word):
+            x = mats[i] @ x
+        return x
 
     def word_matrix(self, word) -> linalg.Mat:
         """Exact integer matrix of s_{w[0]} ... s_{w[-1]} over the basis;
         concatenating words multiplies the matrices."""
-        k = len(self.elements)
-        m = linalg.identity(k)
-        for i in reversed(word):
-            m = linalg.mat_mul(self.action_matrix(i), m)
-        return m
-
-    def action_matrices_np(self):
-        if self._action_np is None:
-            import numpy as np
-
-            self._action_np = tuple(
-                np.array(self.action_matrix(i), dtype=np.int64)
-                for i in range(self.diagram.n)
-            )
-        return self._action_np
+        m = self._act(word, np.eye(len(self.elements), dtype=object))
+        return tuple(tuple(row) for row in m.tolist())
 
     def word_column(self, word, j: int) -> tuple[int, ...]:
         """Column j of word_matrix(word), via fast integer arithmetic.
@@ -321,14 +291,9 @@ class CanonicalBasis:
         for any word of up to 60 letters; longer words are refused."""
         if len(word) > 60:
             raise ValueError("word too long for the fast path")
-        import numpy as np
-
-        mats = self.action_matrices_np()
         v = np.zeros(len(self.elements), dtype=np.int64)
         v[j] = 1
-        for i in reversed(word):
-            v = mats[i] @ v
-        return tuple(int(x) for x in v)
+        return tuple(int(x) for x in self._act(word, v))
 
     # -- star maps between vertex classes ----------------------------------
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .diagram import (TypeClass, adjacent, classify, component_count, h_graph,
+from .diagram import (adjacent, classify, component_count, h_graph,
                       path_diagram, y_diagram)
 from .forms import (action_kernel_order, affine_radical_witness, bprime,
                     btilde, c_apply, decompose_s2v, gram, norm2_witness,
@@ -21,7 +21,7 @@ from .forms import (action_kernel_order, affine_radical_witness, bprime,
 from .orbits import (closed_form_highest, ht2_of_pair, monoidal_covers,
                      orbit_tables, orthogonal_pairs, pair_action,
                      highest_pair)
-from .roots import (bform, delta, epsilon_coords, is_root, negate,
+from .roots import (bform, closure, epsilon_coords, is_root, negate,
                     positive_roots, simple_root, theta)
 from .skein import arc_diagram, render_skein
 from .symsquare import (apply_simple, canonical_basis, m_functional, madd,
@@ -611,19 +611,13 @@ def suite_identities(seed=0):
                          bad == 0, "%d failures" % bad))
 
         bad = 0
-        for g in range(d.n):
-            cases = basis.simple_action(g)
+        for g, act in enumerate(basis.action_matrices_np()):
             for k, e in enumerate(basis.elements):
-                got = basis.expand(apply_simple(d, g, e.matrix))
-                want = [0] * len(basis)
-                if cases[k].kind == "fix":
-                    want[k] = 1
-                elif cases[k].kind == "negate":
-                    want[k] = -1
-                else:
-                    want[k] = 1
-                    want[cases[k].partner] += 1
-                if list(got) != want:
+                col = tuple(int(x) for x in act[:, k])
+                others = [x for r, x in enumerate(col) if r != k and x]
+                shape_ok = (col[k], others) in ((1, []), (-1, []), (1, [1]))
+                if not shape_ok or basis.expand(
+                        apply_simple(d, g, e.matrix)) != col:
                     bad += 1
         out.append(Check("identities: %s reflection action is fix, negate, "
                          "or add a single partner" % tag, bad == 0,
@@ -659,16 +653,17 @@ def suite_identities(seed=0):
         d = _family(tag)
         basis = canonical_basis(d)
         total = found = 0
-        for g in range(d.n):
+        for g, act in enumerate(basis.action_matrices_np()):
             gam = simple_root(d, g)
-            for k, case in enumerate(basis.simple_action(g)):
-                if case.kind != "add":
+            for k, e in enumerate(basis.elements):
+                partners = [r for r in act[:, k].nonzero()[0] if r != k]
+                if not partners:
                     continue
                 total += 1
-                i, beta = basis.elements[k].labels[0]
+                i, beta = e.labels[0]
                 gens = [simple_root(d, i), beta, gam]
-                if _rank3_orbit_reaches(d, basis.elements[k].matrix,
-                                        basis.elements[case.partner].matrix,
+                if _rank3_orbit_reaches(d, e.matrix,
+                                        basis.elements[partners[0]].matrix,
                                         gens):
                     found += 1
         reports.append("%s %d/%d" % (tag, found, total))
@@ -682,26 +677,18 @@ def suite_identities(seed=0):
 
 def _rank3_orbit_reaches(d, src, dst, gens, cap=100000):
     """Whether dst lies in the orbit of the 2-root src under the subgroup
-    generated by reflections in the three given roots."""
+    generated by reflections in the three given roots; gives up after
+    cap orbit members."""
     from .symsquare import conjugate, reflection_matrix
 
     mats = [reflection_matrix(d, g) for g in gens]
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        if dst in seen:
+    orbit = closure([src], lambda s: (conjugate(m, s) for m in mats))
+    for count, s in enumerate(orbit, start=1):
+        if s == dst:
             return True
-        nxt = []
-        for s in frontier:
-            for m in mats:
-                t = conjugate(m, s)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-                    if len(seen) > cap:
-                        return False
-        frontier = nxt
-    return dst in seen
+        if count > cap:
+            return False
+    return False
 
 
 # --- 9. arc pictures -------------------------------------------------------

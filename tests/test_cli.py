@@ -101,6 +101,14 @@ def test_matrix_involution(capsys):
     assert data["matrix"] == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("word", ["-1", "7"])
+def test_matrix_rejects_letters_outside_the_diagram(capsys, word):
+    code, out, err = run(capsys, "matrix", "--path", "3", "--word", word)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_decompose_json(capsys):
     code, out, _ = run(capsys, "decompose", "--y", "1", "1", "2", "--json")
     data = json.loads(out)
@@ -172,6 +180,22 @@ def test_decompose_mod_two(capsys):
     assert code == 0
     # the whole summand dies mod 2
     assert data["orbit_summands"][0]["radical_dim"] == 2
+
+
+@pytest.mark.parametrize("prime", ["0", "1", "4"])
+def test_decompose_rejects_non_prime_modulus(capsys, prime):
+    code, _, err = run(capsys, "decompose", "--y", "1", "1", "1",
+                       "--prime", prime)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_roots_rejects_height_bound_below_one(capsys):
+    code, out, err = run(capsys, "roots", "--path", "3",
+                         "--height-bound", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_kernel_order_cap(capsys):

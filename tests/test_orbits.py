@@ -8,6 +8,7 @@ from tworoots.orbits import (cgw_less, closed_form_highest, highest_pair,
                              orbit_of, orbit_tables, orthogonal_pairs,
                              pair_action, simple_pair_action)
 from tworoots.roots import simple_root, theta
+from tworoots.symsquare import canonical_basis
 
 
 def test_orthogonal_pairs_a3():
@@ -55,6 +56,21 @@ def test_orbit_of_matches_tables():
     small = min(tabs, key=lambda t: t.size)
     got = orbit_of(d, small.members[0], height_bound=20)
     assert set(got) == set(small.members)
+    a, b = small.members[0]
+    assert orbit_of(d, (b, a), height_bound=20) == got
+
+
+def test_orbit_of_stops_at_the_height_bound():
+    d = y_diagram(2, 2, 3)
+    start = canonical_basis(d).elements[0].pair
+    bound = 2
+    got = set(orbit_of(d, start, height_bound=bound))
+    assert start in got
+    assert all(ht2_of_pair(d, p) <= bound for p in got)
+    outside = {simple_pair_action(d, i, p)
+               for p in got for i in range(d.n)} - got
+    assert outside
+    assert all(ht2_of_pair(d, q) > bound for q in outside)
 
 
 def test_cgw_less_orients_towards_the_top():

@@ -4,8 +4,9 @@ import pytest
 
 from tworoots.diagram import path_diagram, y_diagram
 from tworoots.roots import simple_root
-from tworoots.symsquare import (apply_word, canonical_basis, components,
-                                m_functional, root_pair, sign_coherent, vee)
+from tworoots.symsquare import (apply_simple, apply_word, canonical_basis,
+                                components, m_functional, root_pair,
+                                sign_coherent, vee)
 
 
 def test_vee_symmetric():
@@ -104,18 +105,47 @@ def test_braid_relation_on_basis():
     assert b.word_matrix([0, 2] * 2) == eye
 
 
-def test_word_matrix_is_multiplicative():
-    d = y_diagram(1, 2, 2)
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+@pytest.mark.parametrize("d", [path_diagram(4), y_diagram(2, 2, 2),
+                               y_diagram(2, 2, 3)])
+def test_action_matrix_columns_match_conjugation(d):
     b = canonical_basis(d)
-    rng = random.Random(3)
-    for _ in range(5):
-        u = [rng.randrange(d.n) for _ in range(4)]
-        w = [rng.randrange(d.n) for _ in range(5)]
-        lhs = b.word_matrix(u + w)
-        uw = b.word_matrix(u), b.word_matrix(w)
-        prod = tuple(tuple(sum(uw[0][i][t] * uw[1][t][j] for t in range(len(b)))
-                           for j in range(len(b))) for i in range(len(b)))
-        assert lhs == prod
+    for i, act in enumerate(b.action_matrices_np()):
+        for j, e in enumerate(b.elements):
+            assert b.combine(act[:, j]) == apply_simple(d, i, e.matrix)
+
+
+def test_word_matrix_is_multiplicative():
+    for d in (y_diagram(1, 2, 2), y_diagram(2, 2, 3)):
+        b = canonical_basis(d)
+        rng = random.Random(3)
+        for _ in range(5):
+            u = [rng.randrange(d.n) for _ in range(4)]
+            w = [rng.randrange(d.n) for _ in range(5)]
+            lhs = b.word_matrix(u + w)
+            assert lhs == _mat_mul(b.word_matrix(u), b.word_matrix(w))
+
+
+def test_word_matrix_is_exact_past_the_fast_path():
+    d = y_diagram(2, 2, 3)
+    b = canonical_basis(d)
+    rng = random.Random(5)
+    word = [rng.randrange(d.n) for _ in range(70)]
+    assert b.word_matrix(word) == _mat_mul(b.word_matrix(word[:35]),
+                                           b.word_matrix(word[35:]))
+
+
+@pytest.mark.parametrize("letter", [-1, 4])
+def test_word_letters_must_be_vertices(letter):
+    b = canonical_basis(y_diagram(1, 1, 1))
+    with pytest.raises(ValueError, match="vertices"):
+        b.word_matrix([0, letter])
+    with pytest.raises(ValueError, match="vertices"):
+        b.word_column([letter], 0)
 
 
 def test_word_column_matches_word_matrix():
