@@ -270,7 +270,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_kernel(args) -> int:
     d = get_diagram(args)
-    order = args.group_order if args.group_order else weyl_order(d)
+    order = weyl_order(d)
     tables = orbit_tables(d)
     if args.orbit is not None:
         tables = [t for t in tables if t.id == args.orbit]
@@ -384,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("kernel", cmd_kernel, "kernel of the group action on an orbit "
                                   "summand (practical for rank <= 6)")
     p.add_argument("--orbit", type=int, default=None, help="orbit id")
-    p.add_argument("--group-order", type=int, default=None,
-                   help="override the group order")
     p.add_argument("--max-order", type=int, default=10 ** 6,
                    help="abort if the image group exceeds this order")
 

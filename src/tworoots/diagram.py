@@ -91,30 +91,16 @@ def cartan(d: Diagram) -> linalg.Mat:
     )
 
 
-def _positive_definite(m: linalg.Mat) -> bool:
-    n = len(m)
-    for k in range(1, n + 1):
-        sub = tuple(row[:k] for row in m[:k])
-        if linalg.det(sub) <= 0:
-            return False
-    return True
-
-
 def classify(d: Diagram) -> TypeClass:
-    a = cartan(d)
-    if _positive_definite(a):
+    """A path is finite.  Y(a, b, c) is finite, affine or indefinite as
+    1/(a+1) + 1/(b+1) + 1/(c+1) is above, equal to or below 1."""
+    if d.kind == "Path":
         return TypeClass.FINITE
-    if linalg.det(a) == 0:
-        idx = range(d.n)
-        for drop in idx:
-            sub = tuple(
-                tuple(a[i][j] for j in idx if j != drop)
-                for i in idx if i != drop
-            )
-            if not _positive_definite(sub):
-                return TypeClass.INDEFINITE
-        return TypeClass.AFFINE
-    return TypeClass.INDEFINITE
+    p, q, r = (x + 1 for x in d.arms)
+    lhs, rhs = q * r + p * r + p * q, p * q * r
+    if lhs > rhs:
+        return TypeClass.FINITE
+    return TypeClass.AFFINE if lhs == rhs else TypeClass.INDEFINITE
 
 
 def parabolic_restrict(d: Diagram, vertices) -> tuple[Diagram, dict[int, int]]:

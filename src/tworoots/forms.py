@@ -16,9 +16,14 @@ from . import linalg
 from .diagram import (Diagram, TypeClass, cartan, classify, parabolic_restrict,
                       y_diagram)
 from .roots import delta, simple_root
-from .symsquare import (SymMatrix, _as_int, canonical_basis, conjugate, madd,
-                        msub, reflection_matrix, sign_coherent,
-                        simple_matrices, vee)
+from .symsquare import (SymMatrix, canonical_basis, conjugate, madd, msub,
+                        reflection_matrix, sign_coherent, simple_matrices, vee)
+
+
+def _as_int(x):
+    if isinstance(x, Q) and x.denominator == 1:
+        return int(x)
+    return x
 
 
 def btilde(d: Diagram, s: SymMatrix, t: SymMatrix):

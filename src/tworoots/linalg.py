@@ -64,26 +64,6 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def det(m: Mat) -> Q:
-    n = len(m)
-    rows = [[Q(x) for x in row] for row in m]
-    result = Q(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = Q(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
-
-
 def inverse(m: Mat) -> Mat:
     n = len(m)
     aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]

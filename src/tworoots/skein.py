@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .diagram import Diagram
 from .roots import epsilon_coords
-from .symsquare import canonical_basis, vee
+from .symsquare import canonical_basis
 
 Arc = tuple[int, int, bool]  # (i, j, starred)
 
@@ -58,7 +58,7 @@ def render_skein(d: Diagram, pair) -> str:
     """The input 2-root drawn as arcs, then its canonical expansion with
     one picture per term."""
     basis = canonical_basis(d)
-    coords = basis.expand(vee(*pair))
+    coords = basis.expand_pair(*pair)
     out = ["input: " + eps_label(d, pair), render_arcs(arc_diagram(d, pair)),
            "", "expansion:"]
     for k, c in enumerate(coords):

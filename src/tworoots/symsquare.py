@@ -7,14 +7,16 @@ R S R^T, and the distinguished codimension-one submodule is the kernel of
 S |-> trace(A S).
 
 The canonical basis pairs each simple root alpha_i with its elementary
-partners; expansions over it are computed by one exact rational solve that
-is factored once per diagram and reused.  Each simple reflection acts on
-the basis by one integer matrix, and the matrices and columns of words
+partners.  One exact elimination per diagram turns it into two integer
+matrices: a scaled left inverse that gives the coordinates over the basis,
+and the functionals that vanish on its span.  Each simple reflection acts
+on the basis by one integer matrix, and the matrices and columns of words
 are products of these.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -69,21 +71,11 @@ def m_functional(d: Diagram, s: SymMatrix):
 
 
 def standard_coords(s: SymMatrix) -> tuple:
-    """Coordinates over the basis alpha_i v alpha_j (i <= j), ordered
-    lexicographically: off-diagonal entries as they stand, half of the
-    diagonal."""
+    """The upper triangle s[i][j], i <= j, in lexicographic order: the
+    coordinates over alpha_i v alpha_j for i < j and alpha_i (x) alpha_i
+    on the diagonal.  A linear bijection, so it keeps spans and ranks."""
     n = len(s)
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            out.append(Q(s[i][i], 2) if i == j else s[i][j])
-    return tuple(_as_int(x) for x in out)
-
-
-def _as_int(x):
-    if isinstance(x, Q) and x.denominator == 1:
-        return int(x)
-    return x
+    return tuple(s[i][j] for i in range(n) for j in range(i, n))
 
 
 def reflection_matrix(d: Diagram, alpha) -> linalg.Mat:
@@ -187,18 +179,20 @@ class CanonicalBasis:
         elif d.n >= 3:
             assert k == (d.n - 2) * (d.n + 1) // 2
 
-        self._cols = tuple(standard_coords(m) for m in mats)
-        if k:
-            rows_t, pivots = linalg.rref(self._cols)  # K x D matrix
-            if len(pivots) != k:
-                raise RuntimeError("canonical elements are not independent")
-            self._pivot_rows = pivots
-            square = tuple(tuple(self._cols[c][r] for c in range(k))
-                           for r in self._pivot_rows)
-            self._solve_inv = linalg.inverse(square)
-        else:
-            self._pivot_rows = ()
-            self._solve_inv = ()
+        # Row-reduce [C | I], C the columns of the elements: the right block
+        # of the result is E with E C = [I; 0], so its first k rows are a
+        # left inverse of C and the others cut out the span.
+        dim = d.n * (d.n + 1) // 2
+        cols = [standard_coords(m) for m in mats]
+        red, pivots = linalg.rref(tuple(
+            tuple(c[r] for c in cols) + tuple(int(r == j) for j in range(dim))
+            for r in range(dim)))
+        if pivots[:k] != tuple(range(k)):
+            raise RuntimeError("canonical elements are not independent")
+        self._den = math.lcm(*(x.denominator for row in red for x in row[k:]))
+        solve = np.array([[int(x * self._den) for x in row[k:]] for row in red],
+                         dtype=object)
+        self._left, self._null = solve[:k], solve[k:]
         self._action_np = None
 
     def __len__(self) -> int:
@@ -216,18 +210,25 @@ class CanonicalBasis:
         if len(s) != self.diagram.n:
             raise ValueError("matrix size %d does not match diagram rank %d"
                              % (len(s), self.diagram.n))
-        v = standard_coords(s)
-        x = linalg.mat_vec(self._solve_inv,
-                           tuple(v[r] for r in self._pivot_rows))
-        for dd in range(len(v)):
-            if sum(col[dd] * x[c] for c, col in enumerate(self._cols)) != v[dd]:
-                if self.diagram.kind == "Y" and m_functional(self.diagram, s) != 0:
-                    raise ValueError("element lies outside the codimension-one "
-                                     "submodule (nonzero trace functional)")
-                raise ValueError("element is not in the span of the canonical basis")
-        return tuple(_as_int(Q(c)) for c in x)
+        v = np.array(standard_coords(s), dtype=object)
+        if any(self._null @ v):
+            if self.diagram.kind == "Y" and m_functional(self.diagram, s) != 0:
+                raise ValueError("element lies outside the codimension-one "
+                                 "submodule (nonzero trace functional)")
+            raise ValueError("element is not in the span of the canonical basis")
+        den = self._den
+        return tuple(c // den if c % den == 0 else Q(c, den)
+                     for c in self._left @ v)
 
     def expand_pair(self, a, b) -> tuple:
+        """Coordinates of a v b; a and b must be orthogonal roots."""
+        d = self.diagram
+        finite = classify(d) is TypeClass.FINITE
+        for v in (a, b):
+            if not is_root(d, v, None if finite else max(1, abs(height(v)))):
+                raise ValueError("%s is not a root" % (tuple(v),))
+        if bform(d, a, b) != 0:
+            raise ValueError("the two roots are not orthogonal")
         return self.expand(vee(a, b))
 
     def combine(self, coords) -> SymMatrix:
@@ -291,6 +292,9 @@ class CanonicalBasis:
         for any word of up to 60 letters; longer words are refused."""
         if len(word) > 60:
             raise ValueError("word too long for the fast path")
+        if not 0 <= j < len(self.elements):
+            raise ValueError("column index must be 0..%d"
+                             % (len(self.elements) - 1))
         v = np.zeros(len(self.elements), dtype=np.int64)
         v[j] = 1
         return tuple(int(x) for x in self._act(word, v))

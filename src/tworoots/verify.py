@@ -177,7 +177,8 @@ def suite_coherence(seed=0):
                 ok, sign = sign_coherent(coords)
                 if not (ok and sign == 1
                         and all(isinstance(c, int) for c in coords)
-                        and coords == t.coords[p]):
+                        and coords == t.coords[p]
+                        and basis.combine(coords) == vee(*p)):
                     bad += 1
         out.append(Check("coherence: %s all %d positive 2-roots expand with "
                          "nonnegative integers" % (tag, total), bad == 0,

@@ -93,6 +93,29 @@ def test_expand_rejects_bad_vector(capsys):
     assert "length" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "skein"])
+@pytest.mark.parametrize("diagram,components", [
+    (["--path", "3"], "2,0,0;0,0,1"),
+    (["--y", "2", "2", "3"], "1,0,0,0,0,0,0,0;0,0,0,0,0,0,0,3"),
+])
+def test_expand_rejects_non_roots(capsys, command, diagram, components):
+    code, out, err = run(capsys, command, *diagram, "--components", components)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "not a root" in err
+
+
+@pytest.mark.parametrize("command", ["expand", "skein"])
+def test_expand_rejects_non_orthogonal_roots(capsys, command):
+    code, out, err = run(capsys, command, "--path", "3",
+                         "--components", "1,0,0;0,1,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "orthogonal" in err
+
+
 def test_matrix_involution(capsys):
     code, out, _ = run(capsys, "matrix", "--path", "3",
                        "--word", "1 1", "--json")
@@ -134,6 +157,12 @@ def test_kernel_unknown_orbit(capsys):
     code, _, err = run(capsys, "kernel", "--y", "1", "1", "1", "--orbit", "9")
     assert code == 2
     assert "no orbit" in err
+
+
+def test_kernel_has_no_group_order_override():
+    with pytest.raises(SystemExit) as e:
+        main(["kernel", "--y", "1", "1", "1", "--group-order", "384"])
+    assert e.value.code == 2
 
 
 def test_skein_golden(capsys):

@@ -61,6 +61,10 @@ def test_cartan_d4_row_sums():
     ((1, 2, 6), TypeClass.INDEFINITE),
     ((2, 2, 3), TypeClass.INDEFINITE),
     ((4, 4, 4), TypeClass.INDEFINITE),
+    ((2, 1, 2), TypeClass.FINITE),
+    ((3, 1, 3), TypeClass.AFFINE),
+    ((5, 2, 1), TypeClass.AFFINE),
+    ((2, 3, 2), TypeClass.INDEFINITE),
 ])
 def test_classify_forks(spec, want):
     assert classify(y_diagram(*spec)) is want

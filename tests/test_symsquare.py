@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from tworoots.diagram import path_diagram, y_diagram
+from tworoots.forms import virasoro
 from tworoots.roots import simple_root
 from tworoots.symsquare import (apply_simple, apply_word, canonical_basis,
                                 components, m_functional, root_pair,
@@ -55,6 +57,14 @@ def test_expand_combine_round_trip():
     for _ in range(20):
         coords = tuple(rng.randint(-3, 3) for _ in range(len(b)))
         assert b.expand(b.combine(coords)) == coords
+    # non-integral coordinates come back as exact fractions
+    b = canonical_basis(y_diagram(1, 2, 2))
+    for _ in range(20):
+        coords = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                       for _ in range(len(b)))
+        got = b.expand(b.combine(coords))
+        assert got == coords
+        assert all(isinstance(c, int) or c.denominator > 1 for c in got)
 
 
 def test_expand_rejects_wrong_size():
@@ -67,6 +77,12 @@ def test_expand_rejects_outside_span():
     b = canonical_basis(path_diagram(4))
     with pytest.raises(ValueError):
         b.expand(vee((1, 0, 0, 0), (0, 1, 0, 0)))
+
+
+@pytest.mark.parametrize("d", [path_diagram(4), y_diagram(1, 2, 2)])
+def test_expand_rejects_the_invariant_element(d):
+    with pytest.raises(ValueError):
+        canonical_basis(d).expand(virasoro(d))
 
 
 def test_expand_fork_trace_error_message():
@@ -146,6 +162,14 @@ def test_word_letters_must_be_vertices(letter):
         b.word_matrix([0, letter])
     with pytest.raises(ValueError, match="vertices"):
         b.word_column([letter], 0)
+
+
+@pytest.mark.parametrize("j", [-1, 5])
+def test_word_column_index_must_be_a_basis_index(j):
+    b = canonical_basis(path_diagram(4))
+    assert len(b) == 5
+    with pytest.raises(ValueError, match="column index"):
+        b.word_column([0], j)
 
 
 def test_word_column_matches_word_matrix():
