@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import linalg
 from .diagram import (Diagram, TypeClass, classify, diagram_to_json,
-                      path_diagram, y_diagram)
+                      path_diagram, weyl_order, y_diagram)
 from .forms import (action_kernel_order, affine_radical_witness,
                     decompose_s2v, norm2_witness)
 from .orbits import closed_form_highest, orbit_tables
@@ -85,16 +84,6 @@ def parse_components(d: Diagram, spec: str):
 
 def parse_word(spec: str):
     return [int(x) for x in spec.replace(",", " ").split()]
-
-
-def weyl_order(d: Diagram) -> int:
-    if classify(d) is not TypeClass.FINITE:
-        raise ValueError("group order is only defined for finite diagrams")
-    if d.kind == "Path":
-        return math.factorial(d.n + 1)
-    if sorted(d.arms)[:2] == [1, 1]:
-        return 2 ** (d.n - 1) * math.factorial(d.n)
-    return {6: 51840, 7: 2903040, 8: 696729600}[d.n]
 
 
 # --- subcommands -----------------------------------------------------------
@@ -382,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute radical dimensions mod this prime")
 
     p = add("kernel", cmd_kernel, "kernel of the group action on an orbit "
-                                  "summand (practical for rank <= 6)")
+                                  "summand (practical for rank <= 7)")
     p.add_argument("--orbit", type=int, default=None, help="orbit id")
     p.add_argument("--max-order", type=int, default=10 ** 6,
-                   help="abort if the image group exceeds this order")
+                   help="abort if the Weyl group exceeds this order")
 
     p = add("skein", cmd_skein, "arc picture of a 2-root and its expansion")
     p.add_argument("--components", required=True, metavar="A;B")

@@ -11,6 +11,7 @@ Y(1,2,2), Y(1,2,3), Y(1,2,4) are E6, E7, E8, and Path(n) is A_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,6 +102,18 @@ def classify(d: Diagram) -> TypeClass:
     if lhs > rhs:
         return TypeClass.FINITE
     return TypeClass.AFFINE if lhs == rhs else TypeClass.INDEFINITE
+
+
+def weyl_order(d: Diagram) -> int:
+    """Order of the Weyl group of a finite diagram, by the closed formulas
+    for A_n, D_n and E_6..E_8."""
+    if classify(d) is not TypeClass.FINITE:
+        raise ValueError("group order is only defined for finite diagrams")
+    if d.kind == "Path":
+        return math.factorial(d.n + 1)
+    if sorted(d.arms)[:2] == [1, 1]:
+        return 2 ** (d.n - 1) * math.factorial(d.n)
+    return {6: 51840, 7: 2903040, 8: 696729600}[d.n]
 
 
 def parabolic_restrict(d: Diagram, vertices) -> tuple[Diagram, dict[int, int]]:

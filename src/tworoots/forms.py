@@ -14,8 +14,8 @@ import numpy as np
 
 from . import linalg
 from .diagram import (Diagram, TypeClass, cartan, classify, parabolic_restrict,
-                      y_diagram)
-from .roots import delta, simple_root
+                      weyl_order, y_diagram)
+from .roots import closure, delta, simple_root
 from .symsquare import (SymMatrix, canonical_basis, conjugate, madd, msub,
                         reflection_matrix, sign_coherent, simple_matrices, vee)
 
@@ -131,86 +131,71 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
     return report
 
 
+def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
+    """The elements of W as a stack of matrices on coefficient columns,
+    walked from the identity by the simple reflections.  The reflection
+    representation is faithful, so the walk is W itself; a group larger
+    than the cap is refused before the walk starts."""
+    order = weyl_order(d)
+    if order > state_cap:
+        raise RuntimeError("group closure exceeded the state cap")
+    gens = [np.array(r, dtype=np.int64) for r in simple_matrices(d)]
+    group = np.stack(list(closure([np.eye(d.n, dtype=np.int64)],
+                                  lambda g: (g @ r for r in gens),
+                                  key=np.ndarray.tobytes)))
+    if len(group) != order:
+        raise RuntimeError("walk found %d elements, expected %d"
+                           % (len(group), order))
+    return group
+
+
+def _kernel(d: Diagram, group: np.ndarray, table) -> np.ndarray:
+    """Indices into the group of the elements w with w(a) v w(b) = a v b
+    for every basis member a v b of the orbit summand: the elements acting
+    trivially on it, since those members span it.  Each member is checked
+    only against the elements that fixed the members before it."""
+    inside = set(table.basis_members)
+    if any(c for coords in table.coords.values()
+           for k, c in enumerate(coords) if k not in inside):
+        raise RuntimeError("summand is not invariant")
+    basis = canonical_basis(d)
+    keep = np.arange(len(group))
+    for k in table.basis_members:
+        e = basis.elements[k]
+        w = group[keep] @ np.array(e.pair, dtype=np.int64).T  # w(a), w(b)
+        moved = w[:, :, ::-1] @ w.transpose(0, 2, 1)  # w(a) v w(b)
+        keep = keep[(moved == np.array(e.matrix)).all(axis=(1, 2))]
+    return keep
+
+
 def action_kernel_order(d: Diagram, table, group_order: int,
                         state_cap: int = 10 ** 6) -> int:
     """Order of the kernel of the Weyl group action on one orbit summand:
-    the matrix group generated by the simple reflections on the summand is
-    closed by breadth-first search and divided into the group order."""
-    basis = canonical_basis(d)
-    idxs = table.basis_members
-    rest = sorted(set(range(len(basis))) - set(idxs))
-    gens = []
-    for act in basis.action_matrices_np():
-        if act[np.ix_(rest, idxs)].any():
-            raise RuntimeError("summand is not invariant")
-        gens.append(act[np.ix_(idxs, idxs)])
-    ident = np.eye(len(idxs), dtype=np.int64)
-    seen = {ident.tobytes()}
-    frontier = [ident]
-    while frontier:
-        stack = np.stack(frontier)
-        frontier = []
-        for g in gens:
-            for prod in stack @ g:
-                key = prod.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) > state_cap:
-                        raise RuntimeError("group closure exceeded the state cap")
-                    frontier.append(prod)
-    size = len(seen)
-    if group_order % size:
-        raise RuntimeError("image order %d does not divide %d"
-                           % (size, group_order))
-    return group_order // size
+    the elements of W, walked in the reflection representation, that fix
+    every basis 2-root of the summand.  The walk must find group_order
+    elements, and W may have at most state_cap of them."""
+    group = _weyl_group(d, state_cap)
+    if len(group) != group_order:
+        raise RuntimeError("the Weyl group has order %d, not %d"
+                           % (len(group), group_order))
+    return len(_kernel(d, group, table))
 
 
 def kernel_intersection(d: Diagram, state_cap: int = 10 ** 6) -> dict:
-    """Closes the reflection representation group together with its module
-    action, collects for each orbit summand the elements acting trivially
-    on it, and intersects those kernels.  Reports the per-orbit kernel
-    orders, the intersection order, and whether the intersection is
-    exactly the center (the identity, plus minus one when present)."""
+    """Walks the Weyl group once, collects for each orbit summand the
+    elements acting trivially on it, and intersects those kernels.
+    Reports the group order, the per-orbit kernel orders, the
+    intersection order, and whether the intersection is exactly the
+    center (the identity, plus minus one when present)."""
     from .orbits import orbit_tables
 
-    if classify(d) is not TypeClass.FINITE:
-        raise ValueError("kernel enumeration needs a finite type")
-    basis = canonical_basis(d)
-    tables = orbit_tables(d)
-    refl = [np.array(simple_matrices(d)[i], dtype=np.int64)
-            for i in range(d.n)]
-    act = basis.action_matrices_np()
-    ident_r = np.eye(d.n, dtype=np.int64)
-    ident_a = np.eye(len(basis), dtype=np.int64)
-    seen = {ident_r.tobytes(): ident_a}
-    frontier = [(ident_r, ident_a)]
-    while frontier:
-        nxt = []
-        for r, a in frontier:
-            for g, h in zip(refl, act):
-                r2 = g @ r
-                key = r2.tobytes()
-                if key not in seen:
-                    if len(seen) >= state_cap:
-                        raise RuntimeError(
-                            "group closure exceeded the state cap")
-                    a2 = h @ a
-                    seen[key] = a2
-                    nxt.append((r2, a2))
-        frontier = nxt
-    kernels = []
-    for t in tables:
-        idxs = list(t.basis_members)
-        want = ident_a[:, idxs]
-        kernels.append({key for key, a in seen.items()
-                        if np.array_equal(a[:, idxs], want)})
-    inter = set.intersection(*kernels)
-    center = {ident_r.tobytes()}
-    neg = (-ident_r).tobytes()
-    if neg in seen:
-        center.add(neg)
+    group = _weyl_group(d, state_cap)
+    kernels = [set(_kernel(d, group, t).tolist()) for t in orbit_tables(d)]
+    inter = set(range(len(group))).intersection(*kernels)
+    neg = (group == -np.eye(d.n, dtype=np.int64)).all(axis=(1, 2))
+    center = {0} | set(np.flatnonzero(neg).tolist())  # 0: the identity
     return {
-        "group_order": len(seen),
+        "group_order": len(group),
         "kernel_orders": tuple(len(k) for k in kernels),
         "intersection_order": len(inter),
         "is_center": inter == center,

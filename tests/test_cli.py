@@ -234,6 +234,14 @@ def test_kernel_order_cap(capsys):
     assert "state cap" in err
 
 
+def test_kernel_refuses_e7_before_walking(capsys):
+    # |W(E7)| = 2,903,040 is above the default cap of 10**6.
+    code, out, err = run(capsys, "kernel", "--y", "1", "2", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "state cap" in err
+
+
 def test_verify_kernels_order_cap(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kernels",
                        "--max-order", "200")

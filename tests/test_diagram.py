@@ -3,7 +3,8 @@ import pytest
 from tworoots.diagram import (TypeClass, adjacent, cartan, classify,
                               component_count, diagram_from_json,
                               diagram_to_json, endpoints, h_graph, neighbors,
-                              parabolic_restrict, path_diagram, y_diagram)
+                              parabolic_restrict, path_diagram, weyl_order,
+                              y_diagram)
 
 
 def test_y_diagram_shape():
@@ -108,3 +109,11 @@ def test_h_graph_components_match_orbit_counts():
 def test_json_round_trip():
     for d in [y_diagram(2, 3, 4), path_diagram(6)]:
         assert diagram_from_json(diagram_to_json(d)) == d
+
+
+def test_weyl_order():
+    assert weyl_order(path_diagram(3)) == 24
+    assert weyl_order(y_diagram(1, 1, 2)) == 1920
+    assert weyl_order(y_diagram(1, 2, 4)) == 696729600
+    with pytest.raises(ValueError):
+        weyl_order(y_diagram(2, 2, 2))

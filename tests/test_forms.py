@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,24 @@ def test_kernel_divisibility_guard():
         action_kernel_order(d, t, 7)
 
 
+def test_kernel_refuses_a_weyl_group_above_the_cap():
+    # D5's small orbit has an image group of order 120, but W has 1920.
+    d = y_diagram(1, 1, 2)
+    small = min(orbit_tables(d), key=lambda t: t.size)
+    with pytest.raises(RuntimeError, match="state cap"):
+        action_kernel_order(d, small, 1920, state_cap=1000)
+
+
+@pytest.mark.parametrize("d,order", [(y_diagram(1, 1, 1), 192),
+                                     (y_diagram(1, 1, 2), 1920)],
+                         ids=["D4", "D5"])
+def test_kernel_invariance_guard(d, order):
+    for t in orbit_tables(d):
+        short = dataclasses.replace(t, basis_members=t.basis_members[:-1])
+        with pytest.raises(RuntimeError, match="summand is not invariant"):
+            action_kernel_order(d, short, order)
+
+
 def test_norm2_witness_rejects_other_shapes():
     with pytest.raises(ValueError):
         norm2_witness(1, 1, 1)
@@ -118,12 +137,20 @@ def test_norm2_witness_values():
     assert w["sign_coherent"] and w["sign"] == 1
 
 
-def test_d4_orbit_kernels_meet_in_the_center():
-    rep = kernel_intersection(y_diagram(1, 1, 1))
-    assert rep["group_order"] == 192
-    assert rep["kernel_orders"] == (8, 8, 8)
-    assert rep["intersection_order"] == 2
-    assert rep["is_center"]
+@pytest.mark.parametrize("d,expected", [
+    (path_diagram(1), (2, (), 2, True)),
+    (path_diagram(2), (6, (), 6, False)),
+    (path_diagram(3), (24, (4,), 4, False)),
+    (y_diagram(1, 1, 1), (192, (8, 8, 8), 2, True)),
+    (y_diagram(1, 1, 2), (1920, (1, 16), 1, True)),
+    (y_diagram(1, 1, 3), (23040, (2, 32), 2, True)),
+], ids=["A1", "A2", "A3", "D4", "D5", "D6"])
+def test_kernel_intersection(d, expected):
+    # A1 and A2 have no orbits, so the intersection is all of W.  A3 is the
+    # one diagram with orbits whose kernels meet in more than the center.
+    rep = kernel_intersection(d)
+    assert (rep["group_order"], rep["kernel_orders"],
+            rep["intersection_order"], rep["is_center"]) == expected
 
 
 def test_norm_search_small_boxes():
