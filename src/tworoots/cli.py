@@ -17,8 +17,8 @@ import sys
 from . import linalg
 from .diagram import (Diagram, TypeClass, classify, diagram_to_json,
                       path_diagram, weyl_order, y_diagram)
-from .forms import (action_kernel_order, affine_radical_witness,
-                    decompose_s2v, norm2_witness)
+from .forms import (affine_radical_witness, decompose_s2v, kernel_orders,
+                    norm2_witness)
 from .orbits import closed_form_highest, orbit_tables
 from .roots import paper_labels, positive_roots
 from .skein import render_skein
@@ -266,8 +266,8 @@ def cmd_kernel(args) -> int:
         if not tables:
             raise ValueError("no orbit with id %d" % args.orbit)
     out = []
-    for t in tables:
-        k = action_kernel_order(d, t, order, state_cap=args.max_order)
+    for t, k in zip(tables, kernel_orders(d, tables, order,
+                                          state_cap=args.max_order)):
         out.append({"orbit": t.id, "kernel_order": k})
         if not args.json:
             print("orbit %d: kernel order %d (group order %d)"

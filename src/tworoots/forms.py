@@ -52,12 +52,27 @@ def _check_prime(p: int) -> None:
         raise ValueError("modulus must be a prime, got %d" % p)
 
 
+def _half(x):
+    """x / 2, as an int when it is integral."""
+    if isinstance(x, int) and not x & 1:
+        return x >> 1
+    return _as_int(Q(x, 2))
+
+
 def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
     """Gram matrix of the given elements under the half product form,
-    optionally reduced mod a prime."""
+    optionally reduced mod a prime.  One exact matmul over Python ints and
+    Fractions: with L_i = A S_i, entry (i, j) is half of
+    trace(L_i L_j) = <L_i, L_j^T>, the flattened L_i against the
+    flattened transpose of L_j."""
     if p is not None:
         _check_prime(p)
-    g = [[bprime(d, s, t) for t in mats] for s in mats]
+    k, n = len(mats), d.n
+    left = (np.array(cartan(d), dtype=object)
+            @ np.array(mats, dtype=object).reshape(k, n, n))
+    twice = (left.reshape(k, n * n)
+             @ left.transpose(0, 2, 1).reshape(k, n * n).T)
+    g = [[_half(x) for x in row] for row in twice.tolist()]
     if p is not None:
         for row in g:
             for x in row:
@@ -168,17 +183,24 @@ def _kernel(d: Diagram, group: np.ndarray, table) -> np.ndarray:
     return keep
 
 
-def action_kernel_order(d: Diagram, table, group_order: int,
-                        state_cap: int = 10 ** 6) -> int:
-    """Order of the kernel of the Weyl group action on one orbit summand:
-    the elements of W, walked in the reflection representation, that fix
-    every basis 2-root of the summand.  The walk must find group_order
-    elements, and W may have at most state_cap of them."""
+def kernel_orders(d: Diagram, tables, group_order: int,
+                  state_cap: int = 10 ** 6) -> list[int]:
+    """Orders of the kernels of the Weyl group action on the given orbit
+    summands, from one walk of W in the reflection representation: the
+    elements that fix every basis 2-root of a summand.  The walk must find
+    group_order elements, and W may have at most state_cap of them."""
     group = _weyl_group(d, state_cap)
     if len(group) != group_order:
         raise RuntimeError("the Weyl group has order %d, not %d"
                            % (len(group), group_order))
-    return len(_kernel(d, group, table))
+    return [len(_kernel(d, group, t)) for t in tables]
+
+
+def action_kernel_order(d: Diagram, table, group_order: int,
+                        state_cap: int = 10 ** 6) -> int:
+    """Order of the kernel of the Weyl group action on one orbit summand;
+    see kernel_orders."""
+    return kernel_orders(d, [table], group_order, state_cap)[0]
 
 
 def kernel_intersection(d: Diagram, state_cap: int = 10 ** 6) -> dict:
@@ -215,8 +237,7 @@ def norm_search(d: Diagram, target: int, bound: int,
     if total > cap:
         raise ValueError("box holds %d vectors, more than the cap %d"
                          % (total, cap))
-    g = [[bprime(d, a.matrix, b.matrix) for b in basis.elements]
-         for a in basis.elements]
+    g = gram(d, [e.matrix for e in basis.elements])
     found = []
     for c in itertools.product(range(-bound, bound + 1), repeat=k):
         norm = sum(c[i] * c[j] * g[i][j]

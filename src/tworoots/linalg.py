@@ -6,6 +6,7 @@ or Fractions and every routine is exact; nothing here ever touches floats.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Sequence
 
@@ -30,46 +31,68 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its denominators: a row of Python ints
+    with the same row space."""
+    row = [x if isinstance(x, int) else Q(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row if isinstance(x, Q)))
+    return [int(x) * den if isinstance(x, int)
+            else x.numerator * (den // x.denominator) for x in row]
+
+
+def rref_int(m) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """(R, pivots, den) with R / den the reduced row echelon form of m,
+    R integer and den > 0, from one fraction-free Gauss-Jordan pass over
+    integers (Bareiss, Math. Comp. 22, 1968).  Every row is updated at
+    every step as (p x - f y) / prev, an exact division by the previous
+    pivot, so all entries stay integers and every pivot ends equal to the
+    last one, den up to sign."""
+    rows = [_integer_row(row) for row in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(p * x - f * y) // prev
+                           for x, y in zip(rows[i], top)]
+            elif p != prev:  # only rescale, to the new pivot
+                rows[i] = [p * x // prev for x in rows[i]]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    if prev < 0:
+        rows, prev = [[-x for x in row] for row in rows], -prev
+    return rows, tuple(pivots), prev
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    rows = [[Q(x) for x in row] for row in m]
-    rows, pivots = _echelon(rows)
-    return mat(rows), tuple(pivots)
+    rows, pivots, den = rref_int(m)
+    return mat([Q(x, den) for x in row] for row in rows), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(rref_int(m)[1])
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    aug, pivots = _echelon(aug)
-    if list(pivots[:n]) != list(range(n)):
+    aug, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(m)])
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return mat(row[n:] for row in aug[:n])
 
@@ -94,16 +117,8 @@ def nullspace(m: Mat) -> tuple[Vec, ...]:
 def primitive_integer(v: Sequence[Q]) -> Vec:
     """Scale a rational vector to a primitive integer vector (gcd 1),
     with the first nonzero entry positive."""
-    from math import gcd
-
-    denoms = [Q(x).denominator for x in v]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Q(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = _integer_row(v)
+    g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 0)

@@ -184,13 +184,16 @@ class CanonicalBasis:
         # left inverse of C and the others cut out the span.
         dim = d.n * (d.n + 1) // 2
         cols = [standard_coords(m) for m in mats]
-        red, pivots = linalg.rref(tuple(
-            tuple(c[r] for c in cols) + tuple(int(r == j) for j in range(dim))
-            for r in range(dim)))
+        red, pivots, den = linalg.rref_int(
+            [[c[r] for c in cols] + [int(r == j) for j in range(dim)]
+             for r in range(dim)])
         if pivots[:k] != tuple(range(k)):
             raise RuntimeError("canonical elements are not independent")
-        self._den = math.lcm(*(x.denominator for row in red for x in row[k:]))
-        solve = np.array([[int(x * self._den) for x in row[k:]] for row in red],
+        # The right block is E times den; keep it over the least common
+        # denominator of E's entries.
+        g = math.gcd(den, *(x for row in red for x in row[k:]))
+        self._den = den // g
+        solve = np.array([[x // g for x in row[k:]] for row in red],
                          dtype=object)
         self._left, self._null = solve[:k], solve[k:]
         self._action_np = None

@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .diagram import (adjacent, classify, component_count, h_graph,
-                      path_diagram, y_diagram)
+from .diagram import (TypeClass, adjacent, classify, component_count,
+                      h_graph, path_diagram, y_diagram)
 from .forms import (action_kernel_order, affine_radical_witness, bprime,
-                    btilde, c_apply, decompose_s2v, gram, norm2_witness,
-                    virasoro)
+                    btilde, c_apply, decompose_s2v, gram, kernel_orders,
+                    norm2_witness, radical_basis, virasoro)
 from .orbits import (closed_form_highest, ht2_of_pair, monoidal_covers,
                      orbit_tables, orthogonal_pairs, pair_action,
                      highest_pair)
@@ -424,6 +424,20 @@ def suite_forms(seed=0):
     bad = []
     for fam in [("A4",), ("D5",), ("E6",), ("y", 2, 2, 3)]:
         d = _family(fam[0]) if len(fam) == 1 else y_diagram(*fam[1:])
+        mats = [e.matrix for e in canonical_basis(d).elements]
+        for ms in (mats, mats + [virasoro(d)]):
+            want = tuple(tuple(bprime(d, s, t) for t in ms) for s in ms)
+            # repr tells an int from an equal Fraction
+            if repr(gram(d, ms)) != repr(want):
+                bad.append("%r with %d elements" % (d, len(ms)))
+    out.append(Check("forms: matmul Gram equals the per-entry trace-form "
+                     "Gram on A4, D5, E6, Y(2,2,3), with and without the "
+                     "inverse Cartan element", not bad,
+                     "mismatches: %s" % (bad or "none")))
+
+    bad = []
+    for fam in [("A4",), ("D5",), ("E6",), ("y", 2, 2, 3)]:
+        d = _family(fam[0]) if len(fam) == 1 else y_diagram(*fam[1:])
         basis = canonical_basis(d)
         from .symsquare import apply_word, simple_matrices
         rng = random.Random("%d:invariance:%r" % (seed, d))
@@ -501,12 +515,22 @@ def suite_forms(seed=0):
                      raised and rk == 7 == d.n and rk2 == 7 and ortho,
                      "rank %d" % rk))
 
-    rep = decompose_s2v(y_diagram(1, 2, 6))
-    out.append(Check("forms: Y(1,2,6) module of dimension 54 is "
-                     "nondegenerate",
-                     (rep["dim_sym_square"], rep["module_dim"],
-                      rep["module_radical_dim"]) == (55, 54, 0),
-                     "radical %d" % rep["module_radical_dim"]))
+    # Both radicals are computed, though the mod p one alone would do: rank
+    # over Q is at least rank mod p.
+    prime = 2 ** 31 - 1
+    bad = []
+    swept = 0
+    for arms in itertools.combinations_with_replacement(range(1, 9), 3):
+        d = y_diagram(*arms)
+        if d.n <= 11 and classify(d) is not TypeClass.AFFINE:
+            swept += 1
+            mats = [e.matrix for e in canonical_basis(d).elements]
+            if (radical_basis(gram(d, mats))
+                    or radical_basis(gram(d, mats, prime), prime)):
+                bad.append(repr(d))
+    out.append(Check("forms: the module of each of the %d non-affine forks "
+                     "with n <= 11 is nondegenerate over Q and mod 2^31-1"
+                     % swept, not bad, "mismatches: %s" % (bad or "none")))
     return out
 
 
@@ -520,15 +544,14 @@ def suite_kernels(seed=0, max_order=None):
 
     if within(192):
         d = y_diagram(1, 1, 1)
-        ks = [action_kernel_order(d, t, 192) for t in orbit_tables(d)]
+        ks = kernel_orders(d, orbit_tables(d), 192)
         out.append(Check("kernels: D4 all three orbits have kernel of order 8",
                          ks == [8, 8, 8], "got %s" % ks))
 
     if within(1920):
         d = y_diagram(1, 1, 2)
         tabs = {t.size: t for t in orbit_tables(d)}
-        k_small = action_kernel_order(d, tabs[10], 1920)
-        k_large = action_kernel_order(d, tabs[60], 1920)
+        k_small, k_large = kernel_orders(d, [tabs[10], tabs[60]], 1920)
         out.append(Check("kernels: D5 small orbit 16, large orbit 1",
                          (k_small, k_large) == (16, 1),
                          "got %d, %d" % (k_small, k_large)))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tworoots import forms
 from tworoots.cli import build_parser, main
 from tworoots.diagram import diagram_from_json, y_diagram
 from tworoots.orbits import orbit_tables
@@ -153,6 +158,21 @@ def test_kernel_d4(capsys):
     assert "kernel order 8 (group order 192)" in out
 
 
+def test_kernel_walks_the_group_once(capsys, monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return weyl_group(*args)
+
+    weyl_group = forms._weyl_group
+    monkeypatch.setattr(forms, "_weyl_group", counted)
+    code, out, _ = run(capsys, "kernel", "--y", "1", "1", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 2  # D5 has two orbits
+    assert len(walks) == 1
+
+
 def test_kernel_unknown_orbit(capsys):
     code, _, err = run(capsys, "kernel", "--y", "1", "1", "1", "--orbit", "9")
     assert code == 2
@@ -187,6 +207,18 @@ def test_verify_single_suite(capsys):
     lines = out.splitlines()
     assert lines[-1].endswith("0 failed")
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "tworoots", "verify",
+                           "--suite", "skein"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("0 failed")
 
 
 def test_matrix_sign_coherence_flag(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,25 @@ def test_gram_mod_two_parity():
     a4 = path_diagram(4)
     mats = [e.matrix for e in canonical_basis(a4).elements]
     assert any(x for row in gram(a4, mats, p=2) for x in row)
+
+
+def test_gram_is_exact_past_int64():
+    # Entries near 2**40 give Gram entries near 2**84; the inverse Cartan
+    # element adds Fraction entries.
+    d = y_diagram(1, 1, 1)
+    rng = random.Random(40)
+    mats = []
+    for _ in range(4):
+        m = [[0] * d.n for _ in range(d.n)]
+        for i in range(d.n):
+            for j in range(i, d.n):
+                m[i][j] = m[j][i] = 2 ** 40 + rng.randint(-1000, 1000)
+        mats.append(tuple(tuple(row) for row in m))
+    mats.append(virasoro(d))
+    g = gram(d, mats)
+    want = tuple(tuple(bprime(d, s, t) for t in mats) for s in mats)
+    assert repr(g) == repr(want)  # same values, and ints where want has ints
+    assert max(abs(x) for row in g for x in row) > 2 ** 63
 
 
 def test_radical_basis_of_singular_gram():

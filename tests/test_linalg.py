@@ -1,0 +1,74 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from tworoots import linalg
+from tworoots.diagram import cartan, y_diagram
+
+
+def low_rank(rng, nrows, ncols, rank, size):
+    """A random integer matrix of at most the given rank, as a product of
+    an nrows x rank and a rank x ncols factor."""
+    if rank == 0:
+        return linalg.mat([[0] * ncols for _ in range(nrows)])
+    left = [[rng.randint(-size, size) for _ in range(rank)]
+            for _ in range(nrows)]
+    right = [[rng.randint(-size, size) for _ in range(ncols)]
+             for _ in range(rank)]
+    return linalg.mat_mul(linalg.mat(left), linalg.mat(right))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nullspace_of_random_low_rank_matrices(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    m = low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)),
+                 rng.choice([2, 9, 10 ** 6]))
+    null = linalg.nullspace(m)
+    for v in null:
+        assert all(x == 0 for x in linalg.mat_vec(m, v))
+    assert len(null) == ncols - linalg.rank(m)
+    # rank over Q is at least rank mod p
+    for p in (2, 3, 1000003):
+        assert linalg.rank(m) >= ncols - len(linalg.nullspace_mod(m, p))
+
+
+def test_rref_of_fraction_rows_matches_scaled_integer_rows():
+    rng = random.Random(7)
+    rows = [[Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+             for _ in range(7)] for _ in range(5)]
+    rows.append([x + y for x, y in zip(rows[0], rows[1])])
+    scaled = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator
+        scaled.append([int(x * den) for x in row])
+    assert linalg.rref(rows) == linalg.rref(scaled)
+    red, pivots = linalg.rref(rows)
+    assert len(pivots) == 5
+    assert all(isinstance(x, Fraction) for row in red for x in row)
+    for r, c in enumerate(pivots):
+        assert [row[c] for row in red] == [int(i == r) for i in range(6)]
+
+
+def test_inverse_of_the_e8_cartan_matrix():
+    a = cartan(y_diagram(1, 2, 4))
+    eye = linalg.mat_mul(linalg.inverse(a), a)
+    assert eye == tuple(tuple(int(i == j) for j in range(8))
+                        for i in range(8))
+
+
+def test_singular_inverse_raises():
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse(((1, 2), (2, 4)))
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse(cartan(y_diagram(2, 2, 2)))  # affine E6
+
+
+def test_empty_matrix():
+    assert linalg.rref(()) == ((), ())
+    assert linalg.rank(()) == 0
+    assert linalg.nullspace(()) == ()
+    assert linalg.inverse(()) == ()
