@@ -15,9 +15,9 @@ import numpy as np
 from . import linalg
 from .diagram import (Diagram, TypeClass, cartan, classify, parabolic_restrict,
                       weyl_order, y_diagram)
-from .roots import closure, delta, simple_root
+from .roots import delta, simple_root
 from .symsquare import (SymMatrix, canonical_basis, conjugate, madd, msub,
-                        reflection_matrix, sign_coherent, simple_matrices, vee)
+                        reflection_matrix, sign_coherent, vee)
 
 
 def _as_int(x):
@@ -147,28 +147,45 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
 
 
 def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
-    """The elements of W as a stack of matrices on coefficient columns,
-    walked from the identity by the simple reflections.  The reflection
-    representation is faithful, so the walk is W itself; a group larger
-    than the cap is refused before the walk starts."""
+    """The elements of W as an int8 stack of matrices on coefficient
+    columns, by length from the identity; a group larger than the cap is
+    refused before the walk starts.  A tree walk: column j of w is the root
+    w(alpha_j), whose sign is that of its height, and each w other than 1
+    has the parent w s_i, one shorter, for the least i with w(alpha_i) < 0.
+    So w s_i is a child of w when its column i is negative and its columns
+    before i are positive, and each element is reached once.  Entries are
+    root coefficients (at most 6, on E8) and are checked to fit int8."""
     order = weyl_order(d)
     if order > state_cap:
         raise RuntimeError("group closure exceeded the state cap")
-    gens = [np.array(r, dtype=np.int64) for r in simple_matrices(d)]
-    group = np.stack(list(closure([np.eye(d.n, dtype=np.int64)],
-                                  lambda g: (g @ r for r in gens),
-                                  key=np.ndarray.tobytes)))
-    if len(group) != order:
+    a = np.array(cartan(d), dtype=np.int64)
+    group = np.empty((order, d.n, d.n), dtype=np.int8)
+    layer, size = np.eye(d.n, dtype=np.int64)[None], 0
+    while len(layer):
+        if np.abs(layer).max() > 127:
+            raise RuntimeError("a group element has an entry past int8")
+        if size + len(layer) <= order:
+            group[size:size + len(layer)] = layer
+        size += len(layer)
+        heights, children = layer.sum(axis=1), []
+        for i in range(d.n):  # w s_i = w - (column i of w) (row i of A)
+            h = heights - heights[:, i:i + 1] * a[i]
+            w = layer[(h[:, i] < 0) & (h[:, :i] > 0).all(axis=1)]
+            children.append(w - w[:, :, i:i + 1] * a[i])
+        layer = np.concatenate(children)
+    if size != order:
         raise RuntimeError("walk found %d elements, expected %d"
-                           % (len(group), order))
+                           % (size, order))
     return group
 
 
 def _kernel(d: Diagram, group: np.ndarray, table) -> np.ndarray:
     """Indices into the group of the elements w with w(a) v w(b) = a v b
     for every basis member a v b of the orbit summand: the elements acting
-    trivially on it, since those members span it.  Each member is checked
-    only against the elements that fixed the members before it."""
+    trivially on it, since those members span it.  As a and b are
+    independent norm-2 roots, that holds exactly when (w(a), w(b)) is
+    (a, b) or (b, a) up to one common sign.  Each member is checked only
+    against the elements that fixed the members before it."""
     inside = set(table.basis_members)
     if any(c for coords in table.coords.values()
            for k, c in enumerate(coords) if k not in inside):
@@ -176,10 +193,13 @@ def _kernel(d: Diagram, group: np.ndarray, table) -> np.ndarray:
     basis = canonical_basis(d)
     keep = np.arange(len(group))
     for k in table.basis_members:
-        e = basis.elements[k]
-        w = group[keep] @ np.array(e.pair, dtype=np.int64).T  # w(a), w(b)
-        moved = w[:, :, ::-1] @ w.transpose(0, 2, 1)  # w(a) v w(b)
-        keep = keep[(moved == np.array(e.matrix)).all(axis=(1, 2))]
+        pair = np.array(basis.elements[k].pair)  # rows a, b
+        w = np.zeros((len(keep), 2, d.n), dtype=np.int64)  # w(a), w(b)
+        for j in np.flatnonzero(pair.any(axis=0)):  # sum columns of w
+            w += group[keep, None, :, j] * pair[:, j, None]
+        fixed = [(w == t).all(axis=(1, 2))
+                 for t in (pair, pair[::-1], -pair, -pair[::-1])]
+        keep = keep[np.logical_or.reduce(fixed)]
     return keep
 
 

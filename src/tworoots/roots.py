@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .diagram import Diagram, TypeClass, cartan, classify, neighbors
 
@@ -91,8 +93,13 @@ def closure(seeds, moves, key=None, prune=None):
 
 
 def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, ...]:
-    """All positive roots, by closing the simple roots under simple
-    reflections.  Infinite types require an explicit height bound."""
+    """All positive roots in (height, root) order, up to the height bound;
+    infinite types require one.  A tree walk: a root beta other than a
+    simple root has B(beta, alpha_i) > 0 for some i, as B(beta, beta) = 2
+    is the sum of beta_i B(beta, alpha_i), and its parent is s_i beta for
+    the least such i, of lower height.  So each root is reached once, from
+    its parent.  One step can add more than one to the height, so roots
+    wait in buckets by height and each bucket is expanded as one array."""
     key = (d, height_bound)
     cached = _POSITIVE_CACHE.get(key)
     if cached is not None:
@@ -102,15 +109,24 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
                          % height_bound)
     if height_bound is None and classify(d) is not TypeClass.FINITE:
         raise ValueError("infinite root system: pass a height bound")
-
-    def dropped(r) -> bool:
-        return not is_positive(r) or (height_bound is not None
-                                      and height(r) > height_bound)
-
-    found = closure((simple_root(d, i) for i in range(d.n)),
-                    lambda r: (simple_reflect(d, i, r) for i in range(d.n)),
-                    prune=dropped)
-    result = tuple(sorted(found, key=lambda r: (height(r), r)))
+    limit = np.inf if height_bound is None else height_bound
+    a = np.array(cartan(d), dtype=np.int64)
+    buckets, found = {1: [np.eye(d.n, dtype=np.int64)]}, []
+    while buckets:
+        h = min(buckets)
+        layer = np.concatenate(buckets.pop(h))
+        layer = layer[np.lexsort(layer.T[::-1])]
+        found.extend(zip(*layer.T.tolist()))
+        c = layer @ a  # c[r, j] = B(r, alpha_j)
+        for i in range(d.n):
+            step = -c[:, i]  # s_i r = r + step alpha_i
+            keep = ((step > 0) & (h + step <= limit)
+                    & (c[:, :i] + step[:, None] * a[i, :i] <= 0).all(axis=1))
+            for s in set(step[keep].tolist()):
+                child = layer[keep & (step == s)]
+                child[:, i] += s
+                buckets.setdefault(h + s, []).append(child)
+    result = tuple(found)
     _POSITIVE_CACHE[key] = result
     return result
 

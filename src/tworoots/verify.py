@@ -12,20 +12,24 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .diagram import (TypeClass, adjacent, classify, component_count,
                       h_graph, path_diagram, y_diagram)
-from .forms import (action_kernel_order, affine_radical_witness, bprime,
-                    btilde, c_apply, decompose_s2v, gram, kernel_orders,
-                    norm2_witness, radical_basis, virasoro)
+from .forms import (_weyl_group, action_kernel_order, affine_radical_witness,
+                    bprime, btilde, c_apply, decompose_s2v, gram,
+                    kernel_orders, norm2_witness, radical_basis, virasoro)
 from .orbits import (closed_form_highest, ht2_of_pair, monoidal_covers,
                      orbit_tables, orthogonal_pairs, pair_action,
                      highest_pair)
-from .roots import (bform, closure, epsilon_coords, is_root, negate,
-                    positive_roots, simple_root, theta)
+from .roots import (bform, closure, epsilon_coords, height, is_positive,
+                    is_root, negate, positive_roots, simple_reflect,
+                    simple_root, theta)
 from .skein import arc_diagram, render_skein
 from .symsquare import (apply_simple, canonical_basis, m_functional, madd,
-                        mscale, sign_coherent, standard_coords, vee)
+                        mscale, sign_coherent, simple_matrices,
+                        standard_coords, vee)
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,22 @@ def suite_basis(seed=0):
     got = tuple(e.pair for e in canonical_basis(y_diagram(1, 1, 1)).elements)
     out.append(Check("basis: the nine elements for Y(1,1,1)",
                      got == D4_BASIS_PAIRS, "got %d pairs" % len(got)))
+
+    bad = []
+    for d, bound in [(_family("A8"), None), (_family("D8"), None),
+                     (_family("E8"), None), (y_diagram(2, 2, 3), 30),
+                     (y_diagram(1, 2, 6), 40)]:
+        walk = closure((simple_root(d, i) for i in range(d.n)),
+                       lambda r: (simple_reflect(d, i, r) for i in range(d.n)),
+                       prune=lambda r: not is_positive(r) or (
+                           bound is not None and height(r) > bound))
+        want = tuple(sorted(walk, key=lambda r: (height(r), r)))
+        if positive_roots(d, bound) != want:
+            bad.append(repr(d))
+    out.append(Check("basis: positive roots equal the reflection walk of the "
+                     "simple roots on A8, D8, E8, Y(2,2,3) <= 30, "
+                     "Y(1,2,6) <= 40", not bad,
+                     "mismatches: %s" % (bad or "none")))
     return out
 
 
@@ -203,8 +223,6 @@ def suite_coherence(seed=0):
                          "%d failures" % bad))
 
         # full matrices for a smaller sample
-        import numpy as np
-
         mats = basis.action_matrices_np()
         eye = np.eye(k, dtype=np.int64)
         bad = 0
@@ -387,7 +405,7 @@ def suite_forms(seed=0):
     for tag in ["A4", "D4", "D5", "E6"]:
         d = _family(tag)
         om = virasoro(d)
-        from .symsquare import conjugate, simple_matrices
+        from .symsquare import conjugate
         fixed = all(conjugate(simple_matrices(d)[i], om) == om
                     for i in range(d.n))
         rows = tuple(standard_coords(e.matrix)
@@ -439,7 +457,7 @@ def suite_forms(seed=0):
     for fam in [("A4",), ("D5",), ("E6",), ("y", 2, 2, 3)]:
         d = _family(fam[0]) if len(fam) == 1 else y_diagram(*fam[1:])
         basis = canonical_basis(d)
-        from .symsquare import apply_word, simple_matrices
+        from .symsquare import apply_word
         rng = random.Random("%d:invariance:%r" % (seed, d))
         mats = simple_matrices(d)
         for _ in range(1000):
@@ -569,6 +587,21 @@ def suite_kernels(seed=0, max_order=None):
         k = action_kernel_order(d, t, 51840)
         out.append(Check("kernels: E6 action is faithful", k == 1,
                          "got %d" % k))
+
+    if within(1920):
+        bad = []
+        for d in map(_family, ["A4", "D4", "D5"]):
+            gens = [np.array(m, dtype=np.int64) for m in simple_matrices(d)]
+            walk = {g.tobytes() for g in closure(
+                [np.eye(d.n, dtype=np.int64)], lambda g: (g @ r for r in gens),
+                key=np.ndarray.tobytes)}
+            ws = [w.tobytes() for w in _weyl_group(d, 1920).astype(np.int64)]
+            if len(set(ws)) != len(ws) or set(ws) != walk:
+                bad.append(repr(d))
+        out.append(Check("kernels: the Weyl group tree walk has distinct "
+                         "elements and equals the closure of the simple "
+                         "reflections on A4, D4, D5", not bad,
+                         "mismatches: %s" % (bad or "none")))
     return out
 
 
@@ -593,7 +626,7 @@ def suite_identities(seed=0):
                          % (tag, len(pairs) * len(basis)), bad == 0,
                          "%d failures" % bad))
 
-        from .symsquare import conjugate, simple_matrices
+        from .symsquare import conjugate
         sm = simple_matrices(d)
         bad = 0
         crit_bad = 0

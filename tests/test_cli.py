@@ -158,6 +158,12 @@ def test_kernel_d4(capsys):
     assert "kernel order 8 (group order 192)" in out
 
 
+def test_kernel_d7_small_orbit(capsys):
+    code, out, _ = run(capsys, "kernel", "--y", "1", "1", "4", "--orbit", "2")
+    assert code == 0
+    assert "kernel order 64 (group order 322560)" in out
+
+
 def test_kernel_walks_the_group_once(capsys, monkeypatch):
     walks = []
 

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from tworoots.diagram import path_diagram, y_diagram
-from tworoots.forms import (action_kernel_order, affine_radical_witness,
+from tworoots.forms import (_weyl_group, action_kernel_order,
+                            affine_radical_witness,
                             bprime, btilde, c_apply, decompose_s2v, gram,
                             kernel_intersection, norm2_witness, norm_search,
                             radical_basis, virasoro)
 from tworoots.orbits import orbit_tables
-from tworoots.roots import simple_root
-from tworoots.symsquare import canonical_basis, m_functional, vee
+from tworoots.roots import closure, positive_roots, simple_root
+from tworoots.symsquare import (canonical_basis, m_functional, simple_matrices,
+                                vee)
 
 
 def test_btilde_symmetric_and_even():
@@ -112,6 +116,30 @@ def test_affine_radical_witness_shape():
     w = affine_radical_witness(d)
     assert len(w["elements"]) == d.n
     assert len(w["delta"]) == d.n
+
+
+@pytest.mark.parametrize("d", [path_diagram(3), y_diagram(1, 1, 1),
+                               y_diagram(1, 1, 2)], ids=["A3", "D4", "D5"])
+def test_weyl_group_equals_the_closure_of_the_simple_reflections(d):
+    group = _weyl_group(d, 10 ** 6)
+    assert group.dtype == np.int8
+    assert (group[0] == np.eye(d.n)).all()
+    elements = {w.astype(np.int64).tobytes() for w in group}
+    assert len(elements) == len(group)
+    gens = [np.array(m, dtype=np.int64) for m in simple_matrices(d)]
+    walk = closure([np.eye(d.n, dtype=np.int64)],
+                   lambda g: (g @ r for r in gens), key=np.ndarray.tobytes)
+    assert elements == {g.tobytes() for g in walk}
+
+
+@pytest.mark.parametrize("d", [y_diagram(1, 1, 1), y_diagram(1, 1, 2),
+                               y_diagram(1, 1, 3), y_diagram(1, 2, 2)],
+                         ids=["D4", "D5", "D6", "E6"])
+def test_weyl_group_entries_are_bounded_by_the_highest_root(d):
+    # Every entry is a coefficient of some root w(alpha_j), and the highest
+    # root has the largest coefficients.
+    group = _weyl_group(d, 10 ** 6)
+    assert np.abs(group).max() == max(positive_roots(d)[-1])
 
 
 def test_kernel_state_cap():

@@ -1,10 +1,11 @@
 import pytest
 
 from tworoots.diagram import path_diagram, y_diagram
-from tworoots.roots import (bform, delta, elementary_roots, epsilon_coords,
-                            eta, height, is_root, negate, paper_labels,
-                            positive_roots, reflect, root_from_labels,
-                            simple_reflect, simple_root, theta)
+from tworoots.roots import (bform, closure, delta, elementary_roots,
+                            epsilon_coords, eta, height, is_positive, is_root,
+                            negate, paper_labels, positive_roots, reflect,
+                            root_from_labels, simple_reflect, simple_root,
+                            theta)
 
 
 def test_simple_root_and_height():
@@ -68,6 +69,33 @@ def test_roots_sorted_by_height():
     hs = [height(r) for r in rs]
     assert hs == sorted(hs)
     assert rs[-1] == (2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("d,bound", [
+    (y_diagram(2, 2, 2), 12), (y_diagram(2, 2, 3), 30),
+    (y_diagram(3, 3, 3), 20), (y_diagram(1, 2, 6), 40),
+    (y_diagram(1, 2, 4), 7),
+], ids=["Y222", "Y223", "Y333", "Y126", "E8"])
+def test_tree_walk_equals_the_reflection_closure(d, bound):
+    walk = closure((simple_root(d, i) for i in range(d.n)),
+                   lambda r: (simple_reflect(d, i, r) for i in range(d.n)),
+                   prune=lambda r: not is_positive(r) or height(r) > bound)
+    rs = positive_roots(d, bound)
+    assert rs == tuple(sorted(walk, key=lambda r: (height(r), r)))
+    assert len(set(rs)) == len(rs)
+    assert all(type(x) is int for r in rs for x in r)
+
+
+def test_tree_walk_takes_steps_of_more_than_one_height():
+    # The parent of a root r is s_i r for the least i with B(r, alpha_i) > 0;
+    # in indefinite types that step can lower the height by 2 or more.
+    d = y_diagram(2, 2, 3)
+    steps = []
+    for r in positive_roots(d, 30)[d.n:]:
+        c = next(c for c in (bform(d, r, simple_root(d, i))
+                             for i in range(d.n)) if c > 0)
+        steps.append(c)
+    assert max(steps) >= 2
 
 
 def test_eta_is_three_vertex_sum():
