@@ -185,7 +185,8 @@ def _kernel(d: Diagram, group: np.ndarray, table) -> np.ndarray:
     trivially on it, since those members span it.  As a and b are
     independent norm-2 roots, that holds exactly when (w(a), w(b)) is
     (a, b) or (b, a) up to one common sign.  Each member is checked only
-    against the elements that fixed the members before it."""
+    against the elements that fixed the members before it.  The images
+    are summed in int16: each entry is at most 127 height(a) in size."""
     inside = set(table.basis_members)
     if any(c for coords in table.coords.values()
            for k, c in enumerate(coords) if k not in inside):
@@ -193,8 +194,11 @@ def _kernel(d: Diagram, group: np.ndarray, table) -> np.ndarray:
     basis = canonical_basis(d)
     keep = np.arange(len(group))
     for k in table.basis_members:
-        pair = np.array(basis.elements[k].pair)  # rows a, b
-        w = np.zeros((len(keep), 2, d.n), dtype=np.int64)  # w(a), w(b)
+        a, b = basis.elements[k].pair  # positive: heights are sums
+        if max(sum(a), sum(b)) * 127 >= 2 ** 15:
+            raise RuntimeError("a root's image may have an entry past int16")
+        pair = np.array((a, b), dtype=np.int16)
+        w = np.zeros((len(keep), 2, d.n), dtype=np.int16)  # w(a), w(b)
         for j in np.flatnonzero(pair.any(axis=0)):  # sum columns of w
             w += group[keep, None, :, j] * pair[:, j, None]
         fixed = [(w == t).all(axis=(1, 2))

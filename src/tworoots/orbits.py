@@ -5,22 +5,23 @@ roots.  Reflections act on the pair componentwise followed by sign
 normalization, which matches the action on the symmetric square up to the
 overall sign that never shows up on positive representatives.
 
-Orbit enumeration walks the pair graph from the canonical basis elements
-and carries exact expansion coordinates along every edge, so membership,
-heights, and the coordinatewise order come for free.
+An orbit is walked breadth first over the pair graph, one layer of pairs
+at a time as numpy arrays, from a canonical basis element (orbit tables)
+or from any pair (orbit_of, cut at a coordinate height).  Every pair
+carries its exact expansion over the canonical basis along every edge, so
+membership, heights, and the coordinatewise order come for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 
-from .diagram import Diagram, TypeClass, classify
-from .roots import (Root, bform, closure, height, is_positive, negate,
-                    positive_roots, simple_reflect)
+from .diagram import Diagram, TypeClass, cartan, classify
+from .roots import (Root, bform, height, is_positive, negate, positive_roots,
+                    simple_reflect)
 from .symsquare import SymMatrix, canonical_basis, root_pair, vee
 
 Pair = tuple[Root, Root]
@@ -71,54 +72,84 @@ class OrbitTable:
         return len(self.members)
 
 
-def _pair_steps(d: Diagram, coords: dict):
-    """Moves of the orbit walk on (pair, expansion) states: each simple
-    reflection that moves the pair, carrying the expansion by its module
-    matrix, which must agree with any expansion already in coords."""
-    mats = canonical_basis(d).action_matrices_np()
+def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
+    """The orbit of a canonical pair under the simple reflections, sorted
+    as by vee_pair, and the members' expansions over the canonical basis
+    as the rows of an int64 array, carried from the start's coords.
 
-    def moves(state):
-        p, c = state
+    Breadth first, one layer of pairs (F, 2, n) and coordinates (F, K) at
+    a time, with no visited set: reflections are involutions, so the next
+    layer is the neighbours of this one minus it and the one before.  One
+    stable lexsort over the three deduplicates, and each edge must carry
+    the coordinates first found for its pair.  A pair of coordinate height
+    above the bound is dropped and not walked from; the start never is.
+
+    int64 is exact: a module matrix column has at most two nonzero entries,
+    each +-1, so a step at most doubles the sum of absolute coordinates,
+    which for a positive 2-root is its height (column sign-coherence): at
+    most the top one in finite types, at most the bound or the start's
+    (both <= 2**61, see orbit_of) on a cut walk."""
+    a = np.array(cartan(d), dtype=np.int64)
+    mats = canonical_basis(d).action_matrices_np()
+    p, c = np.array([pair], dtype=np.int64), np.array([coords], dtype=np.int64)
+    last_p, last_c, out = p[:0], c[:0], [(p, c)]
+    while len(p):
+        form = p @ a  # form[f, r, j] = B(root r of pair f, alpha_j)
+        new_p, new_c = [last_p, p], [last_c, c]
         for i, m in enumerate(mats):
-            q = simple_pair_action(d, i, p)
-            if q == p:
-                continue
-            cq = m @ c
-            known = coords.get(q)
-            if known is not None and not np.array_equal(known, cq):
-                raise RuntimeError("inconsistent expansion along orbit")
-            yield q, cq
-    return moves
+            hit = (form[:, :, i] != 0).any(axis=1)
+            q = p[hit]
+            q[:, :, i] -= form[hit, :, i]  # s_i r = r - B(r, alpha_i) alpha_i
+            q *= np.sign(q.sum(axis=2, keepdims=True))
+            diff = q[:, 1] - q[:, 0]  # root_pair's (height, root) order
+            diff = np.c_[diff.sum(axis=1), diff]
+            swap = diff[np.arange(len(q)), (diff != 0).argmax(axis=1)] < 0
+            q[swap] = q[swap, ::-1]
+            moved = (q != p[hit]).any(axis=(1, 2))
+            new_p.append(q[moved])
+            new_c.append(c[hit][moved] @ m.T)
+        all_p, all_c = np.concatenate(new_p), np.concatenate(new_c)
+        flat = all_p.reshape(len(all_p), -1)
+        order = np.lexsort(flat.T[::-1])
+        first = np.r_[True, (np.diff(flat[order], axis=0) != 0).any(axis=1)]
+        heads = order[first]
+        if (all_c[order] != all_c[heads][np.cumsum(first) - 1]).any():
+            raise RuntimeError("inconsistent expansion along orbit")
+        heads = heads[heads >= len(last_p) + len(p)]
+        last_p, last_c, p, c = p, c, all_p[heads], all_c[heads]
+        if height_bound is not None:
+            keep = c.sum(axis=1) <= height_bound
+            p, c = p[keep], c[keep]
+        out.append((p, c))
+    p, c = (np.concatenate(x) for x in zip(*out))
+    rows, cols = np.triu_indices(d.n)  # symmetric: the upper triangle decides
+    sym = p[:, 0, rows] * p[:, 1, cols] + p[:, 1, rows] * p[:, 0, cols]
+    order = np.lexsort(sym.T[::-1])
+    return tuple((tuple(x), tuple(y)) for x, y in p[order].tolist()), c[order]
 
 
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
-    """Partition of the positive 2-roots into orbits, finite types only."""
+    """Partition of the positive 2-roots into orbits, finite types only:
+    one layered walk (_pair_layers) from each canonical basis element not
+    yet reached, carrying its unit coordinates.  Orbits are numbered in
+    the order of their least members; highest_pair climbs to each top."""
     cached = _TABLE_CACHE.get(d)
     if cached is not None:
         return cached
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
-    coords: dict[Pair, np.ndarray] = {}
-    steps = _pair_steps(d, coords)
-    orbits: list[tuple[Pair, ...]] = []
+    orbits = []
     for j, e in enumerate(basis.elements):
-        if e.pair in coords:
+        if any(e.pair in cc for _, cc in orbits):
             continue
-        c0 = np.zeros(len(basis), dtype=np.int64)
-        c0[j] = 1
-        members = []
-        for q, c in closure([(e.pair, c0)], steps, key=itemgetter(0)):
-            coords[q] = c
-            members.append(q)
-        orbits.append(tuple(sorted(members, key=vee_pair)))
-    orbits.sort(key=lambda ms: vee_pair(ms[0]))
+        members, c = _pair_layers(d, e.pair, np.eye(len(basis))[j])
+        orbits.append((members, dict(zip(members, map(tuple, c.tolist())))))
+    orbits.sort(key=lambda o: vee_pair(o[0][0]))
     tables = []
-    for oid, members in enumerate(orbits, start=1):
-        member_set = set(members)
+    for oid, (members, cc) in enumerate(orbits, start=1):
         basis_members = tuple(kk for kk, e in enumerate(basis.elements)
-                              if e.pair in member_set)
-        cc = {p: tuple(int(x) for x in coords[p]) for p in members}
+                              if e.pair in cc)
         top = highest_pair(d, members[0])
         tables.append(OrbitTable(oid, members, basis_members, cc, top,
                                  sum(cc[top])))
@@ -129,16 +160,15 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
 
 def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:
     """Orbit members of coordinate height at most the bound; works in any
-    type and truncates the walk at the bound."""
+    type and truncates the walk at the bound.  The start must be a pair of
+    orthogonal roots, and the bound and the start's height at most 2**61,
+    which keeps the int64 walk exact."""
     p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
-    start = np.array([int(x) for x in canonical_basis(d).expand(vee_pair(p))],
-                     dtype=np.int64)
-    coords: dict[Pair, np.ndarray] = {}
-    walk = closure([(p, start)], _pair_steps(d, coords), key=itemgetter(0),
-                   prune=lambda state: int(state[1].sum()) > height_bound)
-    for q, c in walk:
-        coords[q] = c
-    return tuple(sorted(coords, key=vee_pair))
+    start = [int(x) for x in canonical_basis(d).expand_pair(*p)]
+    if max(height_bound, sum(start)) > 2 ** 61:
+        raise ValueError("orbit heights past 2**61 are not supported: bound "
+                         "%d, start %d" % (height_bound, sum(start)))
+    return _pair_layers(d, p, start, height_bound)[0]
 
 
 # --- the height-based order and its covers ---------------------------------

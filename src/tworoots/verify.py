@@ -142,10 +142,11 @@ def suite_orbits(seed=0):
         got = sorted(t.size for t in tabs)
         out.append(Check("orbits: %s splits as %s" % (tag, sizes),
                          got == sorted(sizes), "got %s" % got))
-        brute = len(orthogonal_pairs(d))
+        brute = orthogonal_pairs(d)
+        union = {p for t in tabs for p in t.members}
         out.append(Check("orbits: %s total matches brute force" % tag,
-                         brute == sum(sizes),
-                         "%d pairs" % brute))
+                         len(brute) == sum(sizes) and union == set(brute),
+                         "%d pairs" % len(brute)))
     bad = []
     for tag in ["D5", "D6", "D7", "D8"]:
         d = _family(tag)

@@ -1,13 +1,16 @@
 import random
+import signal
 
+import numpy as np
 import pytest
 
 from tworoots.diagram import path_diagram, y_diagram
-from tworoots.orbits import (cgw_less, closed_form_highest, highest_pair,
-                             ht2_of_pair, is_locally_highest, monoidal_covers,
-                             orbit_of, orbit_tables, orthogonal_pairs,
-                             pair_action, simple_pair_action)
-from tworoots.roots import simple_root, theta
+from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
+                             highest_pair, ht2_of_pair, is_locally_highest,
+                             monoidal_covers, orbit_of, orbit_tables,
+                             orthogonal_pairs, pair_action, simple_pair_action,
+                             vee_pair)
+from tworoots.roots import closure, simple_root, theta
 from tworoots.symsquare import canonical_basis
 
 
@@ -71,6 +74,92 @@ def test_orbit_of_stops_at_the_height_bound():
                for p in got for i in range(d.n)} - got
     assert outside
     assert all(ht2_of_pair(d, q) > bound for q in outside)
+
+
+def _closure_orbit(d, start, bound=None):
+    """The orbit by the visited-set walk over simple_pair_action, sorted
+    by vee_pair, with coordinates from expand_pair."""
+    basis = canonical_basis(d)
+    prune = None if bound is None else (
+        lambda p: sum(basis.expand_pair(*p)) > bound)
+    walk = closure([start], lambda p: (simple_pair_action(d, i, p)
+                                       for i in range(d.n)), prune=prune)
+    members = tuple(sorted(walk, key=vee_pair))
+    return members, {p: basis.expand_pair(*p) for p in members}
+
+
+@pytest.fixture
+def time_limit():
+    """Fails a walk that never ends: the layered walk has no visited set,
+    so a faulty deduplication loops instead of returning."""
+    def stop(signum, frame):
+        raise TimeoutError("the walk did not end within 60 s")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+FINITE = {"A%d" % n: path_diagram(n) for n in range(4, 9)}
+FINITE.update({"D%d" % n: y_diagram(1, 1, n - 3) for n in range(4, 9)})
+FINITE.update({"E%d" % n: y_diagram(1, 2, n - 4) for n in range(6, 9)})
+
+
+@pytest.mark.parametrize("tag", sorted(FINITE))
+def test_layered_pair_walk_equals_the_reflection_closure(tag, time_limit):
+    d = FINITE[tag]
+    basis = canonical_basis(d)
+    want = []
+    for e in basis.elements:
+        if not any(e.pair in coords for _, coords in want):
+            want.append(_closure_orbit(d, e.pair))
+    want.sort(key=lambda o: vee_pair(o[0][0]))
+    tabs = orbit_tables(d)
+    assert [t.members for t in tabs] == [members for members, _ in want]
+    for t, (_, coords) in zip(tabs, want):
+        assert t.coords == coords
+        assert all(type(x) is int for c in t.coords.values() for x in c)
+        assert t.basis_members == tuple(
+            k for k, e in enumerate(basis.elements) if e.pair in coords)
+
+
+@pytest.mark.parametrize("arms, bound", [((2, 2, 3), 12), ((1, 2, 6), 14),
+                                         ((3, 3, 3), 10)],
+                         ids=["Y223-12", "Y126-14", "Y333-10"])
+def test_layered_orbit_of_equals_the_reflection_closure(arms, bound,
+                                                        time_limit):
+    d = y_diagram(*arms)
+    start = canonical_basis(d).elements[0].pair
+    assert orbit_of(d, start, bound) == _closure_orbit(d, start, bound)[0]
+
+
+@pytest.mark.parametrize("tag", ["A4", "D4", "D5", "E6"])
+def test_layered_pair_walk_checks_every_edge(tag, time_limit):
+    """Start coordinates that are not the start's expansion disagree
+    along two paths to the same pair."""
+    d = FINITE[tag]
+    basis = canonical_basis(d)
+    wrong = np.eye(len(basis), dtype=np.int64)[1]
+    with pytest.raises(RuntimeError, match="inconsistent expansion"):
+        _pair_layers(d, basis.elements[0].pair, wrong)
+
+
+def test_orbit_of_refuses_heights_past_int64():
+    d = y_diagram(1, 1, 1)
+    start = canonical_basis(d).elements[0].pair
+    (t,) = [t for t in orbit_tables(d) if start in t.coords]
+    assert orbit_of(d, start, 2 ** 61) == t.members
+    with pytest.raises(ValueError, match="2\\*\\*61"):
+        orbit_of(d, start, 2 ** 61 + 1)
+
+
+def test_orbit_of_rejects_a_start_that_is_not_a_2_root():
+    d = path_diagram(3)
+    with pytest.raises(ValueError, match="not a root"):
+        orbit_of(d, ((2, 0, 0), (0, 0, 1)), 10)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        orbit_of(d, ((1, 0, 0), (0, 1, 0)), 10)
 
 
 def test_cgw_less_orients_towards_the_top():
