@@ -22,7 +22,8 @@ import numpy as np
 from .diagram import Diagram, TypeClass, cartan, classify
 from .roots import (Root, bform, height, is_positive, negate, positive_roots,
                     simple_reflect)
-from .symsquare import SymMatrix, canonical_basis, root_pair, vee
+from .symsquare import (SymMatrix, canonical_basis, pair_coords_np,
+                        root_pair, vee)
 
 Pair = tuple[Root, Root]
 
@@ -79,36 +80,41 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
 
     Breadth first, one layer of pairs (F, 2, n) and coordinates (F, K) at
     a time, with no visited set: reflections are involutions, so the next
-    layer is the neighbours of this one minus it and the one before.  One
-    stable lexsort over the three deduplicates, and each edge must carry
-    the coordinates first found for its pair.  A pair of coordinate height
-    above the bound is dropped and not walked from; the start never is.
+    layer is the neighbours of this one minus it and the one before.  Each
+    layer is reflected by every simple root at once, at the (pair, root)
+    hits where a root of the pair is not orthogonal to it; the coordinates
+    of a hit are its parent's with the reflection's few changed rows
+    rewritten (CanonicalBasis.reflect_rows).  One stable lexsort over the
+    three layers deduplicates, and each edge must carry the coordinates
+    first found for its pair.  A pair of coordinate height above the
+    bound is dropped and not walked from; the start never is.
 
     int64 is exact: a module matrix column has at most two nonzero entries,
     each +-1, so a step at most doubles the sum of absolute coordinates,
     which for a positive 2-root is its height (column sign-coherence): at
     most the top one in finite types, at most the bound or the start's
-    (both <= 2**61, see orbit_of) on a cut walk."""
+    (both <= 2**61, see orbit_of) on a cut walk.  A rewritten row sums
+    distinct coordinates with coefficients +-1, so its partial sums stay
+    within the parent's sum of absolute coordinates as well."""
     a = np.array(cartan(d), dtype=np.int64)
-    mats = canonical_basis(d).action_matrices_np()
+    basis = canonical_basis(d)
     p, c = np.array([pair], dtype=np.int64), np.array([coords], dtype=np.int64)
     last_p, last_c, out = p[:0], c[:0], [(p, c)]
     while len(p):
         form = p @ a  # form[f, r, j] = B(root r of pair f, alpha_j)
-        new_p, new_c = [last_p, p], [last_c, c]
-        for i, m in enumerate(mats):
-            hit = (form[:, :, i] != 0).any(axis=1)
-            q = p[hit]
-            q[:, :, i] -= form[hit, :, i]  # s_i r = r - B(r, alpha_i) alpha_i
-            q *= np.sign(q.sum(axis=2, keepdims=True))
-            diff = q[:, 1] - q[:, 0]  # root_pair's (height, root) order
-            diff = np.c_[diff.sum(axis=1), diff]
-            swap = diff[np.arange(len(q)), (diff != 0).argmax(axis=1)] < 0
-            q[swap] = q[swap, ::-1]
-            moved = (q != p[hit]).any(axis=(1, 2))
-            new_p.append(q[moved])
-            new_c.append(c[hit][moved] @ m.T)
-        all_p, all_c = np.concatenate(new_p), np.concatenate(new_c)
+        f, i = np.nonzero((form != 0).any(axis=1))
+        hits = np.arange(len(f))
+        q = p[f]
+        q[hits, :, i] -= form[f, :, i]  # s_i r = r - B(r, alpha_i) alpha_i
+        q *= np.sign(q.sum(axis=2, keepdims=True))
+        diff = q[:, 1] - q[:, 0]  # root_pair's (height, root) order
+        diff = np.c_[diff.sum(axis=1), diff]
+        swap = diff[hits, (diff != 0).argmax(axis=1)] < 0
+        q[swap] = q[swap, ::-1]
+        moved = (q != p[f]).any(axis=(1, 2))
+        f, i = f[moved], i[moved]
+        all_p = np.concatenate([last_p, p, q[moved]])
+        all_c = np.concatenate([last_c, c, basis.reflect_rows(c[f], i)])
         flat = all_p.reshape(len(all_p), -1)
         order = np.lexsort(flat.T[::-1])
         first = np.r_[True, (np.diff(flat[order], axis=0) != 0).any(axis=1)]
@@ -122,9 +128,7 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
             p, c = p[keep], c[keep]
         out.append((p, c))
     p, c = (np.concatenate(x) for x in zip(*out))
-    rows, cols = np.triu_indices(d.n)  # symmetric: the upper triangle decides
-    sym = p[:, 0, rows] * p[:, 1, cols] + p[:, 1, rows] * p[:, 0, cols]
-    order = np.lexsort(sym.T[::-1])
+    order = np.lexsort(pair_coords_np(p).T[::-1])
     return tuple((tuple(x), tuple(y)) for x, y in p[order].tolist()), c[order]
 
 
@@ -212,25 +216,24 @@ def is_locally_highest(d: Diagram, p: Pair) -> bool:
 def highest_pair(d: Diagram, p: Pair, rng=None, max_steps: int = 100000) -> Pair:
     """Climb from p by simple reflections that strictly increase the
     expansion coordinates, until none applies.  The scan order is fixed
-    unless an rng is supplied to shuffle it."""
+    unless an rng is supplied to shuffle it.  Each step reflects the
+    coordinates by every simple root at once (CanonicalBasis.reflect_rows)
+    and moves the pair by the first rising reflection in the scan order;
+    a reflection that fixes the pair sends c to +-c, which never rises."""
     basis = canonical_basis(d)
-    mats = basis.action_matrices_np()
     c = np.array([int(x) for x in basis.expand(vee_pair(p))], dtype=np.int64)
+    letters = np.arange(d.n)
     order = list(range(d.n))
     for _ in range(max_steps):
         if rng is not None:
             rng.shuffle(order)
-        for i in order:
-            q = simple_pair_action(d, i, p)
-            if q == p:
-                continue
-            cq = mats[i] @ c
-            diff = cq - c
-            if diff.any() and (diff >= 0).all():
-                p, c = q, cq
-                break
-        else:
+        up = basis.reflect_rows(np.tile(c, (d.n, 1)), letters)
+        diff = up - c
+        rises = diff.any(axis=1) & (diff >= 0).all(axis=1)
+        i = next((i for i in order if rises[i]), None)
+        if i is None:
             return p
+        p, c = simple_pair_action(d, i, p), up[i]
     raise RuntimeError("no highest element reached within the step budget")
 
 

@@ -11,7 +11,8 @@ partners.  One exact elimination per diagram turns it into two integer
 matrices: a scaled left inverse that gives the coordinates over the basis,
 and the functionals that vanish on its span.  Each simple reflection acts
 on the basis by one integer matrix, and the matrices and columns of words
-are products of these.
+are products of these; stacks of coordinates are reflected through the
+few rows where such a matrix differs from the identity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import linalg
 from .diagram import Diagram, TypeClass, adjacent, cartan, classify
 from .roots import (Root, bform, elementary_roots, height, is_root,
-                    positive_roots, simple_reflect, simple_root)
+                    positive_roots, simple_root)
 
 SymMatrix = tuple[tuple, ...]
 
@@ -47,10 +48,6 @@ def madd(s: SymMatrix, t: SymMatrix) -> SymMatrix:
 
 def msub(s: SymMatrix, t: SymMatrix) -> SymMatrix:
     return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(s, t))
-
-
-def mneg(s: SymMatrix) -> SymMatrix:
-    return tuple(tuple(-x for x in row) for row in s)
 
 
 def mscale(c, s: SymMatrix) -> SymMatrix:
@@ -76,6 +73,14 @@ def standard_coords(s: SymMatrix) -> tuple:
     on the diagonal.  A linear bijection, so it keeps spans and ranks."""
     n = len(s)
     return tuple(s[i][j] for i in range(n) for j in range(i, n))
+
+
+def pair_coords_np(pairs):
+    """standard_coords of a v b for every pair (a, b) of an integer stack
+    (..., 2, n), as an array (..., n (n + 1) / 2)."""
+    rows, cols = np.triu_indices(pairs.shape[-1])
+    a, b = pairs[..., 0, :], pairs[..., 1, :]
+    return a[..., rows] * b[..., cols] + b[..., rows] * a[..., cols]
 
 
 def reflection_matrix(d: Diagram, alpha) -> linalg.Mat:
@@ -197,6 +202,7 @@ class CanonicalBasis:
                          dtype=object)
         self._left, self._null = solve[:k], solve[k:]
         self._action_np = None
+        self._rows = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -246,32 +252,70 @@ class CanonicalBasis:
     def action_matrices_np(self):
         """One integer matrix per simple reflection: column j expands s_i
         of element j over the basis.  As s_i(a v b) = s_i a v s_i b, each
-        element is fixed, negated, or sent to itself plus one partner.
-        Built on first use and shared read-only."""
+        element is fixed, negated, or sent to itself plus one partner,
+        which is looked up by the bytes of its standard coordinates.  Built
+        on first use, one reflection of the whole stack of basis pairs at a
+        time, and shared read-only."""
         if self._action_np is None:
             d = self.diagram
             k = len(self.elements)
+            pairs = np.array([e.pair for e in self.elements],
+                             dtype=np.int64).reshape(k, 2, d.n)
+            own = pair_coords_np(pairs)
+            index = {row.tobytes(): j for j, row in enumerate(own)}
+            form = pairs @ np.array(cartan(d), dtype=np.int64)
             mats = []
             for i in range(d.n):
+                image = pairs.copy()
+                image[:, :, i] -= form[:, :, i]  # r - B(r, alpha_i) alpha_i
+                image = pair_coords_np(image)
+                fixed = (image == own).all(axis=1)
+                negated = (image == -own).all(axis=1)
                 m = np.zeros((k, k), dtype=np.int64)
-                for j, e in enumerate(self.elements):
-                    a, b = e.pair
-                    image = vee(simple_reflect(d, i, a),
-                                simple_reflect(d, i, b))
-                    if image == e.matrix:
-                        m[j, j] = 1
-                    elif image == mneg(e.matrix):
-                        m[j, j] = -1
-                    else:
-                        partner = self.index.get(msub(image, e.matrix))
-                        if partner is None:
-                            raise RuntimeError(
-                                "reflection image left the basis lattice")
-                        m[j, j] = m[partner, j] = 1
+                np.fill_diagonal(m, np.where(negated, -1, 1))
+                for j in np.flatnonzero(~(fixed | negated)):
+                    partner = index.get((image[j] - own[j]).tobytes())
+                    if partner is None:
+                        raise RuntimeError(
+                            "reflection image left the basis lattice")
+                    m[partner, j] = 1
                 m.flags.writeable = False
                 mats.append(m)
             self._action_np = tuple(mats)
         return self._action_np
+
+    def reflect_rows(self, c, letters):
+        """Row h of the result is the matrix of s_{letters[h]} times row h
+        of the integer stack c (H, K).  Each reflection's matrix differs
+        from the identity in a few rows only, each with a few nonzero
+        entries: the result is a copy of c with just those rows rewritten
+        from (column, coefficient) slots gathered out of c.  The slots are
+        read off action_matrices_np once per basis; padding repeats rows
+        and adds zero coefficients, so every write is one that the matrix
+        product makes too."""
+        if self._rows is None:
+            mats = self.action_matrices_np()
+            eye = np.eye(len(self.elements), dtype=np.int64)
+            changed = [np.flatnonzero((m != eye).any(axis=1)) for m in mats]
+            depth = max(map(len, changed))
+            width = max([1] + [int(np.count_nonzero(m[r]))
+                               for m, rs in zip(mats, changed) for r in rs])
+            rows = np.zeros((len(mats), depth), dtype=np.intp)
+            cols = np.zeros((len(mats), depth, width), dtype=np.intp)
+            coefs = np.zeros((len(mats), depth, width), dtype=np.int64)
+            for i, (m, rs) in enumerate(zip(mats, changed)):
+                for slot, r in enumerate(np.resize(rs, depth)):
+                    nz = np.flatnonzero(m[r])
+                    rows[i, slot] = r
+                    cols[i, slot, :len(nz)] = nz
+                    coefs[i, slot, :len(nz)] = m[r, nz]
+            self._rows = rows, cols, coefs
+        rows, cols, coefs = self._rows
+        h = np.arange(len(c))[:, None]
+        out = c.copy()
+        slots = c[h[:, None], cols[letters]]
+        out[h, rows[letters]] = np.einsum("hrw,hrw->hr", slots, coefs[letters])
+        return out
 
     def _act(self, word, x):
         """x multiplied on the left by the matrix of s_{w[0]} ... s_{w[-1]}."""

@@ -77,6 +77,13 @@ def test_orbits_json_matches_tables(capsys):
         assert got == set(t.members)
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_orbits_of_a_path_without_2_roots(capsys, n):
+    code, out, _ = run(capsys, "orbits", "--path", n)
+    assert code == 0
+    assert out == "total 0 positive 2-roots\n"
+
+
 def test_highest_heights(capsys):
     code, out, _ = run(capsys, "highest", "--y", "1", "2", "2")
     assert code == 0

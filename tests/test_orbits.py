@@ -1,9 +1,11 @@
 import random
 import signal
+from math import comb
 
 import numpy as np
 import pytest
 
+import tworoots
 from tworoots.diagram import path_diagram, y_diagram
 from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
                              highest_pair, ht2_of_pair, is_locally_highest,
@@ -209,6 +211,41 @@ def test_highest_pair_step_budget():
 def test_closed_form_matches_climb_for_d6():
     d = y_diagram(1, 1, 3)
     assert set(closed_form_highest(d)) == {t.highest for t in orbit_tables(d)}
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_a_n_tables_follow_the_closed_forms(n):
+    d = path_diagram(n)
+    (t,) = orbit_tables(d)
+    assert t.size == 3 * comb(n + 1, 4)
+    assert t.height == (n - 2) ** 2 + 1
+    assert closed_form_highest(d) == (t.highest,)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_d_n_tables_follow_the_closed_forms(n):
+    d = y_diagram(1, 1, n - 3)
+    tabs = orbit_tables(d)
+    assert sorted((t.size, t.height) for t in tabs) == sorted(
+        [(12 * comb(n, 4), 4 * n * n - 28 * n + 51), (comb(n, 2), n - 1)])
+    assert set(closed_form_highest(d)) == {t.highest for t in tabs}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_paths_without_2_roots_have_no_orbits(n):
+    assert orbit_tables(path_diagram(n)) == ()
+    assert closed_form_highest(path_diagram(n)) == ()
+
+
+def test_clear_caches_rebuilds_the_tables():
+    d = y_diagram(1, 1, 2)
+    tabs = orbit_tables(d)
+    basis = canonical_basis(d)
+    assert orbit_tables(d) is tabs
+    tworoots.clear_caches()
+    again = orbit_tables(d)
+    assert again is not tabs and again == tabs
+    assert canonical_basis(d) is not basis
 
 
 def test_closed_form_needs_finite_type():

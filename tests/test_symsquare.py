@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tworoots.diagram import path_diagram, y_diagram
 from tworoots.forms import virasoro
 from tworoots.roots import simple_root
-from tworoots.symsquare import (apply_simple, apply_word, canonical_basis,
-                                components, m_functional, root_pair,
-                                sign_coherent, vee)
+from tworoots.symsquare import (CanonicalBasis, apply_simple, apply_word,
+                                canonical_basis, components, m_functional,
+                                root_pair, sign_coherent, vee)
 
 
 def test_vee_symmetric():
@@ -127,12 +128,63 @@ def _mat_mul(a, b):
 
 
 @pytest.mark.parametrize("d", [path_diagram(4), y_diagram(2, 2, 2),
-                               y_diagram(2, 2, 3)])
+                               y_diagram(2, 2, 3), y_diagram(1, 2, 4),
+                               y_diagram(1, 1, 5), y_diagram(1, 2, 6),
+                               y_diagram(4, 4, 4)])
 def test_action_matrix_columns_match_conjugation(d):
     b = canonical_basis(d)
     for i, act in enumerate(b.action_matrices_np()):
+        assert act.dtype == np.int64 and not act.flags.writeable
         for j, e in enumerate(b.elements):
             assert b.combine(act[:, j]) == apply_simple(d, i, e.matrix)
+
+
+ROW_FORM = {"A%d" % n: path_diagram(n) for n in range(3, 9)}
+ROW_FORM.update({"D%d" % n: y_diagram(1, 1, n - 3) for n in range(4, 17)})
+ROW_FORM.update({"E%d" % n: y_diagram(1, 2, n - 4) for n in range(6, 9)})
+ROW_FORM.update({"Y222": y_diagram(2, 2, 2), "Y444": y_diagram(4, 4, 4),
+                 "Y126": y_diagram(1, 2, 6)})
+
+
+@pytest.mark.parametrize("tag", sorted(ROW_FORM))
+def test_reflect_rows_equals_the_matrix_product(tag):
+    b = canonical_basis(ROW_FORM[tag])
+    mats = b.action_matrices_np()
+    rng = np.random.default_rng(17)
+    c = rng.integers(-2 ** 40, 2 ** 40, size=(12, len(b)), dtype=np.int64)
+    for i, m in enumerate(mats):
+        letters = np.full(len(c), i)
+        assert (b.reflect_rows(c, letters) == c @ m.T).all()
+    letters = rng.integers(0, len(mats), size=len(c))
+    want = np.stack([mats[i] @ row for i, row in zip(letters, c)])
+    got = b.reflect_rows(c, letters)
+    assert got.dtype == np.int64 and (got == want).all()
+    assert (b.reflect_rows(c[:0], letters[:0]) == c[:0]).all()
+
+
+def test_reflect_rows_pads_reflections_that_change_unequal_rows():
+    """Every simple reflection changes equally many rows, so the padding
+    only shows with other matrices: a product of two and the identity."""
+    b = CanonicalBasis(y_diagram(1, 1, 2))
+    mats = b.action_matrices_np()
+    b._action_np = (mats[0] @ mats[1], np.eye(len(b), dtype=np.int64),
+                    mats[2])
+    rng = np.random.default_rng(5)
+    c = rng.integers(-99, 99, size=(30, len(b)), dtype=np.int64)
+    letters = rng.integers(0, 3, size=len(c))
+    want = np.stack([b._action_np[i] @ row for i, row in zip(letters, c)])
+    assert (b.reflect_rows(c, letters) == want).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_empty_basis_has_empty_action_matrices(n):
+    b = canonical_basis(path_diagram(n))
+    assert len(b) == 0
+    mats = b.action_matrices_np()
+    assert len(mats) == n
+    for m in mats:
+        assert m.shape == (0, 0) and m.dtype == np.int64
+        assert not m.flags.writeable
 
 
 def test_word_matrix_is_multiplicative():
