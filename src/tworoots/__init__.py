@@ -1,8 +1,8 @@
 """Exact arithmetic for 2-roots of simply laced Weyl groups."""
 
-from . import diagram as _diagram, orbits as _orbits, roots as _roots
-from . import symsquare as _symsquare
+import sys
 
+from . import orbits  # noqa: F401  -- so that import tworoots loads it
 from .diagram import (Diagram, TypeClass, classify, h_graph, component_count,
                       parabolic_restrict, path_diagram, y_diagram)
 from .roots import (ElementaryRoot, EpsilonForm, bform, delta, elementary_roots,
@@ -23,10 +23,13 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache (roots, neighbours, reflection
-    matrices, canonical bases and orbit tables), so the next call of each
-    computes from scratch."""
-    for cache in (_roots._POSITIVE_CACHE, _roots._POSITIVE_SET,
-                  _diagram._NEIGHBORS, _symsquare._SIMPLE_MATRICES,
-                  _symsquare._BASIS_CACHE, _orbits._TABLE_CACHE):
-        cache.clear()
+    """Empty every functools cache in the package's loaded modules (roots,
+    neighbours, reflection matrices, canonical bases, orbit tables, and
+    any cache added later), so the next call of each computes from
+    scratch.  Each cached function reports its hits and misses through
+    cache_info()."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()

@@ -20,7 +20,7 @@ from .diagram import (Diagram, TypeClass, classify, diagram_to_json,
 from .forms import (affine_radical_witness, decompose_s2v, kernel_orders,
                     norm2_witness)
 from .orbits import closed_form_highest, orbit_tables
-from .roots import paper_labels, positive_roots
+from .roots import paper_labels, positive_roots, simple_root
 from .skein import render_skein
 from .symsquare import canonical_basis, sign_coherent, standard_coords
 from .verify import SUITES, run_suites
@@ -61,11 +61,15 @@ def fmt_pair(pair, labels=None) -> str:
     return "%s v %s" % (fmt_root(pair[0], labels), fmt_root(pair[1], labels))
 
 
-def emit(args, payload: dict, text: str) -> None:
+def emit(args, d: Diagram, payload: dict, lines) -> None:
+    """Print the payload, with d under "diagram", as one JSON line under
+    --json, and the text lines otherwise."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({**payload, "diagram": diagram_to_json(d)},
+                         sort_keys=True))
     else:
-        print(text)
+        for line in lines:
+            print(line)
 
 
 def parse_components(d: Diagram, spec: str):
@@ -91,24 +95,17 @@ def parse_word(spec: str):
 def cmd_classify(args) -> int:
     d = get_diagram(args)
     cls = classify(d)
-    emit(args,
-         {"diagram": diagram_to_json(d), "n": d.n, "type": cls.name.lower()},
-         "%r: %s (n = %d)" % (d, cls.name.lower(), d.n))
+    emit(args, d, {"n": d.n, "type": cls.name.lower()},
+         ["%r: %s (n = %d)" % (d, cls.name.lower(), d.n)])
     return 0
 
 
 def cmd_roots(args) -> int:
     d = get_diagram(args)
     labels = get_labels(args, d)
-    roots = positive_roots(d, height_bound=args.height_bound)
-    if args.json:
-        print(json.dumps({"diagram": diagram_to_json(d),
-                          "roots": [list(r) for r in roots],
-                          "total": len(roots)}, sort_keys=True))
-    else:
-        for r in roots:
-            print(fmt_root(r, labels))
-        print("total %d" % len(roots))
+    roots = positive_roots(d, args.height_bound)
+    emit(args, d, {"roots": [list(r) for r in roots], "total": len(roots)},
+         [fmt_root(r, labels) for r in roots] + ["total %d" % len(roots)])
     return 0
 
 
@@ -116,64 +113,49 @@ def cmd_basis(args) -> int:
     d = get_diagram(args)
     labels = get_labels(args, d)
     basis = canonical_basis(d)
-    if args.json:
-        elts = [{"index": k,
-                 "vertex": e.labels[0][0],
-                 "partner": list(e.labels[0][1]),
-                 "pair": [list(e.pair[0]), list(e.pair[1])]}
-                for k, e in enumerate(basis.elements)]
-        print(json.dumps({"diagram": diagram_to_json(d), "elements": elts,
-                          "total": len(basis)}, sort_keys=True))
-    else:
-        for k, e in enumerate(basis.elements):
-            i, beta = e.labels[0]
-            print("%3d  %s v %s" % (k, fmt_root(tuple(1 if v == i else 0
-                                                      for v in range(d.n)), labels),
-                                    fmt_root(beta, labels)))
-        print("total %d" % len(basis))
+    elts = [{"index": k,
+             "vertex": e.labels[0][0],
+             "partner": list(e.labels[0][1]),
+             "pair": [list(e.pair[0]), list(e.pair[1])]}
+            for k, e in enumerate(basis.elements)]
+    lines = ["%3d  %s v %s" % (k, fmt_root(simple_root(d, e.labels[0][0]),
+                                           labels),
+                               fmt_root(e.labels[0][1], labels))
+             for k, e in enumerate(basis.elements)]
+    emit(args, d, {"elements": elts, "total": len(basis)},
+         lines + ["total %d" % len(basis)])
     return 0
 
 
 def cmd_orbits(args) -> int:
     d = get_diagram(args)
     tables = orbit_tables(d)
-    if args.json:
-        out = []
-        for t in tables:
-            rec = {"id": t.id, "size": t.size, "height": t.height,
-                   "highest": [list(t.highest[0]), list(t.highest[1])],
-                   "basis_members": list(t.basis_members)}
-            if args.members:
-                rec["members"] = [[list(a), list(b)] for a, b in t.members]
-            out.append(rec)
-        print(json.dumps({"diagram": diagram_to_json(d), "orbits": out,
-                          "total": sum(t.size for t in tables)}, sort_keys=True))
-    else:
-        for t in tables:
-            print("orbit %d: size %d, %d basis members, highest %s (height %d)"
-                  % (t.id, t.size, len(t.basis_members),
-                     fmt_pair(t.highest), t.height))
-            if args.members:
-                for p in t.members:
-                    print("    " + fmt_pair(p))
-        print("total %d positive 2-roots" % sum(t.size for t in tables))
+    total = sum(t.size for t in tables)
+    out, lines = [], []
+    for t in tables:
+        rec = {"id": t.id, "size": t.size, "height": t.height,
+               "highest": [list(t.highest[0]), list(t.highest[1])],
+               "basis_members": list(t.basis_members)}
+        lines.append("orbit %d: size %d, %d basis members, highest %s "
+                     "(height %d)" % (t.id, t.size, len(t.basis_members),
+                                      fmt_pair(t.highest), t.height))
+        if args.members:
+            rec["members"] = [[list(a), list(b)] for a, b in t.members]
+            lines.extend("    " + fmt_pair(p) for p in t.members)
+        out.append(rec)
+    emit(args, d, {"orbits": out, "total": total},
+         lines + ["total %d positive 2-roots" % total])
     return 0
 
 
 def cmd_highest(args) -> int:
     d = get_diagram(args)
     basis = canonical_basis(d)
-    pairs = closed_form_highest(d)
-    if args.json:
-        out = [{"pair": [list(a), list(b)],
-                "height": sum(basis.expand_pair(a, b))}
-               for a, b in pairs]
-        print(json.dumps({"diagram": diagram_to_json(d), "highest": out},
-                         sort_keys=True))
-    else:
-        for a, b in pairs:
-            ht = sum(basis.expand_pair(a, b))
-            print("%s (height %d)" % (fmt_pair((a, b)), ht))
+    out = [{"pair": [list(a), list(b)],
+            "height": sum(basis.expand_pair(a, b))}
+           for a, b in closed_form_highest(d)]
+    emit(args, d, {"highest": out},
+         ["%s (height %d)" % (fmt_pair(r["pair"]), r["height"]) for r in out])
     return 0
 
 
@@ -183,15 +165,9 @@ def cmd_expand(args) -> int:
     a, b = parse_components(d, args.components)
     basis = canonical_basis(d)
     coords = basis.expand_pair(a, b)
-    if args.json:
-        print(json.dumps({"diagram": diagram_to_json(d),
-                          "coords": list(coords),
-                          "height": sum(coords)}, sort_keys=True))
-    else:
-        for k, c in enumerate(coords):
-            if c:
-                print("%d * %s" % (c, fmt_pair(basis.elements[k].pair, labels)))
-        print("height %d" % sum(coords))
+    emit(args, d, {"coords": list(coords), "height": sum(coords)},
+         ["%d * %s" % (c, fmt_pair(basis.elements[k].pair, labels))
+          for k, c in enumerate(coords) if c] + ["height %d" % sum(coords)])
     return 0
 
 
@@ -201,17 +177,12 @@ def cmd_matrix(args) -> int:
     basis = canonical_basis(d)
     m = basis.word_matrix(word)
     coherent = all(sign_coherent(col)[1] in (1, -1) for col in zip(*m))
-    if args.json:
-        rec = {"diagram": diagram_to_json(d), "word": word,
-               "matrix": [list(row) for row in m]}
-        if args.check_sign_coherence:
-            rec["sign_coherent"] = coherent
-        print(json.dumps(rec, sort_keys=True))
-    else:
-        for row in m:
-            print(" ".join("%3d" % x for x in row))
-        if args.check_sign_coherence:
-            print("sign coherent: %s" % coherent)
+    rec = {"word": word, "matrix": [list(row) for row in m]}
+    lines = [" ".join("%3d" % x for x in row) for row in m]
+    if args.check_sign_coherence:
+        rec["sign_coherent"] = coherent
+        lines.append("sign coherent: %s" % coherent)
+    emit(args, d, rec, lines)
     return 0 if coherent else 1
 
 
@@ -225,35 +196,27 @@ def cmd_decompose(args) -> int:
         rows = [standard_coords(m) for m in w["elements"]]
         rows.append(standard_coords(w["delta_squared"]))
         rad_dim = linalg.rank(tuple(rows))
-        if args.json:
-            print(json.dumps({"diagram": diagram_to_json(d), "type": "affine",
-                              "delta": list(w["delta"]),
-                              "radical_dim": rad_dim}, sort_keys=True))
-        else:
-            print("%r: affine, invariant form is degenerate" % (d,))
-            print("delta = %s" % fmt_root(w["delta"]))
-            print("radical spanned by delta v a_i, dimension %d" % rad_dim)
+        emit(args, d, {"type": "affine", "delta": list(w["delta"]),
+                       "radical_dim": rad_dim},
+             ["%r: affine, invariant form is degenerate" % (d,),
+              "delta = %s" % fmt_root(w["delta"]),
+              "radical spanned by delta v a_i, dimension %d" % rad_dim])
         return 0
     rep = decompose_s2v(d, p=args.prime)
-    if args.json:
-        rep = dict(rep)
-        rep["diagram"] = diagram_to_json(d)
-        rep["type"] = cls.name.lower()
-        print(json.dumps(rep, sort_keys=True))
+    lines = ["%r: %s" % (d, cls.name.lower())]
+    if args.prime is not None:
+        lines.append("radicals computed mod %d" % args.prime)
+    lines += ["dim S^2(V) = %d" % rep["dim_sym_square"],
+              "invariant line: %d" % rep["invariant_dim"],
+              "module dim: %d" % rep["module_dim"]]
+    if "orbit_summands" in rep:
+        lines += ["orbit %d: dim %d, radical %d"
+                  % (s["id"], s["dim"], s["radical_dim"])
+                  for s in rep["orbit_summands"]]
+        lines.append("complement dim: %d" % rep["complement_dim"])
     else:
-        print("%r: %s" % (d, cls.name.lower()))
-        if args.prime is not None:
-            print("radicals computed mod %d" % args.prime)
-        print("dim S^2(V) = %d" % rep["dim_sym_square"])
-        print("invariant line: %d" % rep["invariant_dim"])
-        print("module dim: %d" % rep["module_dim"])
-        if "orbit_summands" in rep:
-            for s in rep["orbit_summands"]:
-                print("orbit %d: dim %d, radical %d"
-                      % (s["id"], s["dim"], s["radical_dim"]))
-            print("complement dim: %d" % rep["complement_dim"])
-        else:
-            print("module radical dim: %d" % rep["module_radical_dim"])
+        lines.append("module radical dim: %d" % rep["module_radical_dim"])
+    emit(args, d, {**rep, "type": cls.name.lower()}, lines)
     return 0
 
 
@@ -265,16 +228,12 @@ def cmd_kernel(args) -> int:
         tables = [t for t in tables if t.id == args.orbit]
         if not tables:
             raise ValueError("no orbit with id %d" % args.orbit)
-    out = []
-    for t, k in zip(tables, kernel_orders(d, tables, order,
-                                          state_cap=args.max_order)):
-        out.append({"orbit": t.id, "kernel_order": k})
-        if not args.json:
-            print("orbit %d: kernel order %d (group order %d)"
-                  % (t.id, k, order))
-    if args.json:
-        print(json.dumps({"diagram": diagram_to_json(d), "group_order": order,
-                          "kernels": out}, sort_keys=True))
+    out = [{"orbit": t.id, "kernel_order": k}
+           for t, k in zip(tables, kernel_orders(d, tables, order,
+                                                 state_cap=args.max_order))]
+    emit(args, d, {"group_order": order, "kernels": out},
+         ["orbit %d: kernel order %d (group order %d)"
+          % (r["orbit"], r["kernel_order"], order) for r in out])
     return 0
 
 
@@ -302,19 +261,15 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     w = norm2_witness(*args.y)
-    if args.json:
-        print(json.dumps({"diagram": diagram_to_json(w["diagram"]),
-                          "norm": int(w["norm"]),
-                          "sign_coherent": w["sign_coherent"],
-                          "sign": w["sign"],
-                          "coords": list(w["coords"]),
-                          "delta": list(w["delta"])}, sort_keys=True))
-    else:
-        print("%r: x = (a%d + a%d) v a%d + a%d v delta, delta = %s"
-              % (w["diagram"], w["alpha"], w["beta"], w["outer"], w["alpha"],
-                 fmt_root(w["delta"])))
-        print("norm %s, sign coherent: %s (sign %s)"
-              % (w["norm"], w["sign_coherent"], w["sign"]))
+    emit(args, w["diagram"],
+         {"norm": int(w["norm"]), "sign_coherent": w["sign_coherent"],
+          "sign": w["sign"], "coords": list(w["coords"]),
+          "delta": list(w["delta"])},
+         ["%r: x = (a%d + a%d) v a%d + a%d v delta, delta = %s"
+          % (w["diagram"], w["alpha"], w["beta"], w["outer"], w["alpha"],
+             fmt_root(w["delta"])),
+          "norm %s, sign coherent: %s (sign %s)"
+          % (w["norm"], w["sign_coherent"], w["sign"])])
     return 0
 
 

@@ -11,6 +11,7 @@ Y(1,2,2), Y(1,2,3), Y(1,2,4) are E6, E7, E8, and Path(n) is A_n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -61,19 +62,13 @@ def path_diagram(n: int) -> Diagram:
     return Diagram("Path", n, (), tuple((i, i + 1) for i in range(n - 1)))
 
 
-_NEIGHBORS: dict[Diagram, tuple[tuple[int, ...], ...]] = {}
-
-
+@functools.cache
 def neighbors(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    cached = _NEIGHBORS.get(d)
-    if cached is None:
-        adj: list[list[int]] = [[] for _ in range(d.n)]
-        for u, v in d.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        cached = tuple(tuple(sorted(a)) for a in adj)
-        _NEIGHBORS[d] = cached
-    return cached
+    adj: list[list[int]] = [[] for _ in range(d.n)]
+    for u, v in d.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(a)) for a in adj)
 
 
 def adjacent(d: Diagram, i: int, j: int) -> bool:
@@ -125,14 +120,8 @@ def parabolic_restrict(d: Diagram, vertices) -> tuple[Diagram, dict[int, int]]:
         raise ValueError("vertex set out of range")
     vset = set(vs)
     sub_adj = {v: [u for u in neighbors(d)[v] if u in vset] for v in vs}
-    seen = {vs[0]}
-    stack = [vs[0]]
-    while stack:
-        for u in sub_adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if seen != vset:
+    induced = HGraph(tuple(vs), tuple(e for e in d.edges if vset >= set(e)))
+    if component_count(induced) != 1:
         raise ValueError("vertex set is not connected")
     degree3 = [v for v in vs if len(sub_adj[v]) == 3]
     if any(len(sub_adj[v]) > 3 for v in vs) or len(degree3) > 1:

@@ -83,11 +83,11 @@ def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
 
 
 def radical_basis(g: linalg.Mat, p: int | None = None) -> tuple:
-    """Coordinate vectors spanning the radical of a Gram matrix."""
-    if p is None:
-        return linalg.nullspace(g)
-    _check_prime(p)
-    return linalg.nullspace_mod(g, p)
+    """Coordinate vectors spanning the radical of a Gram matrix, over the
+    rationals or mod a prime."""
+    if p is not None:
+        _check_prime(p)
+    return linalg.nullspace(g, p)
 
 
 def virasoro(d: Diagram) -> SymMatrix:

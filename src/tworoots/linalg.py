@@ -40,14 +40,19 @@ def _integer_row(row) -> list[int]:
             else x.numerator * (den // x.denominator) for x in row]
 
 
-def rref_int(m) -> tuple[list[list[int]], tuple[int, ...], int]:
+def rref_int(m, p: int | None = None
+             ) -> tuple[list[list[int]], tuple[int, ...], int]:
     """(R, pivots, den) with R / den the reduced row echelon form of m,
     R integer and den > 0, from one fraction-free Gauss-Jordan pass over
     integers (Bareiss, Math. Comp. 22, 1968).  Every row is updated at
-    every step as (p x - f y) / prev, an exact division by the previous
-    pivot, so all entries stay integers and every pivot ends equal to the
-    last one, den up to sign."""
+    every step as (q x - f y) / prev, an exact division by the previous
+    pivot q, so all entries stay integers and every pivot ends equal to
+    the last one, den up to sign.  Mod a prime p the rows are reduced and
+    each pivot row is scaled to 1, so the same step is plain elimination,
+    den is 1 and R holds ints in [0, p)."""
     rows = [_integer_row(row) for row in m]
+    if p is not None:
+        rows = [[x % p for x in row] for row in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -59,17 +64,23 @@ def rref_int(m) -> tuple[list[list[int]], tuple[int, ...], int]:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         top = rows[r]
-        p = top[c]
+        if p is not None:
+            inv = pow(top[c], -1, p)
+            top = rows[r] = [x * inv % p for x in top]
+        q = top[c]
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][c]
-            if f:
-                rows[i] = [(p * x - f * y) // prev
+            if not f:
+                if q != prev:  # only rescale, to the new pivot
+                    rows[i] = [q * x // prev for x in rows[i]]
+            elif p is not None:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+            else:
+                rows[i] = [(q * x - f * y) // prev
                            for x, y in zip(rows[i], top)]
-            elif p != prev:  # only rescale, to the new pivot
-                rows[i] = [p * x // prev for x in rows[i]]
-        prev = p
+        prev = q
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -97,21 +108,27 @@ def inverse(m: Mat) -> Mat:
     return mat(row[n:] for row in aug[:n])
 
 
-def nullspace(m: Mat) -> tuple[Vec, ...]:
-    """Basis of the right kernel, one vector per free column."""
+def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
+    """Basis of the right kernel, one vector per free column, read off
+    rref_int: Fractions over the rationals, ints in [0, p) mod a prime."""
     if not m:
         return ()
     ncols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots, den = rref_int(m, p)
     basis = []
-    for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = den
         for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
+            v[c] = -rows[r][f]
+        basis.append(tuple(Q(x, den) for x in v) if p is None
+                     else tuple(x % p for x in v))
     return tuple(basis)
+
+
+def nullspace_mod(m: Mat, p: int) -> tuple[Vec, ...]:
+    """nullspace(m, p): the right kernel mod a prime."""
+    return nullspace(m, p)
 
 
 def primitive_integer(v: Sequence[Q]) -> Vec:
@@ -125,45 +142,3 @@ def primitive_integer(v: Sequence[Q]) -> Vec:
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-# --- arithmetic mod a prime -----------------------------------------------
-
-def _echelon_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % p != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def nullspace_mod(m: Mat, p: int) -> tuple[Vec, ...]:
-    if not m:
-        return ()
-    ncols = len(m[0])
-    rows = [[int(x) % p for x in row] for row in m]
-    red, pivots = _echelon_mod(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red[r][f]) % p
-        basis.append(tuple(v))
-    return tuple(basis)

@@ -14,6 +14,7 @@ membership, heights, and the coordinatewise order come for free.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,8 +27,6 @@ from .symsquare import (SymMatrix, canonical_basis, pair_coords_np,
                         root_pair, vee)
 
 Pair = tuple[Root, Root]
-
-_TABLE_CACHE: dict[Diagram, tuple] = {}
 
 
 def vee_pair(p: Pair) -> SymMatrix:
@@ -132,14 +131,12 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
     return tuple((tuple(x), tuple(y)) for x, y in p[order].tolist()), c[order]
 
 
+@functools.cache
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     """Partition of the positive 2-roots into orbits, finite types only:
     one layered walk (_pair_layers) from each canonical basis element not
     yet reached, carrying its unit coordinates.  Orbits are numbered in
     the order of their least members; highest_pair climbs to each top."""
-    cached = _TABLE_CACHE.get(d)
-    if cached is not None:
-        return cached
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
@@ -157,9 +154,7 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
         top = highest_pair(d, members[0])
         tables.append(OrbitTable(oid, members, basis_members, cc, top,
                                  sum(cc[top])))
-    result = tuple(tables)
-    _TABLE_CACHE[d] = result
-    return result
+    return tuple(tables)
 
 
 def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:

@@ -7,6 +7,7 @@ Reflection in a norm-2 root alpha sends v to v - B(alpha, v) alpha.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,6 @@ from . import linalg
 from .diagram import Diagram, TypeClass, cartan, classify, neighbors
 
 Root = tuple[int, ...]
-
-_POSITIVE_CACHE: dict[tuple[Diagram, int | None], tuple[Root, ...]] = {}
 
 
 def simple_root(d: Diagram, i: int) -> Root:
@@ -92,6 +91,7 @@ def closure(seeds, moves, key=None, prune=None):
             yield t
 
 
+@functools.cache
 def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, ...]:
     """All positive roots in (height, root) order, up to the height bound;
     infinite types require one.  A tree walk: a root beta other than a
@@ -99,11 +99,9 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
     is the sum of beta_i B(beta, alpha_i), and its parent is s_i beta for
     the least such i, of lower height.  So each root is reached once, from
     its parent.  One step can add more than one to the height, so roots
-    wait in buckets by height and each bucket is expanded as one array."""
-    key = (d, height_bound)
-    cached = _POSITIVE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    wait in buckets by height and each bucket is expanded as one array.
+    Cached per call signature: positive_roots(d) and
+    positive_roots(d, None) are separate entries."""
     if height_bound is not None and height_bound < 1:
         raise ValueError("height bound must be at least 1, got %d"
                          % height_bound)
@@ -126,29 +124,34 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
                 child = layer[keep & (step == s)]
                 child[:, i] += s
                 buckets.setdefault(h + s, []).append(child)
-    result = tuple(found)
-    _POSITIVE_CACHE[key] = result
-    return result
-
-
-_POSITIVE_SET: dict[tuple[Diagram, int | None], frozenset] = {}
-
-
-def positive_root_set(d: Diagram, height_bound: int | None = None) -> frozenset:
-    key = (d, height_bound)
-    cached = _POSITIVE_SET.get(key)
-    if cached is None:
-        cached = frozenset(positive_roots(d, height_bound))
-        _POSITIVE_SET[key] = cached
-    return cached
+    return tuple(found)
 
 
 def is_root(d: Diagram, v, height_bound: int | None = None) -> bool:
-    if is_positive(v):
-        return tuple(v) in positive_root_set(d, height_bound)
+    """Whether v is a root, of |height| at most the bound if one is given.
+    By descent: a positive root beta other than a simple root has
+    B(beta, alpha_i) > 0 for some i (see positive_roots), and s_i beta is
+    then a positive root of lower height.  So v is a root exactly when
+    repeatedly reflecting in the least such alpha_i reaches a simple root
+    with no coordinate turning negative.  Needs no enumeration, so it
+    answers in every type, on infinite ones without a bound too."""
+    if len(v) != d.n or (height_bound is not None
+                         and abs(height(v)) > height_bound):
+        return False
     if is_negative(v):
-        return negate(v) in positive_root_set(d, height_bound)
-    return False
+        v = negate(v)
+    elif not is_positive(v):
+        return False
+    adj = neighbors(d)
+    while height(v) > 1:
+        i = next((i for i in range(d.n)
+                  if 2 * v[i] > sum(v[j] for j in adj[i])), None)
+        if i is None:
+            return False
+        v = simple_reflect(d, i, v)
+        if v[i] < 0:
+            return False
+    return True
 
 
 # --- elementary roots ------------------------------------------------------

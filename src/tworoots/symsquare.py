@@ -17,6 +17,7 @@ few rows where such a matrix differs from the identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -97,16 +98,9 @@ def reflection_matrix(d: Diagram, alpha) -> linalg.Mat:
     )
 
 
-_SIMPLE_MATRICES: dict[Diagram, tuple[linalg.Mat, ...]] = {}
-
-
+@functools.cache
 def simple_matrices(d: Diagram) -> tuple[linalg.Mat, ...]:
-    cached = _SIMPLE_MATRICES.get(d)
-    if cached is None:
-        cached = tuple(reflection_matrix(d, simple_root(d, i))
-                       for i in range(d.n))
-        _SIMPLE_MATRICES[d] = cached
-    return cached
+    return tuple(reflection_matrix(d, simple_root(d, i)) for i in range(d.n))
 
 
 def conjugate(r: linalg.Mat, s: SymMatrix) -> SymMatrix:
@@ -232,9 +226,8 @@ class CanonicalBasis:
     def expand_pair(self, a, b) -> tuple:
         """Coordinates of a v b; a and b must be orthogonal roots."""
         d = self.diagram
-        finite = classify(d) is TypeClass.FINITE
         for v in (a, b):
-            if not is_root(d, v, None if finite else max(1, abs(height(v)))):
+            if not is_root(d, v):
                 raise ValueError("%s is not a root" % (tuple(v),))
         if bform(d, a, b) != 0:
             raise ValueError("the two roots are not orthogonal")
@@ -364,15 +357,9 @@ class CanonicalBasis:
         return out
 
 
-_BASIS_CACHE: dict[Diagram, CanonicalBasis] = {}
-
-
+@functools.cache
 def canonical_basis(d: Diagram) -> CanonicalBasis:
-    cached = _BASIS_CACHE.get(d)
-    if cached is None:
-        cached = CanonicalBasis(d)
-        _BASIS_CACHE[d] = cached
-    return cached
+    return CanonicalBasis(d)
 
 
 def sign_coherent(coords) -> tuple[bool, int | None]:

@@ -700,7 +700,7 @@ def suite_identities(seed=0):
     d6 = y_diagram(1, 1, 3)
     word = [4, 5, 3, 4, 0, 3, 1, 0]
     got = pair_action(d6, word, (simple_root(d6, 1), simple_root(d6, 2)))
-    top = positive_roots(d6)[-1]
+    top = positive_roots(d6, None)[-1]
     out.append(Check("identities: D6 braid word carries the leaf pair to "
                      "(leaf, highest root)",
                      got == (simple_root(d6, 5), top), "got %s" % (got,)))

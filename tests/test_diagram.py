@@ -92,7 +92,7 @@ def test_parabolic_restrict_keeps_fork():
 
 
 def test_parabolic_restrict_disconnected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not connected"):
         parabolic_restrict(y_diagram(1, 2, 2), [1, 4])
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,6 +33,24 @@ def test_nullspace_of_random_low_rank_matrices(seed):
     # rank over Q is at least rank mod p
     for p in (2, 3, 1000003):
         assert linalg.rank(m) >= ncols - len(linalg.nullspace_mod(m, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_nullspace_mod_p_spans_the_enumerated_kernel(seed, p):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+    m = low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)),
+                 rng.choice([2, 9, 10 ** 6]))
+    kernel = {v for v in itertools.product(range(p), repeat=ncols)
+              if all(x % p == 0 for x in linalg.mat_vec(m, v))}
+    null = linalg.nullspace(m, p)
+    assert null == linalg.nullspace_mod(m, p)
+    assert set(null) <= kernel
+    span = {tuple(sum(c * x for c, x in zip(cs, col)) % p
+                  for col in zip(*null)) if null else (0,) * ncols
+            for cs in itertools.product(range(p), repeat=len(null))}
+    assert span == kernel and len(kernel) == p ** len(null)
 
 
 def test_rref_of_fraction_rows_matches_scaled_integer_rows():

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import signal
 from math import comb
@@ -6,14 +8,14 @@ import numpy as np
 import pytest
 
 import tworoots
-from tworoots.diagram import path_diagram, y_diagram
+from tworoots.diagram import neighbors, path_diagram, y_diagram
 from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
                              highest_pair, ht2_of_pair, is_locally_highest,
                              monoidal_covers, orbit_of, orbit_tables,
                              orthogonal_pairs, pair_action, simple_pair_action,
                              vee_pair)
-from tworoots.roots import closure, simple_root, theta
-from tworoots.symsquare import canonical_basis
+from tworoots.roots import closure, positive_roots, simple_root, theta
+from tworoots.symsquare import canonical_basis, simple_matrices
 
 
 def test_orthogonal_pairs_a3():
@@ -241,11 +243,29 @@ def test_clear_caches_rebuilds_the_tables():
     d = y_diagram(1, 1, 2)
     tabs = orbit_tables(d)
     basis = canonical_basis(d)
+    cached = [(f, f(d)) for f in (positive_roots, neighbors, simple_matrices)]
     assert orbit_tables(d) is tabs
+    assert all(f(d) is value for f, value in cached)
     tworoots.clear_caches()
     again = orbit_tables(d)
     assert again is not tabs and again == tabs
     assert canonical_basis(d) is not basis
+    for f, value in cached:
+        assert f(d) is not value and f(d) == value
+
+
+def test_clear_caches_empties_every_cache_in_the_package():
+    modules = [importlib.import_module("tworoots." + m.name)
+               for m in pkgutil.iter_modules(tworoots.__path__)
+               if m.name != "__main__"]
+    orbit_tables(y_diagram(1, 1, 2))
+    cached = {f for module in modules for f in vars(module).values()
+              if hasattr(f, "cache_clear")}
+    assert {positive_roots, neighbors, simple_matrices, canonical_basis,
+            orbit_tables} <= cached
+    assert any(f.cache_info().currsize for f in cached)
+    tworoots.clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in cached)
 
 
 def test_closed_form_needs_finite_type():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tworoots.diagram import path_diagram, y_diagram
@@ -62,6 +64,42 @@ def test_is_root():
     assert is_root(d, (0, -1, 0))
     assert not is_root(d, (1, 0, 1))
     assert not is_root(d, (0, 0, 0))
+
+
+@pytest.mark.parametrize("arms, bound", [
+    ((2, 2, 3), 24), ((1, 2, 6), 24), ((1, 2, 4), None), ((1, 1, 4), None),
+    (None, None), ((2, 2, 2), 20)])
+def test_is_root_by_descent_matches_enumeration(arms, bound):
+    d = path_diagram(5) if arms is None else y_diagram(*arms)
+    roots = positive_roots(d, bound)
+    rset = set(roots)
+    top = bound or max(map(height, roots))
+    rng = random.Random(sum(arms or (5,)))
+    for _ in range(3000):
+        v = list(rng.choice(roots))
+        for _ in range(rng.randint(0, 2)):
+            v[rng.randrange(d.n)] += rng.choice([-1, 1])
+        if rng.random() < 0.3:
+            v = [rng.randint(-2, 3) for _ in range(d.n)]
+        v = tuple(v) if rng.random() < 0.5 else negate(v)
+        want = tuple(v) in rset or negate(v) in rset
+        if abs(height(v)) <= top:
+            assert is_root(d, v) == want, v
+        cut = rng.randint(1, top)
+        assert is_root(d, v, cut) == (want and abs(height(v)) <= cut), v
+
+
+def test_is_root_answers_without_a_bound_on_infinite_types():
+    d = y_diagram(2, 2, 2)
+    # simple reflections of alpha_0, far past any enumerated height
+    v = simple_root(d, 0)
+    for _ in range(40):
+        for i in range(d.n):
+            v = simple_reflect(d, i, v)
+    v = v if is_positive(v) else negate(v)
+    assert height(v) > 200 and is_root(d, v)
+    assert not is_root(d, tuple(x + (i == 0) for i, x in enumerate(v)))
+    assert not is_root(d, (1, 1))
 
 
 def test_roots_sorted_by_height():

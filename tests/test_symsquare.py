@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tworoots import roots, symsquare
 from tworoots.diagram import path_diagram, y_diagram
 from tworoots.forms import virasoro
-from tworoots.roots import simple_root
+from tworoots.orbits import simple_pair_action
+from tworoots.roots import height, simple_root
 from tworoots.symsquare import (CanonicalBasis, apply_simple, apply_word,
                                 canonical_basis, components, m_functional,
                                 root_pair, sign_coherent, vee)
@@ -95,6 +97,23 @@ def test_expand_fork_trace_error_message():
 def test_skein_expansion_a3():
     b = canonical_basis(path_diagram(3))
     assert b.expand_pair((1, 1, 0), (0, 1, 1)) == (1, 1)
+
+
+def test_expand_pair_needs_no_root_enumeration(monkeypatch):
+    d = y_diagram(2, 2, 3)
+    p = (simple_root(d, 1), simple_root(d, 3))
+    while max(map(height, p)) < 120:  # climb by the highest reflection
+        p = max((simple_pair_action(d, i, p) for i in range(d.n)),
+                key=lambda q: sum(map(height, q)))
+    basis = canonical_basis(d)
+
+    def refuse(*args):
+        raise AssertionError("positive roots enumerated")
+
+    monkeypatch.setattr(roots, "positive_roots", refuse)
+    monkeypatch.setattr(symsquare, "positive_roots", refuse)
+    coords = basis.expand_pair(*p)
+    assert basis.combine(coords) == vee(*p)
 
 
 def test_skein_expansion_d4():
