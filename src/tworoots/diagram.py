@@ -79,6 +79,7 @@ def endpoints(d: Diagram) -> tuple[int, ...]:
     return tuple(i for i in range(d.n) if len(neighbors(d)[i]) <= 1)
 
 
+@functools.cache
 def cartan(d: Diagram) -> linalg.Mat:
     adj = neighbors(d)
     return tuple(

@@ -6,6 +6,7 @@ subdiagram."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction as Q
@@ -16,8 +17,8 @@ from . import linalg
 from .diagram import (Diagram, TypeClass, cartan, classify, parabolic_restrict,
                       weyl_order, y_diagram)
 from .roots import delta, simple_root
-from .symsquare import (SymMatrix, canonical_basis, conjugate, madd, msub,
-                        reflection_matrix, sign_coherent, vee)
+from .symsquare import (SymMatrix, canonical_basis, reflection_matrix,
+                        sign_coherent, vee)
 
 
 def _as_int(x):
@@ -27,27 +28,31 @@ def _as_int(x):
 
 
 def btilde(d: Diagram, s: SymMatrix, t: SymMatrix):
-    """trace(A s A t): the product form on the tensor square."""
-    a = cartan(d)
-    left = linalg.mat_mul(a, s)
-    right = linalg.mat_mul(a, t)
-    return _as_int(sum(left[i][j] * right[j][i]
-                       for i in range(d.n) for j in range(d.n)))
+    """trace(A s A t): the product form on the tensor square, as the sum
+    of the entries of (A s) times (A t)^T, elementwise; the per-entry
+    check on gram's reshaped product."""
+    a = linalg.exact(cartan(d))
+    return _as_int(((a @ linalg.exact(s)) * (a @ linalg.exact(t)).T).sum())
 
 
 def bprime(d: Diagram, s: SymMatrix, t: SymMatrix):
     """Half the product form; takes the value
     B(a,c)B(b,d) + B(a,d)B(b,c) on a v b against c v d."""
-    return _as_int(Q(btilde(d, s, t), 2))
+    return _half(btilde(d, s, t))
 
 
 def c_apply(d: Diagram, alpha, s: SymMatrix) -> SymMatrix:
     """The operator (reflection - identity) in a norm-2 vector."""
-    return msub(conjugate(reflection_matrix(d, alpha), s), s)
+    r, s = linalg.exact(reflection_matrix(d, alpha)), linalg.exact(s)
+    return linalg.mat(r @ s @ r.T - s)
 
 
+@functools.cache
 def _check_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime (by trial division)."""
+    """Raise ValueError unless p is a prime below 2**32, by trial division
+    in at most 2**16 steps."""
+    if p >= 2 ** 32:
+        raise ValueError("modulus must be below 2^32, got %d" % p)
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError("modulus must be a prime, got %d" % p)
 
@@ -68,16 +73,13 @@ def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
     if p is not None:
         _check_prime(p)
     k, n = len(mats), d.n
-    left = (np.array(cartan(d), dtype=object)
-            @ np.array(mats, dtype=object).reshape(k, n, n))
+    left = linalg.exact(cartan(d)) @ linalg.exact(mats).reshape(k, n, n)
     twice = (left.reshape(k, n * n)
              @ left.transpose(0, 2, 1).reshape(k, n * n).T)
     g = [[_half(x) for x in row] for row in twice.tolist()]
     if p is not None:
-        for row in g:
-            for x in row:
-                if isinstance(x, Q):
-                    raise ValueError("modular Gram needs integer entries")
+        if any(isinstance(x, Q) for row in g for x in row):
+            raise ValueError("modular Gram needs integer entries")
         g = [[x % p for x in row] for row in g]
     return linalg.mat(g)
 
@@ -261,12 +263,11 @@ def norm_search(d: Diagram, target: int, bound: int,
     if total > cap:
         raise ValueError("box holds %d vectors, more than the cap %d"
                          % (total, cap))
-    g = gram(d, [e.matrix for e in basis.elements])
+    g = linalg.exact(gram(d, [e.matrix for e in basis.elements]))
     found = []
     for c in itertools.product(range(-bound, bound + 1), repeat=k):
-        norm = sum(c[i] * c[j] * g[i][j]
-                   for i in range(k) for j in range(k) if c[i] and c[j])
-        if norm == target:
+        v = linalg.exact(c)
+        if v @ g @ v == target:
             found.append(c)
     return tuple(found)
 
@@ -294,7 +295,8 @@ def norm2_witness(a: int, b: int, c: int) -> dict:
     beta = alpha - 1 if alpha > 1 else 0
     e_alpha = simple_root(d, alpha)
     pair_sum = tuple(x + y for x, y in zip(e_alpha, simple_root(d, beta)))
-    x = madd(vee(pair_sum, simple_root(d, leaf)), vee(e_alpha, dv))
+    x = linalg.mat(linalg.exact(vee(pair_sum, simple_root(d, leaf)))
+                   + linalg.exact(vee(e_alpha, dv)))
     basis = canonical_basis(d)
     coords = basis.expand(x)
     ok, sign = sign_coherent(coords)

@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Vectors are tuples and matrices are tuples of row tuples.  Entries are ints
-or Fractions and every routine is exact; nothing here ever touches floats.
+Entries are Python ints or Fractions and every routine is exact; nothing
+here ever touches floats or fixed-width integers.  Arrays inside, tuples at
+the API: arithmetic on whole matrices runs on numpy arrays of dtype object
+holding such entries, and the package hands matrices across its API as
+tuples of row tuples, which hash and appear in JSON.  exact and mat are the
+two conversions between them.
 """
 
 from __future__ import annotations
@@ -10,30 +14,30 @@ import math
 from fractions import Fraction as Q
 from typing import Sequence
 
+import numpy as np
+
 Vec = tuple
 Mat = tuple
 
 
-def mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(r) for r in rows)
+def exact(m) -> np.ndarray:
+    """A nested sequence of ints and Fractions as an object array."""
+    return np.array(m, dtype=object)
 
 
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m: Mat, v: Sequence) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+def mat(m) -> Mat:
+    """An array or nested sequence as a tuple of row tuples; an array's
+    entries come back as Python ints and Fractions."""
+    if isinstance(m, np.ndarray):
+        m = m.tolist()
+    return tuple(tuple(r) for r in m)
 
 
 def _integer_row(row) -> list[int]:
     """The row times the lcm of its denominators: a row of Python ints
     with the same row space."""
+    if all(type(x) is int for x in row):
+        return list(row)
     row = [x if isinstance(x, int) else Q(x) for x in row]
     den = math.lcm(*(x.denominator for x in row if isinstance(x, Q)))
     return [int(x) * den if isinstance(x, int)
@@ -124,11 +128,6 @@ def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
         basis.append(tuple(Q(x, den) for x in v) if p is None
                      else tuple(x % p for x in v))
     return tuple(basis)
-
-
-def nullspace_mod(m: Mat, p: int) -> tuple[Vec, ...]:
-    """nullspace(m, p): the right kernel mod a prime."""
-    return nullspace(m, p)
 
 
 def primitive_integer(v: Sequence[Q]) -> Vec:

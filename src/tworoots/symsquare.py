@@ -4,7 +4,9 @@ An element of the symmetric square it stored as a symmetric n x n matrix S
 whose (i, j) entry is the coefficient of alpha_i (x) alpha_j.  The product
 a v b of two vectors has matrix a b^T + b a^T, reflections act by congruence
 R S R^T, and the distinguished codimension-one submodule is the kernel of
-S |-> trace(A S).
+S |-> trace(A S).  Arrays inside, tuples at the API: matrix arithmetic runs
+on linalg's exact object arrays, and every matrix handed out is a tuple of
+row tuples of Python ints and Fractions, so that it can be a dict key.
 
 The canonical basis pairs each simple root alpha_i with its elementary
 partners.  One exact elimination per diagram turns it into two integer
@@ -37,22 +39,6 @@ def vee(a, b) -> SymMatrix:
     n = len(a)
     return tuple(tuple(a[i] * b[j] + b[i] * a[j] for j in range(n))
                  for i in range(n))
-
-
-def zero_matrix(n: int) -> SymMatrix:
-    return tuple((0,) * n for _ in range(n))
-
-
-def madd(s: SymMatrix, t: SymMatrix) -> SymMatrix:
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(s, t))
-
-
-def msub(s: SymMatrix, t: SymMatrix) -> SymMatrix:
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(s, t))
-
-
-def mscale(c, s: SymMatrix) -> SymMatrix:
-    return tuple(tuple(c * x for x in row) for row in s)
 
 
 def is_zero(s: SymMatrix) -> bool:
@@ -89,13 +75,9 @@ def reflection_matrix(d: Diagram, alpha) -> linalg.Mat:
     columns."""
     if bform(d, alpha, alpha) != 2:
         raise ValueError("can only reflect in a norm-2 vector")
-    a = cartan(d)
-    weights = linalg.mat_vec(a, alpha)
-    n = d.n
-    return tuple(
-        tuple((1 if r == c else 0) - alpha[r] * weights[c] for c in range(n))
-        for r in range(n)
-    )
+    alpha = linalg.exact(alpha)
+    return linalg.mat(np.eye(d.n, dtype=object)
+                      - np.outer(alpha, linalg.exact(cartan(d)) @ alpha))
 
 
 @functools.cache
@@ -104,7 +86,8 @@ def simple_matrices(d: Diagram) -> tuple[linalg.Mat, ...]:
 
 
 def conjugate(r: linalg.Mat, s: SymMatrix) -> SymMatrix:
-    return linalg.mat_mul(linalg.mat_mul(r, s), linalg.transpose(r))
+    r = linalg.exact(r)
+    return linalg.mat(r @ linalg.exact(s) @ r.T)
 
 
 def apply_simple(d: Diagram, i: int, s: SymMatrix) -> SymMatrix:
@@ -112,10 +95,12 @@ def apply_simple(d: Diagram, i: int, s: SymMatrix) -> SymMatrix:
 
 
 def apply_word(d: Diagram, word, s: SymMatrix) -> SymMatrix:
-    """Act by s_{w[0]} s_{w[1]} ... s_{w[-1]} (rightmost letter first)."""
-    for i in reversed(word):
-        s = apply_simple(d, i, s)
-    return s
+    """Act by s_{w[0]} s_{w[1]} ... s_{w[-1]} (rightmost letter first):
+    congruence by the product of their reflection matrices."""
+    r = np.eye(d.n, dtype=object)
+    for i in word:
+        r = r @ linalg.exact(simple_matrices(d)[i])
+    return conjugate(r, s)
 
 
 def root_pair(a, b) -> tuple[Root, Root]:
@@ -165,6 +150,7 @@ class CanonicalBasis:
             BasisElement(m, p, tuple(lbl))
             for m, p, lbl in zip(mats, pairs, labels)
         )
+        self._stack = linalg.exact(mats).reshape(len(mats), d.n * d.n)
         self.index = index
         by_vertex: dict[int, list[int]] = {i: [] for i in range(d.n)}
         for k, e in enumerate(self.elements):
@@ -182,18 +168,16 @@ class CanonicalBasis:
         # of the result is E with E C = [I; 0], so its first k rows are a
         # left inverse of C and the others cut out the span.
         dim = d.n * (d.n + 1) // 2
-        cols = [standard_coords(m) for m in mats]
+        cols = linalg.exact([standard_coords(m) for m in mats]).reshape(k, dim)
         red, pivots, den = linalg.rref_int(
-            [[c[r] for c in cols] + [int(r == j) for j in range(dim)]
-             for r in range(dim)])
+            np.hstack([cols.T, np.eye(dim, dtype=object)]))
         if pivots[:k] != tuple(range(k)):
             raise RuntimeError("canonical elements are not independent")
         # The right block is E times den; keep it over the least common
         # denominator of E's entries.
         g = math.gcd(den, *(x for row in red for x in row[k:]))
         self._den = den // g
-        solve = np.array([[x // g for x in row[k:]] for row in red],
-                         dtype=object)
+        solve = linalg.exact([[x // g for x in row[k:]] for row in red])
         self._left, self._null = solve[:k], solve[k:]
         self._action_np = None
         self._rows = None
@@ -213,7 +197,7 @@ class CanonicalBasis:
         if len(s) != self.diagram.n:
             raise ValueError("matrix size %d does not match diagram rank %d"
                              % (len(s), self.diagram.n))
-        v = np.array(standard_coords(s), dtype=object)
+        v = linalg.exact(standard_coords(s))
         if any(self._null @ v):
             if self.diagram.kind == "Y" and m_functional(self.diagram, s) != 0:
                 raise ValueError("element lies outside the codimension-one "
@@ -234,11 +218,8 @@ class CanonicalBasis:
         return self.expand(vee(a, b))
 
     def combine(self, coords) -> SymMatrix:
-        s = zero_matrix(self.diagram.n)
-        for c, e in zip(coords, self.elements):
-            if c:
-                s = madd(s, mscale(c, e.matrix))
-        return s
+        n = self.diagram.n
+        return linalg.mat((linalg.exact(coords) @ self._stack).reshape(n, n))
 
     # -- simple reflection action -----------------------------------------
 
@@ -323,8 +304,8 @@ class CanonicalBasis:
     def word_matrix(self, word) -> linalg.Mat:
         """Exact integer matrix of s_{w[0]} ... s_{w[-1]} over the basis;
         concatenating words multiplies the matrices."""
-        m = self._act(word, np.eye(len(self.elements), dtype=object))
-        return tuple(tuple(row) for row in m.tolist())
+        return linalg.mat(
+            self._act(word, np.eye(len(self.elements), dtype=object)))
 
     def word_column(self, word, j: int) -> tuple[int, ...]:
         """Column j of word_matrix(word), via fast integer arithmetic.

@@ -27,9 +27,8 @@ from .roots import (bform, closure, epsilon_coords, height, is_positive,
                     is_root, negate, positive_roots, simple_reflect,
                     simple_root, theta)
 from .skein import arc_diagram, render_skein
-from .symsquare import (apply_simple, canonical_basis, m_functional, madd,
-                        mscale, sign_coherent, simple_matrices,
-                        standard_coords, vee)
+from .symsquare import (apply_simple, canonical_basis, m_functional,
+                        sign_coherent, simple_matrices, standard_coords, vee)
 
 
 @dataclass(frozen=True)
@@ -620,7 +619,8 @@ def suite_identities(seed=0):
             t = vee(al, be)
             for e in basis.elements:
                 lhs = c_apply(d, al, c_apply(d, be, e.matrix))
-                if lhs != mscale(bprime(d, t, e.matrix), t):
+                if lhs != linalg.mat(bprime(d, t, e.matrix)
+                                     * linalg.exact(t)):
                     bad += 1
         out.append(Check("identities: %s composite projection equals B' "
                          "coefficient on all %d cases"
@@ -639,7 +639,8 @@ def suite_identities(seed=0):
                 y = bform(d, be, gam)
                 v = tuple(x * y * gam[k] - x * be[k] - y * al[k]
                           for k in range(d.n))
-                if conjugate(sm[g], s) != madd(s, vee(gam, v)):
+                if conjugate(sm[g], s) != linalg.mat(
+                        linalg.exact(s) + linalg.exact(vee(gam, v))):
                     bad += 1
                 if any(v):
                     isroot = is_root(d, v) or is_root(d, negate(v))

@@ -256,7 +256,7 @@ def test_decompose_mod_two(capsys):
     assert data["orbit_summands"][0]["radical_dim"] == 2
 
 
-@pytest.mark.parametrize("prime", ["0", "1", "4"])
+@pytest.mark.parametrize("prime", ["0", "1", "4", "1000000000000000003"])
 def test_decompose_rejects_non_prime_modulus(capsys, prime):
     code, _, err = run(capsys, "decompose", "--y", "1", "1", "1",
                        "--prime", prime)

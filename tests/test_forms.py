@@ -57,6 +57,9 @@ def test_gram_mod_two_parity():
     a4 = path_diagram(4)
     mats = [e.matrix for e in canonical_basis(a4).elements]
     assert any(x for row in gram(a4, mats, p=2) for x in row)
+    # the inverse Cartan element of A3 has half-form norm 3/2
+    with pytest.raises(ValueError, match="integer entries"):
+        gram(a3, [virasoro(a3)], p=2)
 
 
 def test_gram_is_exact_past_int64():

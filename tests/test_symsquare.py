@@ -6,12 +6,13 @@ import pytest
 
 from tworoots import roots, symsquare
 from tworoots.diagram import path_diagram, y_diagram
-from tworoots.forms import virasoro
+from tworoots.forms import c_apply, norm2_witness, virasoro
 from tworoots.orbits import simple_pair_action
 from tworoots.roots import height, simple_root
 from tworoots.symsquare import (CanonicalBasis, apply_simple, apply_word,
-                                canonical_basis, components, m_functional,
-                                root_pair, sign_coherent, vee)
+                                canonical_basis, components, conjugate,
+                                m_functional, reflection_matrix, root_pair,
+                                sign_coherent, simple_matrices, vee)
 
 
 def test_vee_symmetric():
@@ -291,3 +292,31 @@ def test_conjugate_by_simple_preserves_two_roots():
     s = vee(*p)
     out = apply_word(d, [0, 3, 4], s)
     assert components(d, out) is not None
+
+
+def _assert_api_matrix(m, n):
+    """A hashable n x n tuple of row tuples of Python ints and Fractions,
+    with no numpy scalar left over from the arrays inside."""
+    assert type(m) is tuple and len(m) == n
+    assert all(type(row) is tuple and len(row) == n for row in m)
+    assert all(type(x) in (int, Fraction) for row in m for x in row)
+    hash(m)
+
+
+@pytest.mark.parametrize("d", [y_diagram(1, 1, 2), y_diagram(1, 2, 2),
+                               path_diagram(1)])
+def test_matrices_leave_the_api_as_exact_tuples(d):
+    n, b = d.n, canonical_basis(d)
+    alpha = simple_root(d, n - 1)
+    s = vee(alpha, alpha)
+    values = [reflection_matrix(d, alpha), *simple_matrices(d),
+              conjugate(simple_matrices(d)[0], s),
+              apply_word(d, list(range(n)) * 2, s), c_apply(d, alpha, s),
+              virasoro(d), b.combine(range(len(b))),
+              b.combine([Fraction(1, 2)] * len(b))]
+    for m in values:
+        _assert_api_matrix(m, n)
+    if not len(b):
+        assert b.combine(()) == ((0,) * n,) * n
+    w = norm2_witness(2, 2, 3)
+    _assert_api_matrix(w["x"], w["diagram"].n)
