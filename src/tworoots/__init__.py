@@ -5,7 +5,7 @@ import sys
 from . import orbits  # noqa: F401  -- so that import tworoots loads it
 from .diagram import (Diagram, TypeClass, classify, h_graph, component_count,
                       parabolic_restrict, path_diagram, y_diagram)
-from .roots import (ElementaryRoot, EpsilonForm, bform, delta, elementary_roots,
+from .roots import (EpsilonForm, bform, delta, elementary_roots,
                     epsilon_coords, eta, height, positive_roots, reflect,
                     simple_root, theta)
 from .symsquare import (CanonicalBasis, canonical_basis, components,
@@ -14,7 +14,7 @@ from .symsquare import (CanonicalBasis, canonical_basis, components,
 __all__ = [
     "Diagram", "TypeClass", "classify", "h_graph", "component_count",
     "parabolic_restrict", "path_diagram", "y_diagram",
-    "ElementaryRoot", "EpsilonForm", "bform", "delta", "elementary_roots",
+    "EpsilonForm", "bform", "delta", "elementary_roots",
     "epsilon_coords", "eta", "height", "positive_roots", "reflect",
     "simple_root", "theta",
     "CanonicalBasis", "canonical_basis", "components", "m_functional",

@@ -110,9 +110,9 @@ def affine_radical_witness(d: Diagram) -> dict:
 
 def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
     """Dimension bookkeeping for the symmetric square: one invariant line
-    plus the span of the canonical basis, which splits into one summand
-    per orbit in finite type.  Radical dimensions are over the rationals,
-    or mod p when a prime is given."""
+    plus the span of the canonical basis, which in finite type splits into
+    the summands of CanonicalBasis.summands, one per orbit.  Radical
+    dimensions are over the rationals, or mod p when a prime is given."""
     cls = classify(d)
     if cls is TypeClass.AFFINE:
         raise ValueError("affine diagram: the form is degenerate; "
@@ -131,17 +131,14 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
     if p is not None:
         report["prime"] = p
     if cls is TypeClass.FINITE:
-        from .orbits import orbit_tables
-
         summands = []
-        for t in orbit_tables(d):
-            mats = [basis.elements[k].matrix for k in t.basis_members]
+        for sid, members in enumerate(basis.summands(), start=1):
+            mats = [basis.elements[k].matrix for k in members]
             rad = radical_basis(gram(d, mats, p), p)
-            summands.append({"id": t.id, "dim": len(mats),
+            summands.append({"id": sid, "dim": len(mats),
                              "radical_dim": len(rad)})
         report["orbit_summands"] = summands
-        covered = 1 + sum(s["dim"] for s in summands)
-        report["complement_dim"] = report["dim_sym_square"] - covered
+        report["complement_dim"] = n * (n + 1) // 2 - 1 - len(basis)
     else:
         rad = radical_basis(gram(d, [e.matrix for e in basis.elements], p), p)
         report["module_radical_dim"] = len(rad)
@@ -181,21 +178,20 @@ def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
     return group
 
 
-def _kernel(d: Diagram, group: np.ndarray, table) -> np.ndarray:
+def _kernel(d: Diagram, group: np.ndarray, members) -> np.ndarray:
     """Indices into the group of the elements w with w(a) v w(b) = a v b
-    for every basis member a v b of the orbit summand: the elements acting
-    trivially on it, since those members span it.  As a and b are
-    independent norm-2 roots, that holds exactly when (w(a), w(b)) is
-    (a, b) or (b, a) up to one common sign.  Each member is checked only
-    against the elements that fixed the members before it.  The images
-    are summed in int16: each entry is at most 127 height(a) in size."""
-    inside = set(table.basis_members)
-    if any(c for coords in table.coords.values()
-           for k, c in enumerate(coords) if k not in inside):
-        raise RuntimeError("summand is not invariant")
+    for every basis member a v b of the summand with these indices, one
+    of CanonicalBasis.summands: the elements acting trivially on it, as
+    those members span it.  As a and b are independent norm-2 roots, that
+    holds exactly when (w(a), w(b)) is (a, b) or (b, a) up to one common
+    sign.  Each member is checked only against the elements that fixed
+    the members before it.  The images are summed in int16: each entry
+    is at most 127 height(a) in size."""
     basis = canonical_basis(d)
+    if tuple(members) not in basis.summands():
+        raise RuntimeError("summand is not invariant")
     keep = np.arange(len(group))
-    for k in table.basis_members:
+    for k in members:
         a, b = basis.elements[k].pair  # positive: heights are sums
         if max(sum(a), sum(b)) * 127 >= 2 ** 15:
             raise RuntimeError("a root's image may have an entry past int16")
@@ -219,7 +215,7 @@ def kernel_orders(d: Diagram, tables, group_order: int,
     if len(group) != group_order:
         raise RuntimeError("the Weyl group has order %d, not %d"
                            % (len(group), group_order))
-    return [len(_kernel(d, group, t)) for t in tables]
+    return [len(_kernel(d, group, t.basis_members)) for t in tables]
 
 
 def action_kernel_order(d: Diagram, table, group_order: int,
@@ -230,15 +226,14 @@ def action_kernel_order(d: Diagram, table, group_order: int,
 
 
 def kernel_intersection(d: Diagram, state_cap: int = 10 ** 6) -> dict:
-    """Walks the Weyl group once, collects for each orbit summand the
-    elements acting trivially on it, and intersects those kernels.
-    Reports the group order, the per-orbit kernel orders, the
-    intersection order, and whether the intersection is exactly the
-    center (the identity, plus minus one when present)."""
-    from .orbits import orbit_tables
-
+    """Walks the Weyl group once, collects for each summand of the
+    canonical basis the elements acting trivially on it, and intersects
+    those kernels.  Reports the group order, the per-summand kernel
+    orders, the intersection order, and whether the intersection is
+    exactly the center (the identity, plus minus one when present)."""
     group = _weyl_group(d, state_cap)
-    kernels = [set(_kernel(d, group, t).tolist()) for t in orbit_tables(d)]
+    kernels = [set(_kernel(d, group, s).tolist())
+               for s in canonical_basis(d).summands()]
     inter = set(range(len(group))).intersection(*kernels)
     neg = (group == -np.eye(d.n, dtype=np.int64)).all(axis=(1, 2))
     center = {0} | set(np.flatnonzero(neg).tolist())  # 0: the identity

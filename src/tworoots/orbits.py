@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagram import Diagram, TypeClass, cartan, classify
 from .roots import (Root, bform, height, is_positive, negate, positive_roots,
-                    simple_reflect)
+                    root_from_labels, simple_reflect)
 from .symsquare import (SymMatrix, canonical_basis, pair_coords_np,
                         root_pair, vee)
 
@@ -62,7 +62,7 @@ def orthogonal_pairs(d: Diagram,
 class OrbitTable:
     id: int
     members: tuple[Pair, ...]          # sorted by matrix key
-    basis_members: tuple[int, ...]     # indices into the canonical basis
+    basis_members: tuple[int, ...]     # the summand, as basis indices
     coords: dict                       # pair -> integer expansion tuple
     highest: Pair
     height: int
@@ -134,26 +134,31 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
 @functools.cache
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     """Partition of the positive 2-roots into orbits, finite types only:
-    one layered walk (_pair_layers) from each canonical basis element not
-    yet reached, carrying its unit coordinates.  Orbits are numbered in
-    the order of their least members; highest_pair climbs to each top."""
+    one layered walk (_pair_layers) per CanonicalBasis.summands entry, in
+    that order, from its least element's unit coordinates.  The members
+    with unit coordinates must be exactly the summand's elements, and the
+    one of greatest coordinate height, the orbit's top, must be unique."""
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
-    orbits = []
-    for j, e in enumerate(basis.elements):
-        if any(e.pair in cc for _, cc in orbits):
-            continue
-        members, c = _pair_layers(d, e.pair, np.eye(len(basis))[j])
-        orbits.append((members, dict(zip(members, map(tuple, c.tolist())))))
-    orbits.sort(key=lambda o: vee_pair(o[0][0]))
     tables = []
-    for oid, (members, cc) in enumerate(orbits, start=1):
-        basis_members = tuple(kk for kk, e in enumerate(basis.elements)
-                              if e.pair in cc)
-        top = highest_pair(d, members[0])
-        tables.append(OrbitTable(oid, members, basis_members, cc, top,
-                                 sum(cc[top])))
+    for oid, summand in enumerate(basis.summands(), start=1):
+        j = summand[0]
+        members, c = _pair_layers(d, basis.elements[j].pair,
+                                  np.eye(len(basis))[j])
+        unit = c[np.abs(c).sum(axis=1) == 1]
+        found = sorted(unit.argmax(axis=1).tolist())
+        if (unit < 0).any() or found != list(summand):
+            raise RuntimeError("orbit %d meets the basis in %s, not in its "
+                               "summand" % (oid, found))
+        heights = c.sum(axis=1)
+        top = np.flatnonzero(heights == heights.max())
+        if len(top) != 1:
+            raise RuntimeError("orbit %d has %d members of greatest height"
+                               % (oid, len(top)))
+        coords = dict(zip(members, map(tuple, c.tolist())))
+        tables.append(OrbitTable(oid, members, summand, coords,
+                                 members[top[0]], int(heights[top[0]])))
     return tuple(tables)
 
 
@@ -241,8 +246,6 @@ def ht2_of_pair(d: Diagram, p: Pair) -> int:
 
 def closed_form_highest(d: Diagram) -> tuple[Pair, ...]:
     """The known highest 2-roots of the finite types, one per orbit."""
-    from .roots import root_from_labels
-
     n = d.n
     if d.kind == "Path":
         if n < 3:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -156,20 +157,6 @@ def is_root(d: Diagram, v, height_bound: int | None = None) -> bool:
 
 # --- elementary roots ------------------------------------------------------
 
-SIMPLE, SHORT_PATH_TOP, PARABOLIC_TOP = 1, 2, 3
-
-
-@dataclass(frozen=True)
-class ElementaryRoot:
-    """A root that is either simple, the top root of a three-vertex path,
-    or the top root of a minimal branched parabolic.  `support_for` lists
-    the vertices i such that this root pairs with alpha_i in the basis."""
-    root: Root
-    kind: int
-    data: tuple[int, ...]
-    support_for: tuple[int, ...]
-
-
 def eta(d: Diagram, h: int, k: int) -> Root:
     """Top root alpha_h + alpha_mid + alpha_k of the path h - mid - k."""
     common = set(neighbors(d)[h]) & set(neighbors(d)[k])
@@ -193,10 +180,6 @@ def _path_to_branch(d: Diagram, i: int) -> list[int]:
     return path
 
 
-def _next_to_branch(d: Diagram, i: int) -> bool:
-    return d.branch in neighbors(d)[i]
-
-
 def theta(d: Diagram, i: int) -> Root:
     """Top root of the smallest branched parabolic containing vertex i:
     coefficient 1 at i and at the two branch neighbors off the path from
@@ -218,29 +201,21 @@ def theta(d: Diagram, i: int) -> Root:
     return root
 
 
-def elementary_roots(d: Diagram, i: int) -> tuple[ElementaryRoot, ...]:
-    """The roots beta with alpha_i in their companion vertex set, i.e. the
-    partners of alpha_i in the canonical basis.  There are n-1 of them in
-    a Y diagram and n-2 in a path."""
+def elementary_roots(d: Diagram, i: int) -> tuple[Root, ...]:
+    """The partners of alpha_i in the canonical basis, in (height, root)
+    order, of three kinds: the simple roots alpha_j with j neither i nor
+    a neighbor of i; the top root eta of each three-vertex path centred
+    at i; and in a Y diagram, for i off the branch vertex, theta(d, i).
+    There are n-1 of them in a Y diagram and n-2 in a path."""
     if not 0 <= i < d.n:
         raise ValueError("vertex out of range")
     adj = neighbors(d)
-    out: list[ElementaryRoot] = []
-    for j in range(d.n):
-        if j != i and j not in adj[i]:
-            sup = tuple(k for k in range(d.n) if k != j and k not in adj[j])
-            out.append(ElementaryRoot(simple_root(d, j), SIMPLE, (j,), sup))
-    nbrs = adj[i]
-    for x in range(len(nbrs)):
-        for y in range(x + 1, len(nbrs)):
-            h, k = nbrs[x], nbrs[y]
-            out.append(ElementaryRoot(eta(d, h, k), SHORT_PATH_TOP, (h, i, k), (i,)))
+    out = [simple_root(d, j) for j in range(d.n)
+           if j != i and j not in adj[i]]
+    out += [eta(d, h, k) for h, k in combinations(adj[i], 2)]
     if d.kind == "Y" and i != d.branch:
-        root = theta(d, i)
-        sup = adj[d.branch] if _next_to_branch(d, i) else (i,)
-        out.append(ElementaryRoot(root, PARABOLIC_TOP, (i,), sup))
-    out.sort(key=lambda e: (height(e.root), e.root))
-    return tuple(out)
+        out.append(theta(d, i))
+    return tuple(sorted(out, key=lambda r: (height(r), r)))
 
 
 def delta(d: Diagram) -> Root:

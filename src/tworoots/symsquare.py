@@ -28,8 +28,8 @@ import numpy as np
 
 from . import linalg
 from .diagram import Diagram, TypeClass, adjacent, cartan, classify
-from .roots import (Root, bform, elementary_roots, height, is_root,
-                    positive_roots, simple_root)
+from .roots import (Root, bform, closure, elementary_roots, height,
+                    is_root, positive_roots, simple_root)
 
 SymMatrix = tuple[tuple, ...]
 
@@ -136,16 +136,16 @@ class CanonicalBasis:
         index: dict[SymMatrix, int] = {}
         for i in range(d.n):
             e_i = simple_root(d, i)
-            for elem in elementary_roots(d, i):
-                m = vee(e_i, elem.root)
+            for beta in elementary_roots(d, i):
+                m = vee(e_i, beta)
                 k = index.get(m)
                 if k is None:
                     index[m] = len(mats)
                     mats.append(m)
-                    pairs.append(root_pair(e_i, elem.root))
-                    labels.append([(i, elem.root)])
+                    pairs.append(root_pair(e_i, beta))
+                    labels.append([(i, beta)])
                 else:
-                    labels[k].append((i, elem.root))
+                    labels[k].append((i, beta))
         self.elements = tuple(
             BasisElement(m, p, tuple(lbl))
             for m, p, lbl in zip(mats, pairs, labels)
@@ -257,6 +257,22 @@ class CanonicalBasis:
                 mats.append(m)
             self._action_np = tuple(mats)
         return self._action_np
+
+    def summands(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components, as sorted index tuples in the order of
+        their least elements, of the graph joining elements j and k when
+        some matrix of action_matrices_np has a nonzero (k, j) entry.  Each
+        is closed under every reflection, so it spans a W-invariant
+        summand; in finite type it is the set of basis elements in one
+        orbit, which orbit_tables checks.  O(K^2), on each call."""
+        joined = (np.stack(self.action_matrices_np()) != 0).any(axis=0)
+        joined |= joined.T
+        out = []
+        for j in range(len(self.elements)):
+            if all(j not in s for s in out):
+                out.append(tuple(sorted(closure(
+                    [j], lambda k: np.flatnonzero(joined[k]).tolist()))))
+        return tuple(out)
 
     def reflect_rows(self, c, letters):
         """Row h of the result is the matrix of s_{letters[h]} times row h

@@ -6,6 +6,7 @@ import pytest
 
 import numpy as np
 
+import tworoots
 from tworoots.diagram import path_diagram, y_diagram
 from tworoots.forms import (_weyl_group, action_kernel_order,
                             affine_radical_witness,
@@ -175,6 +176,15 @@ def test_kernel_invariance_guard(d, order):
         short = dataclasses.replace(t, basis_members=t.basis_members[:-1])
         with pytest.raises(RuntimeError, match="summand is not invariant"):
             action_kernel_order(d, short, order)
+
+
+def test_decompose_walks_no_orbit():
+    tworoots.clear_caches()
+    before = orbit_tables.cache_info()
+    rep = decompose_s2v(y_diagram(1, 1, 13))
+    assert orbit_tables.cache_info() == before
+    assert [s["dim"] for s in rep["orbit_summands"]] == [120, 15]
+    assert [s["radical_dim"] for s in rep["orbit_summands"]] == [0, 0]
 
 
 def test_norm2_witness_rejects_other_shapes():

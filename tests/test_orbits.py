@@ -222,6 +222,7 @@ def test_a_n_tables_follow_the_closed_forms(n):
     assert t.size == 3 * comb(n + 1, 4)
     assert t.height == (n - 2) ** 2 + 1
     assert closed_form_highest(d) == (t.highest,)
+    assert [t.basis_members] == list(canonical_basis(d).summands())
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
@@ -231,12 +232,30 @@ def test_d_n_tables_follow_the_closed_forms(n):
     assert sorted((t.size, t.height) for t in tabs) == sorted(
         [(12 * comb(n, 4), 4 * n * n - 28 * n + 51), (comb(n, 2), n - 1)])
     assert set(closed_form_highest(d)) == {t.highest for t in tabs}
+    assert [t.basis_members for t in tabs] == list(
+        canonical_basis(d).summands())
+    least = [vee_pair(t.members[0]) for t in tabs]
+    assert least == sorted(least)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_paths_without_2_roots_have_no_orbits(n):
     assert orbit_tables(path_diagram(n)) == ()
     assert closed_form_highest(path_diagram(n)) == ()
+
+
+def test_orbit_tables_check_the_walk_against_the_summands(monkeypatch):
+    d = y_diagram(1, 1, 1)
+    parts = canonical_basis(d).summands()
+    merged = (tuple(sorted(parts[0] + parts[1])), parts[2])
+    monkeypatch.setattr(type(canonical_basis(d)), "summands",
+                        lambda self: merged)
+    orbit_tables.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="meets the basis in"):
+            orbit_tables(d)
+    finally:
+        orbit_tables.cache_clear()
 
 
 def test_clear_caches_rebuilds_the_tables():

@@ -207,6 +207,26 @@ def test_empty_basis_has_empty_action_matrices(n):
         assert not m.flags.writeable
 
 
+@pytest.mark.parametrize("d, sizes", [
+    (path_diagram(1), []), (path_diagram(2), []),
+    (y_diagram(1, 1, 1), [3, 3, 3]), (y_diagram(1, 1, 2), [10, 4]),
+    (y_diagram(1, 2, 4), [35]), (y_diagram(2, 2, 2), [27]),
+    (y_diagram(1, 2, 5), [44]), (y_diagram(2, 2, 3), [35]),
+    (y_diagram(4, 4, 4), [90]),
+], ids=["A1", "A2", "D4", "D5", "E8", "Y222", "Y125", "Y223", "Y444"])
+def test_summands_are_the_components_of_the_action(d, sizes):
+    b = canonical_basis(d)
+    parts = b.summands()
+    assert [len(s) for s in parts] == sizes
+    assert sorted(k for s in parts for k in s) == list(range(len(b)))
+    assert [s[0] for s in parts] == sorted(s[0] for s in parts)
+    assert all(list(s) == sorted(s) and type(s[0]) is int for s in parts)
+    for s in parts:  # no reflection takes an element of s outside s
+        outside = np.setdiff1d(np.arange(len(b)), s)
+        assert not any(m[np.ix_(outside, s)].any()
+                       for m in b.action_matrices_np())
+
+
 def test_word_matrix_is_multiplicative():
     for d in (y_diagram(1, 2, 2), y_diagram(2, 2, 3)):
         b = canonical_basis(d)
