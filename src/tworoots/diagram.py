@@ -62,6 +62,32 @@ def path_diagram(n: int) -> Diagram:
     return Diagram("Path", n, (), tuple((i, i + 1) for i in range(n - 1)))
 
 
+def closure(seeds, moves, key=None, prune=None):
+    """Walk from the seeds, yielding each state the first time it is
+    reached; the caller may stop iterating at any point.  moves(state)
+    iterates over the states one step away, and states count as the same
+    when key(state) agrees (the state itself by default).  A step to a
+    state already reached is dropped before prune is asked; a new state
+    for which prune(state) holds is dropped and not walked from.  Seeds
+    are never pruned."""
+    seen = set()
+    stack = []
+    for t in seeds:
+        k = t if key is None else key(t)
+        if k not in seen:
+            seen.add(k)
+            stack.append(t)
+            yield t
+    while stack:
+        for t in moves(stack.pop()):
+            k = t if key is None else key(t)
+            if k in seen or (prune is not None and prune(t)):
+                continue
+            seen.add(k)
+            stack.append(t)
+            yield t
+
+
 @functools.cache
 def neighbors(d: Diagram) -> tuple[tuple[int, ...], ...]:
     adj: list[list[int]] = [[] for _ in range(d.n)]
@@ -121,46 +147,27 @@ def parabolic_restrict(d: Diagram, vertices) -> tuple[Diagram, dict[int, int]]:
         raise ValueError("vertex set out of range")
     vset = set(vs)
     sub_adj = {v: [u for u in neighbors(d)[v] if u in vset] for v in vs}
-    induced = HGraph(tuple(vs), tuple(e for e in d.edges if vset >= set(e)))
-    if component_count(induced) != 1:
+    if len(list(closure(vs[:1], sub_adj.__getitem__))) != len(vs):
         raise ValueError("vertex set is not connected")
     degree3 = [v for v in vs if len(sub_adj[v]) == 3]
     if any(len(sub_adj[v]) > 3 for v in vs) or len(degree3) > 1:
         raise ValueError("subdiagram is not a path or a Y shape")
 
+    # The subgraph is a tree: a walk from an end runs along the path, and
+    # one from a branch neighbour that skips the branch runs out its arm.
     if not degree3:
-        ends = [v for v in vs if len(sub_adj[v]) <= 1]
-        start = min(ends)
-        order = [start]
-        prev = None
-        while len(order) < len(vs):
-            nxt = next(u for u in sub_adj[order[-1]] if u != prev)
-            prev = order[-1]
-            order.append(nxt)
-        mapping = {v: k for k, v in enumerate(order)}
-        return path_diagram(len(vs)), mapping
+        start = min(v for v in vs if len(sub_adj[v]) <= 1)
+        order = closure([start], sub_adj.__getitem__)
+        return path_diagram(len(vs)), {v: k for k, v in enumerate(order)}
 
     br = degree3[0]
-    arms = []
-    for first in sub_adj[br]:
-        arm = [first]
-        prev = br
-        while True:
-            ext = [u for u in sub_adj[arm[-1]] if u != prev]
-            if not ext:
-                break
-            prev = arm[-1]
-            arm.append(ext[0])
-        arms.append(arm)
-    arms.sort(key=lambda arm: (len(arm), arm[0]))
-    mapping = {br: 0}
-    k = 1
-    for arm in arms:
-        for v in arm:
-            mapping[v] = k
-            k += 1
-    new = y_diagram(*(len(arm) for arm in arms))
-    return new, mapping
+    arms = sorted((list(closure([first], sub_adj.__getitem__,
+                                prune=lambda u: u == br))
+                   for first in sub_adj[br]),
+                  key=lambda arm: (len(arm), arm[0]))
+    order = [br] + [v for arm in arms for v in arm]
+    return (y_diagram(*(len(arm) for arm in arms)),
+            {v: k for k, v in enumerate(order)})
 
 
 # --- hexagonal companion graphs -------------------------------------------
@@ -203,16 +210,9 @@ def component_count(g: HGraph) -> int:
     seen: set[int] = set()
     comps = 0
     for v in g.vertices:
-        if v in seen:
-            continue
-        comps += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+        if v not in seen:
+            comps += 1
+            seen.update(closure([v], adj.__getitem__))
     return comps
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction as Q
 import numpy as np
 
 from . import linalg
-from .diagram import (Diagram, TypeClass, cartan, classify, parabolic_restrict,
-                      weyl_order, y_diagram)
+from .diagram import (Diagram, TypeClass, cartan, classify, weyl_order,
+                      y_diagram)
 from .roots import delta, simple_root
 from .symsquare import (SymMatrix, canonical_basis, reflection_matrix,
                         sign_coherent, vee)
@@ -276,16 +276,13 @@ def norm2_witness(a: int, b: int, c: int) -> dict:
     if (a, b, c) not in {(2, 2, 3), (1, 3, 4), (1, 2, 6)}:
         raise ValueError("witness exists for (2,2,3), (1,3,4), (1,2,6) only")
     d = y_diagram(a, b, c)
-    n = d.n
-    leaf = n - 1
-    sub, mapping = parabolic_restrict(d, [v for v in range(n) if v != leaf])
+    leaf = d.n - 1
+    # Arms are numbered outward, so dropping the long arm's leaf leaves
+    # Y(a, b, c - 1) on the same vertex numbers.
+    sub = y_diagram(a, b, c - 1)
     if classify(sub) is not TypeClass.AFFINE:
         raise RuntimeError("expected an affine subdiagram")
-    dv_sub = delta(sub)
-    dv = [0] * n
-    for old, new in mapping.items():
-        dv[old] = dv_sub[new]
-    dv = tuple(dv)
+    dv = delta(sub) + (0,)
     alpha = d.arms[0]
     beta = alpha - 1 if alpha > 1 else 0
     e_alpha = simple_root(d, alpha)

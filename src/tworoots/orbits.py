@@ -135,9 +135,10 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     """Partition of the positive 2-roots into orbits, finite types only:
     one layered walk (_pair_layers) per CanonicalBasis.summands entry, in
-    that order, from its least element's unit coordinates.  The members
-    with unit coordinates must be exactly the summand's elements, and the
-    one of greatest coordinate height, the orbit's top, must be unique."""
+    that order, from its least element's unit coordinates.  No member may
+    have a negative coordinate, the members with unit coordinates must be
+    exactly the summand's elements, and the one of greatest coordinate
+    height, the orbit's top, must be unique."""
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
@@ -146,9 +147,10 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
         j = summand[0]
         members, c = _pair_layers(d, basis.elements[j].pair,
                                   np.eye(len(basis))[j])
-        unit = c[np.abs(c).sum(axis=1) == 1]
-        found = sorted(unit.argmax(axis=1).tolist())
-        if (unit < 0).any() or found != list(summand):
+        if (c < 0).any():
+            raise RuntimeError("orbit %d has a negative coordinate" % oid)
+        found = sorted(c[c.sum(axis=1) == 1].argmax(axis=1).tolist())
+        if found != list(summand):
             raise RuntimeError("orbit %d meets the basis in %s, not in its "
                                "summand" % (oid, found))
         heights = c.sum(axis=1)

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .diagram import Diagram, TypeClass, cartan, classify, neighbors
+from .diagram import Diagram, TypeClass, cartan, classify, closure, neighbors
 
 Root = tuple[int, ...]
 
@@ -64,32 +64,6 @@ def simple_reflect(d: Diagram, i: int, v):
     out = list(v)
     out[i] -= c
     return tuple(out)
-
-
-def closure(seeds, moves, key=None, prune=None):
-    """Walk from the seeds, yielding each state the first time it is
-    reached; the caller may stop iterating at any point.  moves(state)
-    iterates over the states one step away, and states count as the same
-    when key(state) agrees (the state itself by default).  A step to a
-    state already reached is dropped before prune is asked; a new state
-    for which prune(state) holds is dropped and not walked from.  Seeds
-    are never pruned."""
-    seen = set()
-    stack = []
-    for t in seeds:
-        k = t if key is None else key(t)
-        if k not in seen:
-            seen.add(k)
-            stack.append(t)
-            yield t
-    while stack:
-        for t in moves(stack.pop()):
-            k = t if key is None else key(t)
-            if k in seen or (prune is not None and prune(t)):
-                continue
-            seen.add(k)
-            stack.append(t)
-            yield t
 
 
 @functools.cache
@@ -169,15 +143,10 @@ def eta(d: Diagram, h: int, k: int) -> Root:
 
 
 def _path_to_branch(d: Diagram, i: int) -> list[int]:
-    # Arms are numbered consecutively outward, so the inward neighbor of
-    # any arm vertex is the one with the smaller index.
-    path = [i]
-    prev = None
-    while path[-1] != d.branch:
-        inward = min(u for u in neighbors(d)[path[-1]] if u != prev)
-        prev = path[-1]
-        path.append(inward)
-    return path
+    # Arms are numbered consecutively outward, so the least neighbour of
+    # an arm vertex is the inward one; the walk stops at the branch.
+    return list(closure(
+        [i], lambda v: () if v == d.branch else neighbors(d)[v][:1]))
 
 
 def theta(d: Diagram, i: int) -> Root:

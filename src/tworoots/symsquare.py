@@ -27,9 +27,9 @@ from fractions import Fraction as Q
 import numpy as np
 
 from . import linalg
-from .diagram import Diagram, TypeClass, adjacent, cartan, classify
-from .roots import (Root, bform, closure, elementary_roots, height,
-                    is_root, positive_roots, simple_root)
+from .diagram import Diagram, TypeClass, adjacent, cartan, classify, closure
+from .roots import (Root, bform, elementary_roots, height, is_root,
+                    positive_roots, simple_root)
 
 SymMatrix = tuple[tuple, ...]
 
@@ -130,35 +130,21 @@ class CanonicalBasis:
 
     def __init__(self, d: Diagram):
         self.diagram = d
-        mats: list[SymMatrix] = []
-        pairs: list[tuple[Root, Root]] = []
-        labels: list[list[tuple[int, Root]]] = []
-        index: dict[SymMatrix, int] = {}
+        # For positive norm-2 roots a v b determines {a, b}, so the pair
+        # dedupes the elements as well as the matrix would.
+        labels: dict[tuple[Root, Root], list[tuple[int, Root]]] = {}
         for i in range(d.n):
-            e_i = simple_root(d, i)
             for beta in elementary_roots(d, i):
-                m = vee(e_i, beta)
-                k = index.get(m)
-                if k is None:
-                    index[m] = len(mats)
-                    mats.append(m)
-                    pairs.append(root_pair(e_i, beta))
-                    labels.append([(i, beta)])
-                else:
-                    labels[k].append((i, beta))
-        self.elements = tuple(
-            BasisElement(m, p, tuple(lbl))
-            for m, p, lbl in zip(mats, pairs, labels)
-        )
-        self._stack = linalg.exact(mats).reshape(len(mats), d.n * d.n)
-        self.index = index
-        by_vertex: dict[int, list[int]] = {i: [] for i in range(d.n)}
-        for k, e in enumerate(self.elements):
-            for i, _ in e.labels:
-                by_vertex[i].append(k)
-        self._by_vertex = {i: tuple(v) for i, v in by_vertex.items()}
-
+                labels.setdefault(root_pair(simple_root(d, i), beta),
+                                  []).append((i, beta))
+        self.elements = tuple(BasisElement(vee(*p), p, tuple(lbl))
+                              for p, lbl in labels.items())
         k = len(self.elements)
+        self._pairs = np.array(list(labels), dtype=np.int64).reshape(k, 2, d.n)
+        self._coords = pair_coords_np(self._pairs)
+        self._stack = linalg.exact(
+            [e.matrix for e in self.elements]).reshape(k, d.n * d.n)
+
         if d.kind == "Y":
             assert k == d.n * (d.n + 1) // 2 - 1
         elif d.n >= 3:
@@ -168,9 +154,8 @@ class CanonicalBasis:
         # of the result is E with E C = [I; 0], so its first k rows are a
         # left inverse of C and the others cut out the span.
         dim = d.n * (d.n + 1) // 2
-        cols = linalg.exact([standard_coords(m) for m in mats]).reshape(k, dim)
-        red, pivots, den = linalg.rref_int(
-            np.hstack([cols.T, np.eye(dim, dtype=object)]))
+        red, pivots, den = linalg.rref_int(np.hstack(
+            [self._coords.T.astype(object), np.eye(dim, dtype=object)]))
         if pivots[:k] != tuple(range(k)):
             raise RuntimeError("canonical elements are not independent")
         # The right block is E times den; keep it over the least common
@@ -179,15 +164,16 @@ class CanonicalBasis:
         self._den = den // g
         solve = linalg.exact([[x // g for x in row[k:]] for row in red])
         self._left, self._null = solve[:k], solve[k:]
-        self._action_np = None
-        self._rows = None
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def wrt(self, i: int) -> tuple[int, ...]:
         """Indices of the elements alpha_i v beta for this vertex."""
-        return self._by_vertex[i]
+        if not 0 <= i < self.diagram.n:
+            raise ValueError("vertex out of range")
+        return tuple(k for k, e in enumerate(self.elements)
+                     if any(j == i for j, _ in e.labels))
 
     # -- expansion ---------------------------------------------------------
 
@@ -223,6 +209,30 @@ class CanonicalBasis:
 
     # -- simple reflection action -----------------------------------------
 
+    @functools.cached_property
+    def _action_np(self):
+        pairs, own, k = self._pairs, self._coords, len(self.elements)
+        index = {row.tobytes(): j for j, row in enumerate(own)}
+        form = pairs @ np.array(cartan(self.diagram), dtype=np.int64)
+        mats = []
+        for i in range(self.diagram.n):
+            image = pairs.copy()
+            image[:, :, i] -= form[:, :, i]  # r - B(r, alpha_i) alpha_i
+            image = pair_coords_np(image)
+            fixed = (image == own).all(axis=1)
+            negated = (image == -own).all(axis=1)
+            m = np.zeros((k, k), dtype=np.int64)
+            np.fill_diagonal(m, np.where(negated, -1, 1))
+            for j in np.flatnonzero(~(fixed | negated)):
+                partner = index.get((image[j] - own[j]).tobytes())
+                if partner is None:
+                    raise RuntimeError(
+                        "reflection image left the basis lattice")
+                m[partner, j] = 1
+            m.flags.writeable = False
+            mats.append(m)
+        return tuple(mats)
+
     def action_matrices_np(self):
         """One integer matrix per simple reflection: column j expands s_i
         of element j over the basis.  As s_i(a v b) = s_i a v s_i b, each
@@ -230,32 +240,6 @@ class CanonicalBasis:
         which is looked up by the bytes of its standard coordinates.  Built
         on first use, one reflection of the whole stack of basis pairs at a
         time, and shared read-only."""
-        if self._action_np is None:
-            d = self.diagram
-            k = len(self.elements)
-            pairs = np.array([e.pair for e in self.elements],
-                             dtype=np.int64).reshape(k, 2, d.n)
-            own = pair_coords_np(pairs)
-            index = {row.tobytes(): j for j, row in enumerate(own)}
-            form = pairs @ np.array(cartan(d), dtype=np.int64)
-            mats = []
-            for i in range(d.n):
-                image = pairs.copy()
-                image[:, :, i] -= form[:, :, i]  # r - B(r, alpha_i) alpha_i
-                image = pair_coords_np(image)
-                fixed = (image == own).all(axis=1)
-                negated = (image == -own).all(axis=1)
-                m = np.zeros((k, k), dtype=np.int64)
-                np.fill_diagonal(m, np.where(negated, -1, 1))
-                for j in np.flatnonzero(~(fixed | negated)):
-                    partner = index.get((image[j] - own[j]).tobytes())
-                    if partner is None:
-                        raise RuntimeError(
-                            "reflection image left the basis lattice")
-                    m[partner, j] = 1
-                m.flags.writeable = False
-                mats.append(m)
-            self._action_np = tuple(mats)
         return self._action_np
 
     def summands(self) -> tuple[tuple[int, ...], ...]:
@@ -274,6 +258,25 @@ class CanonicalBasis:
                     [j], lambda k: np.flatnonzero(joined[k]).tolist()))))
         return tuple(out)
 
+    @functools.cached_property
+    def _rows(self):
+        mats = self.action_matrices_np()
+        eye = np.eye(len(self.elements), dtype=np.int64)
+        changed = [np.flatnonzero((m != eye).any(axis=1)) for m in mats]
+        depth = max(map(len, changed))
+        width = max([1] + [int(np.count_nonzero(m[r]))
+                           for m, rs in zip(mats, changed) for r in rs])
+        rows = np.zeros((len(mats), depth), dtype=np.intp)
+        cols = np.zeros((len(mats), depth, width), dtype=np.intp)
+        coefs = np.zeros((len(mats), depth, width), dtype=np.int64)
+        for i, (m, rs) in enumerate(zip(mats, changed)):
+            for slot, r in enumerate(np.resize(rs, depth)):
+                nz = np.flatnonzero(m[r])
+                rows[i, slot] = r
+                cols[i, slot, :len(nz)] = nz
+                coefs[i, slot, :len(nz)] = m[r, nz]
+        return rows, cols, coefs
+
     def reflect_rows(self, c, letters):
         """Row h of the result is the matrix of s_{letters[h]} times row h
         of the integer stack c (H, K).  Each reflection's matrix differs
@@ -283,23 +286,6 @@ class CanonicalBasis:
         read off action_matrices_np once per basis; padding repeats rows
         and adds zero coefficients, so every write is one that the matrix
         product makes too."""
-        if self._rows is None:
-            mats = self.action_matrices_np()
-            eye = np.eye(len(self.elements), dtype=np.int64)
-            changed = [np.flatnonzero((m != eye).any(axis=1)) for m in mats]
-            depth = max(map(len, changed))
-            width = max([1] + [int(np.count_nonzero(m[r]))
-                               for m, rs in zip(mats, changed) for r in rs])
-            rows = np.zeros((len(mats), depth), dtype=np.intp)
-            cols = np.zeros((len(mats), depth, width), dtype=np.intp)
-            coefs = np.zeros((len(mats), depth, width), dtype=np.int64)
-            for i, (m, rs) in enumerate(zip(mats, changed)):
-                for slot, r in enumerate(np.resize(rs, depth)):
-                    nz = np.flatnonzero(m[r])
-                    rows[i, slot] = r
-                    cols[i, slot, :len(nz)] = nz
-                    coefs[i, slot, :len(nz)] = m[r, nz]
-            self._rows = rows, cols, coefs
         rows, cols, coefs = self._rows
         h = np.arange(len(c))[:, None]
         out = c.copy()
@@ -340,17 +326,19 @@ class CanonicalBasis:
 
     def star_map(self, i: int, j: int) -> dict[int, int]:
         """For adjacent vertices, the bijection sending alpha_i v beta to
-        s_i s_j of it, which lands on an alpha_j element."""
+        s_i s_j of it, which lands on an alpha_j element: column k of the
+        product of the two action matrices must be a unit vector."""
         if not adjacent(self.diagram, i, j):
             raise ValueError("star maps need adjacent vertices")
+        mats = self.action_matrices_np()
+        image, targets = mats[i] @ mats[j], self.wrt(j)
         out = {}
         for k in self.wrt(i):
-            s = self.elements[k].matrix
-            t = apply_simple(self.diagram, i, apply_simple(self.diagram, j, s))
-            target = self.index.get(t)
-            if target is None or target not in self.wrt(j):
+            t = int(image[:, k].argmax())
+            if (np.count_nonzero(image[:, k]) != 1 or image[t, k] != 1
+                    or t not in targets):
                 raise RuntimeError("star map left the expected vertex class")
-            out[k] = target
+            out[k] = t
         return out
 
 

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .diagram import (TypeClass, adjacent, classify, component_count,
-                      h_graph, path_diagram, y_diagram)
+from .diagram import (TypeClass, adjacent, classify, closure,
+                      component_count, h_graph, path_diagram, y_diagram)
 from .forms import (_weyl_group, action_kernel_order, affine_radical_witness,
                     bprime, btilde, c_apply, decompose_s2v, gram,
                     kernel_orders, norm2_witness, radical_basis, virasoro)
 from .orbits import (closed_form_highest, ht2_of_pair, monoidal_covers,
                      orbit_tables, orthogonal_pairs, pair_action,
                      highest_pair)
-from .roots import (bform, closure, epsilon_coords, height, is_positive,
+from .roots import (bform, epsilon_coords, height, is_positive,
                     is_root, negate, positive_roots, simple_reflect,
                     simple_root, theta)
 from .skein import arc_diagram, render_skein

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from tworoots.diagram import (TypeClass, adjacent, cartan, classify,
@@ -89,6 +91,32 @@ def test_parabolic_restrict_keeps_fork():
     assert sub.kind == "Y"
     assert sub.n == 5
     assert mapping[0] == 0
+
+
+def test_parabolic_restrict_fork_mapping():
+    sub, mapping = parabolic_restrict(y_diagram(2, 2, 2), [0, 1, 3, 5, 6])
+    assert sub == y_diagram(1, 1, 2)
+    assert mapping == {0: 0, 1: 1, 3: 2, 5: 3, 6: 4}
+
+
+@pytest.mark.parametrize("d", [path_diagram(5), y_diagram(2, 2, 3)], ids=repr)
+def test_parabolic_restrict_is_a_diagram_isomorphism(d):
+    """Every accepted vertex subset maps bijectively onto the vertices of
+    the returned diagram, and the map carries the induced Cartan entries
+    to the new diagram's."""
+    accepted = 0
+    for r in range(1, d.n + 1):
+        for subset in combinations(range(d.n), r):
+            try:
+                sub, m = parabolic_restrict(d, subset)
+            except ValueError:
+                continue
+            accepted += 1
+            assert sorted(m) == list(subset)
+            assert sorted(m.values()) == list(range(len(subset)))
+            assert all(cartan(sub)[m[u]][m[v]] == cartan(d)[u][v]
+                       for u in subset for v in subset)
+    assert accepted > d.n
 
 
 def test_parabolic_restrict_disconnected():

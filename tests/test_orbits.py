@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tworoots
+from tworoots import orbits
 from tworoots.diagram import neighbors, path_diagram, y_diagram
 from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
                              highest_pair, ht2_of_pair, is_locally_highest,
@@ -254,6 +255,28 @@ def test_orbit_tables_check_the_walk_against_the_summands(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match="meets the basis in"):
             orbit_tables(d)
+    finally:
+        orbit_tables.cache_clear()
+
+
+def test_orbit_tables_refuse_a_negative_coordinate(monkeypatch):
+    """One coordinate of a height-2 member turned negative: the member is
+    no unit vector and the top stays unique, so only the sign check sees
+    it."""
+    walk = orbits._pair_layers
+
+    def negated(*args):
+        members, c = walk(*args)
+        c = c.copy()
+        r = np.flatnonzero(c.sum(axis=1) == 2)[0]
+        c[r, np.flatnonzero(c[r])[0]] *= -1
+        return members, c
+
+    monkeypatch.setattr(orbits, "_pair_layers", negated)
+    orbit_tables.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="negative coordinate"):
+            orbit_tables(path_diagram(4))
     finally:
         orbit_tables.cache_clear()
 

@@ -151,6 +151,21 @@ def test_theta_orthogonal_to_its_vertex():
         assert bform(d, t, simple_root(d, i)) == 0
 
 
+def test_theta_on_every_arm_vertex_of_y234():
+    d = y_diagram(2, 3, 4)
+    assert [theta(d, i) for i in range(1, d.n)] == [
+        (2, 1, 0, 1, 0, 0, 1, 0, 0, 0),
+        (2, 2, 1, 1, 0, 0, 1, 0, 0, 0),
+        (2, 1, 0, 1, 0, 0, 1, 0, 0, 0),
+        (2, 1, 0, 2, 1, 0, 1, 0, 0, 0),
+        (2, 1, 0, 2, 2, 1, 1, 0, 0, 0),
+        (2, 1, 0, 1, 0, 0, 1, 0, 0, 0),
+        (2, 1, 0, 1, 0, 0, 2, 1, 0, 0),
+        (2, 1, 0, 1, 0, 0, 2, 2, 1, 0),
+        (2, 1, 0, 1, 0, 0, 2, 2, 2, 1),
+    ]
+
+
 def test_elementary_counts():
     d = y_diagram(1, 2, 2)
     for i in range(d.n):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tworoots import roots, symsquare
-from tworoots.diagram import path_diagram, y_diagram
+from tworoots.diagram import adjacent, path_diagram, y_diagram
 from tworoots.forms import c_apply, norm2_witness, virasoro
 from tworoots.orbits import simple_pair_action
 from tworoots.roots import height, simple_root
@@ -284,6 +284,38 @@ def test_star_map_requires_adjacency():
     b = canonical_basis(y_diagram(1, 1, 1))
     with pytest.raises(ValueError):
         b.star_map(1, 2)
+
+
+@pytest.mark.parametrize("d", [path_diagram(5), y_diagram(1, 1, 1),
+                               y_diagram(1, 1, 2), y_diagram(1, 2, 2),
+                               y_diagram(1, 2, 4), y_diagram(2, 2, 3)],
+                         ids=repr)
+def test_star_map_equals_the_congruence_route(d):
+    """s_i s_j applied by congruence to each alpha_i element, then looked
+    up among the element matrices."""
+    b = canonical_basis(d)
+    index = {e.matrix: k for k, e in enumerate(b.elements)}
+    for i in range(d.n):
+        for j in range(d.n):
+            if adjacent(d, i, j):
+                want = {k: index[apply_simple(d, i, apply_simple(
+                    d, j, b.elements[k].matrix))] for k in b.wrt(i)}
+                assert b.star_map(i, j) == want
+
+
+@pytest.mark.parametrize("i", [-1, 4])
+def test_wrt_refuses_a_vertex_out_of_range(i):
+    b = canonical_basis(y_diagram(1, 1, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        b.wrt(i)
+
+
+def test_star_map_refuses_an_image_off_the_vertex_class():
+    b = CanonicalBasis(y_diagram(1, 1, 1))
+    mats = b.action_matrices_np()
+    b._action_np = (-mats[0],) + mats[1:]
+    with pytest.raises(RuntimeError, match="expected vertex class"):
+        b.star_map(0, 1)
 
 
 def test_components_round_trip_d4():
