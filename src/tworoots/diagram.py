@@ -98,6 +98,8 @@ def neighbors(d: Diagram) -> tuple[tuple[int, ...], ...]:
 
 
 def adjacent(d: Diagram, i: int, j: int) -> bool:
+    if not (0 <= i < d.n and 0 <= j < d.n):
+        raise ValueError("vertex out of range")
     return j in neighbors(d)[i]
 
 

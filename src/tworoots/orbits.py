@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .diagram import Diagram, TypeClass, cartan, classify
+from .diagram import Diagram, TypeClass, cartan, classify, neighbors
 from .roots import (Root, bform, height, is_positive, negate, positive_roots,
                     root_from_labels, simple_reflect)
 from .symsquare import (SymMatrix, canonical_basis, pair_coords_np,
@@ -43,10 +43,27 @@ def simple_pair_action(d: Diagram, i: int, p: Pair) -> Pair:
 
 
 def pair_action(d: Diagram, word, p: Pair) -> Pair:
-    """Act by s_{w[0]} ... s_{w[-1]}, rightmost letter first."""
+    """Act by s_{w[0]} ... s_{w[-1]}, rightmost letter first, on a pair of
+    roots of either sign and in either order; the empty word returns p
+    unchanged.  Equals the fold of simple_pair_action over the word, but
+    reflects both roots as plain coefficient lists through the whole word
+    and normalises once at the end: reflections are linear, so
+    s(-r) = -s(r), and the sign and order that each step of the fold picks
+    commute with the letters still to come."""
+    if len(word) == 0:
+        return p
+    n, adj = d.n, neighbors(d)
+    a, b = list(p[0]), list(p[1])
     for i in reversed(word):
-        p = simple_pair_action(d, i, p)
-    return p
+        if not 0 <= i < n:
+            raise ValueError("word letters must be vertices 0..%d" % (n - 1))
+        x = y = 0
+        for j in adj[i]:
+            x += a[j]
+            y += b[j]
+        a[i] = x - a[i]  # s_i r = r - B(r, alpha_i) alpha_i
+        b[i] = y - b[i]
+    return root_pair(normalize_root(a), normalize_root(b))
 
 
 def orthogonal_pairs(d: Diagram,
@@ -107,7 +124,7 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
         q[hits, :, i] -= form[f, :, i]  # s_i r = r - B(r, alpha_i) alpha_i
         q *= np.sign(q.sum(axis=2, keepdims=True))
         diff = q[:, 1] - q[:, 0]  # root_pair's (height, root) order
-        diff = np.c_[diff.sum(axis=1), diff]
+        diff = np.concatenate([diff.sum(axis=1, keepdims=True), diff], axis=1)
         swap = diff[hits, (diff != 0).argmax(axis=1)] < 0
         q[swap] = q[swap, ::-1]
         moved = (q != p[f]).any(axis=(1, 2))
@@ -116,7 +133,8 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
         all_c = np.concatenate([last_c, c, basis.reflect_rows(c[f], i)])
         flat = all_p.reshape(len(all_p), -1)
         order = np.lexsort(flat.T[::-1])
-        first = np.r_[True, (np.diff(flat[order], axis=0) != 0).any(axis=1)]
+        first = np.ones(len(flat), dtype=bool)
+        first[1:] = (np.diff(flat[order], axis=0) != 0).any(axis=1)
         heads = order[first]
         if (all_c[order] != all_c[heads][np.cumsum(first) - 1]).any():
             raise RuntimeError("inconsistent expansion along orbit")

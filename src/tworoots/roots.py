@@ -58,6 +58,8 @@ def reflect(d: Diagram, alpha, v):
 
 
 def simple_reflect(d: Diagram, i: int, v):
+    if not 0 <= i < d.n:
+        raise ValueError("vertex out of range")
     c = 2 * v[i] - sum(v[j] for j in neighbors(d)[i])
     if c == 0:
         return tuple(v)

@@ -259,22 +259,37 @@ class CanonicalBasis:
         return tuple(out)
 
     @functools.cached_property
-    def _rows(self):
-        mats = self.action_matrices_np()
+    def _row_form(self):
+        """Per simple reflection, the rows where its matrix differs from
+        the identity and a contiguous copy of those rows: one compare of
+        each matrix with the identity, once per basis."""
         eye = np.eye(len(self.elements), dtype=np.int64)
-        changed = [np.flatnonzero((m != eye).any(axis=1)) for m in mats]
-        depth = max(map(len, changed))
-        width = max([1] + [int(np.count_nonzero(m[r]))
-                           for m, rs in zip(mats, changed) for r in rs])
-        rows = np.zeros((len(mats), depth), dtype=np.intp)
-        cols = np.zeros((len(mats), depth, width), dtype=np.intp)
-        coefs = np.zeros((len(mats), depth, width), dtype=np.int64)
-        for i, (m, rs) in enumerate(zip(mats, changed)):
-            for slot, r in enumerate(np.resize(rs, depth)):
-                nz = np.flatnonzero(m[r])
-                rows[i, slot] = r
-                cols[i, slot, :len(nz)] = nz
-                coefs[i, slot, :len(nz)] = m[r, nz]
+        form = []
+        for m in self.action_matrices_np():
+            rows = np.flatnonzero((m != eye).any(axis=1))
+            form.append((rows, m[rows]))
+        return tuple(form)
+
+    @functools.cached_property
+    def _rows(self):
+        form = self._row_form
+        depth = max(len(rows) for rows, _ in form)
+        width = max([1] + [int(np.count_nonzero(sub, axis=1).max())
+                           for _, sub in form if len(sub)])
+        rows = np.zeros((len(form), depth), dtype=np.intp)
+        cols = np.zeros((len(form), depth, width), dtype=np.intp)
+        coefs = np.zeros((len(form), depth, width), dtype=np.int64)
+        for i, (changed, sub) in enumerate(form):
+            if not len(changed):  # pad with the identity's row 0
+                changed = np.zeros(1, dtype=np.intp)
+                sub = np.eye(1, len(self.elements), dtype=np.int64)
+            slot = np.resize(np.arange(len(changed)), depth)
+            padded = sub[slot]
+            r, c = np.nonzero(padded)
+            at = np.arange(len(r)) - np.searchsorted(r, r)  # place in row
+            rows[i] = changed[slot]
+            cols[i, r, at] = c
+            coefs[i, r, at] = padded[r, c]
         return rows, cols, coefs
 
     def reflect_rows(self, c, letters):
@@ -283,9 +298,9 @@ class CanonicalBasis:
         from the identity in a few rows only, each with a few nonzero
         entries: the result is a copy of c with just those rows rewritten
         from (column, coefficient) slots gathered out of c.  The slots are
-        read off action_matrices_np once per basis; padding repeats rows
-        and adds zero coefficients, so every write is one that the matrix
-        product makes too."""
+        padded out of the row form of action_matrices_np, built once per
+        basis; padding repeats rows and adds zero coefficients, so every
+        write is one that the matrix product makes too."""
         rows, cols, coefs = self._rows
         h = np.arange(len(c))[:, None]
         out = c.copy()
@@ -294,13 +309,18 @@ class CanonicalBasis:
         return out
 
     def _act(self, word, x):
-        """x multiplied on the left by the matrix of s_{w[0]} ... s_{w[-1]}."""
+        """x multiplied on the left by the matrix of s_{w[0]} ... s_{w[-1]},
+        rewritten in place.  Per letter only the rows where its matrix
+        differs from the identity change (n - 1 on forks, n - 2 on paths),
+        so x[rows] = sub @ x with the cached rows and copy sub of the row
+        form; each rewritten row is the same sum the dense product makes."""
         n = self.diagram.n
         if any(not 0 <= i < n for i in word):
             raise ValueError("word letters must be vertices 0..%d" % (n - 1))
-        mats = self.action_matrices_np()
+        form = self._row_form
         for i in reversed(word):
-            x = mats[i] @ x
+            rows, sub = form[i]
+            x[rows] = sub @ x
         return x
 
     def word_matrix(self, word) -> linalg.Mat:
@@ -312,7 +332,10 @@ class CanonicalBasis:
     def word_column(self, word, j: int) -> tuple[int, ...]:
         """Column j of word_matrix(word), via fast integer arithmetic.
         Column sums at most double per letter, so values stay below 2**62
-        for any word of up to 60 letters; longer words are refused."""
+        for any word of up to 60 letters; longer words are refused.  The
+        row update of _act writes the same sums as the dense product, and
+        its partial sums add distinct coordinates with coefficients +-1,
+        so they stay within the column's sum of absolute values too."""
         if len(word) > 60:
             raise ValueError("word too long for the fast path")
         if not 0 <= j < len(self.elements):
@@ -320,7 +343,7 @@ class CanonicalBasis:
                              % (len(self.elements) - 1))
         v = np.zeros(len(self.elements), dtype=np.int64)
         v[j] = 1
-        return tuple(int(x) for x in self._act(word, v))
+        return tuple(self._act(word, v).tolist())
 
     # -- star maps between vertex classes ----------------------------------
 

@@ -41,6 +41,12 @@ def test_adjacent():
     assert not adjacent(d, 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 2), (2, -1), (4, 2), (2, 4)])
+def test_adjacent_refuses_a_vertex_out_of_range(i, j):
+    with pytest.raises(ValueError, match="vertex out of range"):
+        adjacent(path_diagram(4), i, j)
+
+
 def test_cartan_a3():
     assert cartan(path_diagram(3)) == (
         (2, -1, 0),

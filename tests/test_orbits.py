@@ -36,6 +36,35 @@ def test_pair_action_applies_rightmost_first():
     assert pair_action(d, [3, 1], p) == two
 
 
+@pytest.mark.parametrize("d", [path_diagram(5), y_diagram(1, 1, 3),
+                               y_diagram(1, 2, 4), y_diagram(2, 2, 3),
+                               y_diagram(4, 4, 4)],
+                         ids=["A5", "D6", "E8", "Y223", "Y444"])
+def test_pair_action_is_the_fold_of_simple_pair_action(d):
+    """Reflecting the plain roots through the word and normalising once
+    gives what normalising after every letter gives, also from a start
+    with a negated root or with the two roots swapped."""
+    basis = canonical_basis(d)
+    rng = random.Random("pair_action:%r" % (d,))
+    for _ in range(40):
+        word = [rng.randrange(d.n) for _ in range(rng.randint(0, 60))]
+        a, b = basis.elements[rng.randrange(len(basis))].pair
+        for p in ((a, b), (b, a), (tuple(-x for x in a), b),
+                  (a, tuple(-x for x in b))):
+            want = p
+            for i in reversed(word):
+                want = simple_pair_action(d, i, want)
+            assert pair_action(d, word, p) == want
+
+
+@pytest.mark.parametrize("letter", [-1, 4])
+def test_pair_action_letters_must_be_vertices(letter):
+    d = path_diagram(4)
+    p = (simple_root(d, 0), simple_root(d, 2))
+    with pytest.raises(ValueError, match="vertices 0..3"):
+        pair_action(d, [0, letter], p)
+
+
 def test_d4_orbit_tables():
     tabs = orbit_tables(y_diagram(1, 1, 1))
     assert [t.id for t in tabs] == [1, 2, 3]

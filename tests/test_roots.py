@@ -38,6 +38,12 @@ def test_simple_reflect_matches_reflect():
         assert simple_reflect(d, i, r) == reflect(d, simple_root(d, i), r)
 
 
+@pytest.mark.parametrize("i", [-1, 4])
+def test_simple_reflect_refuses_a_vertex_out_of_range(i):
+    with pytest.raises(ValueError, match="vertex out of range"):
+        simple_reflect(path_diagram(4), i, (0, 0, 1, 1))
+
+
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 6), (4, 10), (5, 15)])
 def test_type_a_root_counts(n, count):
     assert len(positive_roots(path_diagram(n))) == count

@@ -274,6 +274,28 @@ def test_word_column_matches_word_matrix():
         assert b.word_column(word, j) == tuple(row[j] for row in m)
 
 
+@pytest.mark.parametrize("d", [y_diagram(1, 2, 4), y_diagram(2, 2, 3),
+                               y_diagram(4, 4, 4)],
+                         ids=["E8", "Y223", "Y444"])
+def test_word_column_and_matrix_are_the_dense_products(d):
+    """The row updates of word_column and word_matrix against the dense
+    products of the action matrices, int64 and exact."""
+    b = canonical_basis(d)
+    mats = b.action_matrices_np()
+    rng = random.Random("dense:%r" % (d,))
+    for length in (1, 30, 60):
+        word = [rng.randrange(d.n) for _ in range(length)]
+        m = np.eye(len(b), dtype=np.int64)
+        for i in reversed(word):
+            m = mats[i] @ m
+        for j in rng.sample(range(len(b)), 5):
+            assert b.word_column(word, j) == tuple(m[:, j].tolist())
+        exact = np.eye(len(b), dtype=object)
+        for i in reversed(word):
+            exact = mats[i].astype(object) @ exact
+        assert b.word_matrix(word) == tuple(map(tuple, exact.tolist()))
+
+
 def test_word_column_refuses_long_words():
     b = canonical_basis(path_diagram(3))
     with pytest.raises(ValueError):
