@@ -11,10 +11,15 @@ row tuples of Python ints and Fractions, so that it can be a dict key.
 The canonical basis pairs each simple root alpha_i with its elementary
 partners.  One exact elimination per diagram turns it into two integer
 matrices: a scaled left inverse that gives the coordinates over the basis,
-and the functionals that vanish on its span.  Each simple reflection acts
-on the basis by one integer matrix, and the matrices and columns of words
-are products of these; stacks of coordinates are reflected through the
-few rows where such a matrix differs from the identity.
+and the functionals that vanish on its span.  expand multiplies by them in
+int64 when every entry of the input is at most a cap, (2**63 - 1) over the
+largest row sum of |entries| of the two matrices, so that no sum can
+overflow; past the cap, and on Fractions, it falls back to the exact
+object-dtype solve, and both routes give the same tuples.  Each simple
+reflection acts on the basis by one integer matrix, and the matrices and
+columns of words are products of these; stacks of coordinates are
+reflected through the few rows where such a matrix differs from the
+identity.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ SymMatrix = tuple[tuple, ...]
 
 
 def vee(a, b) -> SymMatrix:
-    """Symmetrized product: matrix of a (x) b + b (x) a."""
-    n = len(a)
-    return tuple(tuple(a[i] * b[j] + b[i] * a[j] for j in range(n))
-                 for i in range(n))
+    """Symmetrized product: matrix of a (x) b + b (x) a.  Row i is
+    a_i b + b_i a; vectors of unequal length raise ValueError."""
+    return tuple(tuple([x * bj + y * aj for aj, bj in zip(a, b)])
+                 for x, y in zip(a, b, strict=True))
 
 
 def is_zero(s: SymMatrix) -> bool:
@@ -162,8 +167,9 @@ class CanonicalBasis:
         # denominator of E's entries.
         g = math.gcd(den, *(x for row in red for x in row[k:]))
         self._den = den // g
-        solve = linalg.exact([[x // g for x in row[k:]] for row in red])
-        self._left, self._null = solve[:k], solve[k:]
+        # First k rows: the left inverse times _den; the rest: the span's
+        # functionals.
+        self._solve = linalg.exact([[x // g for x in row[k:]] for row in red])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -177,21 +183,67 @@ class CanonicalBasis:
 
     # -- expansion ---------------------------------------------------------
 
+    @functools.cached_property
+    def _int64_solve(self):
+        """(upper, solve64, cap): the index of the upper triangle in
+        standard_coords order, an int64 copy of _solve, and the largest
+        |entry| of an input the copy may multiply.  cap is 2**63 - 1
+        floor-divided by the largest row L1 norm of _solve, so every
+        partial sum of solve64 @ v stays inside int64 when max |v| <= cap.
+        (The largest norm is 30 on E8, 50 on Y(4,4,4) and 124 on D20,
+        where cap is about 7.4 * 10**16.)  A norm past int64 would make
+        cap 0, and the copy is then exact too.  Built on the first expand
+        only."""
+        cap = (2**63 - 1) // max(1, np.abs(self._solve).sum(axis=1).max())
+        return (np.triu_indices(self.diagram.n),
+                self._solve.astype(np.int64 if cap else object), cap)
+
     def expand(self, s: SymMatrix) -> tuple:
-        """Exact coordinates of s over the basis; raises ValueError when s
-        is outside the span."""
-        if len(s) != self.diagram.n:
+        """Exact coordinates of s over the basis, as Python ints and
+        Fractions; raises ValueError when s is not a symmetric n x n
+        matrix or is outside the span.  The upper triangle v of s is
+        multiplied by _solve: the first rows give the coordinates times
+        _den and the others must vanish.  When numpy reads s as an
+        integer array with max |v| <= cap (see _int64_solve) the product
+        runs in int64, where no sum can overflow, and one divmod by _den
+        gives the coordinates; any other s (Fractions, integers past the
+        cap, floats) takes the exact object-dtype route on its entries as
+        given."""
+        n = self.diagram.n
+        if len(s) != n:
             raise ValueError("matrix size %d does not match diagram rank %d"
-                             % (len(s), self.diagram.n))
-        v = linalg.exact(standard_coords(s))
-        if any(self._null @ v):
+                             % (len(s), n))
+        try:
+            m = np.array(s)
+        except ValueError:
+            raise ValueError("matrix rows must all have length %d"
+                             % n) from None
+        if m.dtype.kind not in "bi":
+            m = linalg.exact(s)  # ints past int64 would become floats
+        if m.shape != (n, n):
+            raise ValueError("matrix must be %d x %d" % (n, n))
+        if (m != m.T).any():
+            raise ValueError("matrix is not symmetric")
+        upper, solve64, cap = self._int64_solve
+        v = m[upper]
+        # abs leaves -2**63 negative, so 0 <= sends it to the exact route
+        if v.dtype != object and 0 <= np.abs(v).max() <= cap:
+            c = solve64 @ v.astype(np.int64, copy=False)
+        else:
+            c = self._solve @ v.astype(object)
+        c, outside = c[:len(self.elements)], c[len(self.elements):]
+        if outside.any():
             if self.diagram.kind == "Y" and m_functional(self.diagram, s) != 0:
                 raise ValueError("element lies outside the codimension-one "
                                  "submodule (nonzero trace functional)")
             raise ValueError("element is not in the span of the canonical basis")
         den = self._den
-        return tuple(c // den if c % den == 0 else Q(c, den)
-                     for c in self._left @ v)
+        if c.dtype == np.int64:
+            q, r = np.divmod(c, den)
+            if not r.any():
+                return tuple(q.tolist())
+        return tuple(x // den if x % den == 0 else Q(x, den)
+                     for x in c.tolist())
 
     def expand_pair(self, a, b) -> tuple:
         """Coordinates of a v b; a and b must be orthogonal roots."""
