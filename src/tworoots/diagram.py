@@ -103,10 +103,6 @@ def adjacent(d: Diagram, i: int, j: int) -> bool:
     return j in neighbors(d)[i]
 
 
-def endpoints(d: Diagram) -> tuple[int, ...]:
-    return tuple(i for i in range(d.n) if len(neighbors(d)[i]) <= 1)
-
-
 @functools.cache
 def cartan(d: Diagram) -> linalg.Mat:
     adj = neighbors(d)
@@ -225,11 +221,3 @@ def diagram_to_json(d: Diagram) -> dict:
         a, b, c = d.arms
         return {"kind": "Y", "a": a, "b": b, "c": c}
     return {"kind": "Path", "n": d.n}
-
-
-def diagram_from_json(obj: dict) -> Diagram:
-    if obj.get("kind") == "Y":
-        return y_diagram(obj["a"], obj["b"], obj["c"])
-    if obj.get("kind") == "Path":
-        return path_diagram(obj["n"])
-    raise ValueError("unknown diagram kind: %r" % (obj.get("kind"),))

@@ -7,7 +7,6 @@ subdiagram."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction as Q
 
@@ -243,28 +242,6 @@ def kernel_intersection(d: Diagram, state_cap: int = 10 ** 6) -> dict:
         "intersection_order": len(inter),
         "is_center": inter == center,
     }
-
-
-def norm_search(d: Diagram, target: int, bound: int,
-                cap: int = 10 ** 6) -> tuple:
-    """Integer combinations of the canonical basis with coefficients in
-    [-bound, bound] whose half-form norm equals the target, as coordinate
-    tuples in box order.  A plain box enumeration for poking at small
-    lattices; the box holds (2*bound+1)**len(basis) vectors, so anything
-    past the cap is refused rather than ground through."""
-    basis = canonical_basis(d)
-    k = len(basis)
-    total = (2 * bound + 1) ** k
-    if total > cap:
-        raise ValueError("box holds %d vectors, more than the cap %d"
-                         % (total, cap))
-    g = linalg.exact(gram(d, [e.matrix for e in basis.elements]))
-    found = []
-    for c in itertools.product(range(-bound, bound + 1), repeat=k):
-        v = linalg.exact(c)
-        if v @ g @ v == target:
-            found.append(c)
-    return tuple(found)
 
 
 def norm2_witness(a: int, b: int, c: int) -> dict:

@@ -94,22 +94,17 @@ def rref_int(m, p: int | None = None
     return rows, tuple(pivots), prev
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    rows, pivots, den = rref_int(m)
-    return mat([Q(x, den) for x in row] for row in rows), pivots
-
-
 def rank(m: Mat) -> int:
     return len(rref_int(m)[1])
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    aug, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                        for i, row in enumerate(m)])
+    rows, pivots, den = rref_int([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(m)])
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return mat(row[n:] for row in aug[:n])
+    return mat([Q(x, den) for x in row[n:]] for row in rows[:n])
 
 
 def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:

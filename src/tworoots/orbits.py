@@ -218,30 +218,16 @@ def monoidal_covers(d: Diagram, p: Pair) -> tuple[tuple[int, Pair], ...]:
     return tuple(out)
 
 
-def is_locally_highest(d: Diagram, p: Pair) -> bool:
-    """No simple reflection moves the pair up: the components have equal
-    heights and every simple root lowering one component raises the
-    other."""
-    a, b = p
-    if height(a) != height(b):
-        return False
-    for i in range(d.n):
-        e = tuple(1 if j == i else 0 for j in range(d.n))
-        x, y = bform(d, e, a), bform(d, e, b)
-        if (x == -1 and y != 1) or (y == -1 and x != 1):
-            return False
-    return True
-
-
 def highest_pair(d: Diagram, p: Pair, rng=None, max_steps: int = 100000) -> Pair:
     """Climb from p by simple reflections that strictly increase the
     expansion coordinates, until none applies.  The scan order is fixed
     unless an rng is supplied to shuffle it.  Each step reflects the
     coordinates by every simple root at once (CanonicalBasis.reflect_rows)
     and moves the pair by the first rising reflection in the scan order;
-    a reflection that fixes the pair sends c to +-c, which never rises."""
+    a reflection that fixes the pair sends c to +-c, which never rises.
+    p must be two orthogonal roots; anything else raises ValueError."""
     basis = canonical_basis(d)
-    c = np.array([int(x) for x in basis.expand(vee_pair(p))], dtype=np.int64)
+    c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
     letters = np.arange(d.n)
     order = list(range(d.n))
     for _ in range(max_steps):
@@ -258,8 +244,8 @@ def highest_pair(d: Diagram, p: Pair, rng=None, max_steps: int = 100000) -> Pair
 
 
 def ht2_of_pair(d: Diagram, p: Pair) -> int:
-    basis = canonical_basis(d)
-    return int(sum(basis.expand(vee_pair(p))))
+    """Coordinate height of the 2-root p, two orthogonal roots."""
+    return int(sum(canonical_basis(d).expand_pair(*p)))
 
 
 # --- closed forms for the highest elements ---------------------------------

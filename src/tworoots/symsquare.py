@@ -46,10 +46,6 @@ def vee(a, b) -> SymMatrix:
                  for x, y in zip(a, b, strict=True))
 
 
-def is_zero(s: SymMatrix) -> bool:
-    return all(x == 0 for row in s for x in row)
-
-
 def m_functional(d: Diagram, s: SymMatrix):
     """trace(A S): vanishes exactly on the codimension-one submodule.
     Takes the value 2 B(alpha, beta) on alpha v beta."""
@@ -67,10 +63,18 @@ def standard_coords(s: SymMatrix) -> tuple:
     return tuple(s[i][j] for i in range(n) for j in range(i, n))
 
 
+@functools.cache
+def _upper(n: int):
+    """np.triu_indices(n), the standard_coords order, cached read-only."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def pair_coords_np(pairs):
     """standard_coords of a v b for every pair (a, b) of an integer stack
     (..., 2, n), as an array (..., n (n + 1) / 2)."""
-    rows, cols = np.triu_indices(pairs.shape[-1])
+    rows, cols = _upper(pairs.shape[-1])
     a, b = pairs[..., 0, :], pairs[..., 1, :]
     return a[..., rows] * b[..., cols] + b[..., rows] * a[..., cols]
 
@@ -147,8 +151,6 @@ class CanonicalBasis:
         k = len(self.elements)
         self._pairs = np.array(list(labels), dtype=np.int64).reshape(k, 2, d.n)
         self._coords = pair_coords_np(self._pairs)
-        self._stack = linalg.exact(
-            [e.matrix for e in self.elements]).reshape(k, d.n * d.n)
 
         if d.kind == "Y":
             assert k == d.n * (d.n + 1) // 2 - 1
@@ -195,7 +197,7 @@ class CanonicalBasis:
         cap 0, and the copy is then exact too.  Built on the first expand
         only."""
         cap = (2**63 - 1) // max(1, np.abs(self._solve).sum(axis=1).max())
-        return (np.triu_indices(self.diagram.n),
+        return (_upper(self.diagram.n),
                 self._solve.astype(np.int64 if cap else object), cap)
 
     def expand(self, s: SymMatrix) -> tuple:
@@ -256,8 +258,13 @@ class CanonicalBasis:
         return self.expand(vee(a, b))
 
     def combine(self, coords) -> SymMatrix:
+        """The matrix with these coordinates over the basis."""
         n = self.diagram.n
-        return linalg.mat((linalg.exact(coords) @ self._stack).reshape(n, n))
+        rows, cols = _upper(n)
+        m = np.empty((n, n), dtype=object)
+        m[rows, cols] = m[cols, rows] = (linalg.exact(coords)
+                                         @ self._coords.astype(object))
+        return linalg.mat(m)
 
     # -- simple reflection action -----------------------------------------
 
@@ -444,7 +451,7 @@ def components(d: Diagram, s: SymMatrix,
     first components are enumerated roots; the partner is then forced
     linearly and checked exactly.  The returned pair is canonically
     ordered, preferring the representative with positive components."""
-    if is_zero(s):
+    if all(x == 0 for row in s for x in row):
         raise ValueError("the zero element has no components")
     n = d.n
     maxe = max(abs(x) for row in s for x in row)

@@ -725,10 +725,9 @@ def suite_identities(seed=0):
                     found += 1
         reports.append("%s %d/%d" % (tag, found, total))
         all_found = all_found and found == total
-    note = "open question probe: " + ", ".join(reports)
     out.append(Check("identities: add-case partner 2-roots conjugate under "
-                     "the rank-3 reflection subgroup (informational)",
-                     True, note + ("" if all_found else " (not all found)")))
+                     "the rank-3 reflection subgroup", all_found,
+                     ", ".join(reports)))
     return out
 
 

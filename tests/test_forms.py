@@ -11,8 +11,8 @@ from tworoots.diagram import path_diagram, y_diagram
 from tworoots.forms import (_weyl_group, action_kernel_order,
                             affine_radical_witness,
                             bprime, btilde, c_apply, decompose_s2v, gram,
-                            kernel_intersection, norm2_witness, norm_search,
-                            radical_basis, virasoro)
+                            kernel_intersection, norm2_witness, radical_basis,
+                            virasoro)
 from tworoots.orbits import orbit_tables
 from tworoots.roots import closure, positive_roots, simple_root
 from tworoots.symsquare import (canonical_basis, m_functional, simple_matrices,
@@ -212,25 +212,3 @@ def test_kernel_intersection(d, expected):
     rep = kernel_intersection(d)
     assert (rep["group_order"], rep["kernel_orders"],
             rep["intersection_order"], rep["is_center"]) == expected
-
-
-def test_norm_search_small_boxes():
-    d = path_diagram(3)
-    hits = norm_search(d, 4, 1)
-    assert len(hits) == 6
-    pos = {t.coords[p] for t in orbit_tables(d) for p in t.members}
-    assert all(c in pos or tuple(-x for x in c) in pos for c in hits)
-    assert norm_search(d, 2, 1) == ()
-
-
-def test_norm_search_d4_box_is_exactly_the_two_roots():
-    d = y_diagram(1, 1, 1)
-    hits = norm_search(d, 4, 1)
-    pos = {t.coords[p] for t in orbit_tables(d) for p in t.members}
-    assert len(hits) == 2 * len(pos) == 36
-    assert all(c in pos or tuple(-x for x in c) in pos for c in hits)
-
-
-def test_norm_search_refuses_huge_boxes():
-    with pytest.raises(ValueError):
-        norm_search(y_diagram(1, 1, 2), 4, 1)

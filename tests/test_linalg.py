@@ -63,12 +63,14 @@ def test_rref_of_fraction_rows_matches_scaled_integer_rows():
         for x in row:
             den = den * x.denominator
         scaled.append([int(x * den) for x in row])
-    assert linalg.rref(rows) == linalg.rref(scaled)
-    red, pivots = linalg.rref(rows)
-    assert len(pivots) == 5
-    assert all(isinstance(x, Fraction) for row in red for x in row)
-    for r, c in enumerate(pivots):
-        assert [row[c] for row in red] == [int(i == r) for i in range(6)]
+    assert linalg.nullspace(rows) == linalg.nullspace(scaled)
+    assert linalg.rank(rows) == linalg.rank(scaled) == 5
+    kernel = linalg.nullspace(rows)
+    assert all(isinstance(x, Fraction) for v in kernel for x in v)
+    for v in kernel:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    # columns 5 and 6 are free: one vector for each, 1 there and 0 at the other
+    assert [v[5:] for v in kernel] == [(1, 0), (0, 1)]
 
 
 def test_inverse_of_the_e8_cartan_matrix():
@@ -86,7 +88,6 @@ def test_singular_inverse_raises():
 
 
 def test_empty_matrix():
-    assert linalg.rref(()) == ((), ())
     assert linalg.rank(()) == 0
     assert linalg.nullspace(()) == ()
     assert linalg.inverse(()) == ()

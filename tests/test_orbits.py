@@ -11,10 +11,9 @@ import tworoots
 from tworoots import orbits
 from tworoots.diagram import neighbors, path_diagram, y_diagram
 from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
-                             highest_pair, ht2_of_pair, is_locally_highest,
-                             monoidal_covers, orbit_of, orbit_tables,
-                             orthogonal_pairs, pair_action, simple_pair_action,
-                             vee_pair)
+                             highest_pair, ht2_of_pair, monoidal_covers,
+                             orbit_of, orbit_tables, orthogonal_pairs,
+                             pair_action, simple_pair_action, vee_pair)
 from tworoots.roots import closure, positive_roots, simple_root, theta
 from tworoots.symsquare import canonical_basis, simple_matrices
 
@@ -213,14 +212,10 @@ def test_monoidal_covers_raise_height():
         assert ht2_of_pair(d, q) > ht2_of_pair(d, p)
 
 
-def test_locally_highest_at_the_top_only():
+def test_highest_has_no_monoidal_cover():
     d = y_diagram(1, 1, 2)
     for t in orbit_tables(d):
-        assert is_locally_highest(d, t.highest)
         assert not monoidal_covers(d, t.highest)
-        lows = [p for p in t.members
-                if ht2_of_pair(d, p) < t.height and is_locally_highest(d, p)]
-        assert lows == []
 
 
 def test_highest_pair_climbs_to_the_table_top():
@@ -238,6 +233,18 @@ def test_highest_pair_step_budget():
     low = min(t.members, key=lambda p: ht2_of_pair(d, p))
     with pytest.raises(RuntimeError):
         highest_pair(d, low, max_steps=0)
+
+
+@pytest.mark.parametrize("p, match", [
+    (((0, 0, 0, 0, 1), (2, 0, 0, 0, 0)), "not a root"),
+    (((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)), "not orthogonal"),
+], ids=["non-root", "non-orthogonal"])
+def test_highest_and_ht2_refuse_pairs_that_are_not_2_roots(p, match):
+    d = y_diagram(1, 1, 2)
+    with pytest.raises(ValueError, match=match):
+        highest_pair(d, p)
+    with pytest.raises(ValueError, match=match):
+        ht2_of_pair(d, p)
 
 
 def test_closed_form_matches_climb_for_d6():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from tworoots import roots, symsquare
 from tworoots.diagram import adjacent, path_diagram, y_diagram
 from tworoots.forms import c_apply, norm2_witness, virasoro
-from tworoots.orbits import simple_pair_action
-from tworoots.roots import height, simple_root
+from tworoots.orbits import pair_action, simple_pair_action
+from tworoots.roots import bform, height, positive_roots, simple_root
 from tworoots.symsquare import (CanonicalBasis, apply_simple, apply_word,
                                 canonical_basis, components, conjugate,
                                 m_functional, reflection_matrix, root_pair,
@@ -238,6 +239,24 @@ def test_word_matrix_is_multiplicative():
             assert lhs == _mat_mul(b.word_matrix(u), b.word_matrix(w))
 
 
+PROPERTY = settings(max_examples=50, deadline=None, database=None)
+
+
+def words(d, max_size):
+    return st.lists(st.integers(0, d.n - 1), max_size=max_size)
+
+
+@seed(1601)
+@PROPERTY
+@given(st.sampled_from([y_diagram(1, 2, 2), y_diagram(2, 2, 3)]).flatmap(
+    lambda d: st.tuples(st.just(d), words(d, 12), words(d, 12))))
+def test_word_matrix_multiplies_along_concatenation(case):
+    d, u, w = case
+    b = canonical_basis(d)
+    assert b.word_matrix(u + w) == _mat_mul(b.word_matrix(u),
+                                            b.word_matrix(w))
+
+
 def test_word_matrix_is_exact_past_the_fast_path():
     d = y_diagram(2, 2, 3)
     b = canonical_basis(d)
@@ -345,6 +364,30 @@ def test_components_round_trip_d4():
     b = canonical_basis(d)
     for e in b.elements:
         assert components(d, e.matrix) == e.pair
+
+
+def orthogonal_pair_images(d):
+    """An orthogonal pair of positive roots of height up to 6, moved by a
+    word of up to 6 letters."""
+    low = positive_roots(d, 6)
+
+    def partners(a):
+        return st.sampled_from([x for x in low if bform(d, a, x) == 0])
+
+    start = st.sampled_from(low).flatmap(
+        lambda a: partners(a).map(lambda b: root_pair(a, b)))
+    return st.tuples(start, words(d, 6)).map(
+        lambda t: pair_action(d, t[1], t[0]))
+
+
+@seed(1602)
+@PROPERTY
+@given(st.sampled_from([y_diagram(1, 2, 2), y_diagram(1, 1, 3),
+                        y_diagram(2, 2, 3)]).flatmap(
+    lambda d: st.tuples(st.just(d), orthogonal_pair_images(d))))
+def test_components_recovers_the_pair(case):
+    d, (a, b) = case
+    assert components(d, vee(a, b)) == root_pair(a, b)
 
 
 def test_components_rejects_non_two_root():
