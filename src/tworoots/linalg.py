@@ -1,11 +1,20 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Entries are Python ints or Fractions and every routine is exact; nothing
-here ever touches floats or fixed-width integers.  Arrays inside, tuples at
-the API: arithmetic on whole matrices runs on numpy arrays of dtype object
-holding such entries, and the package hands matrices across its API as
-tuples of row tuples, which hash and appear in JSON.  exact and mat are the
-two conversions between them.
+Entries are Python ints or Fractions and every answer is exact.  Arrays
+inside, tuples at the API: arithmetic on whole matrices runs on numpy
+arrays of dtype object holding such entries, and the package hands
+matrices across its API as tuples of row tuples, which hash and appear in
+JSON.  exact and mat are the two conversions between them.
+
+There are two eliminations.  Over the rationals rref_int is Bareiss's
+fraction-free pass on Python ints.  Mod a prime p < 2**32 it is
+Gauss-Jordan on a uint64 array (rref_mod), which is exact because no
+product of two residues, at most (p - 1)**2 < 2**64, can wrap.  The
+modular pass also certifies rational answers: an integer matrix has at
+least its rank mod p over Q, so full column rank mod CERT_PRIME proves a
+zero nullspace over Q without the Bareiss pass (the "cheap solve, exact
+certificate" pattern: Dixon, Numer. Math. 40, 1982; Wan, J. Symb. Comput.
+41, 2006).
 """
 
 from __future__ import annotations
@@ -18,6 +27,10 @@ import numpy as np
 
 Vec = tuple
 Mat = tuple
+
+# The prime of the certified routes here and in symsquare: the largest
+# prime below 2**31, so symmetric residues and their products fit int64.
+CERT_PRIME = 2**31 - 1
 
 
 def exact(m) -> np.ndarray:
@@ -47,18 +60,24 @@ def _integer_row(row) -> list[int]:
 def rref_int(m, p: int | None = None
              ) -> tuple[list[list[int]], tuple[int, ...], int]:
     """(R, pivots, den) with R / den the reduced row echelon form of m,
-    R integer and den > 0, from one fraction-free Gauss-Jordan pass over
-    integers (Bareiss, Math. Comp. 22, 1968).  Every row is updated at
-    every step as (q x - f y) / prev, an exact division by the previous
-    pivot q, so all entries stay integers and every pivot ends equal to
-    the last one, den up to sign.  Mod a prime p the rows are reduced and
-    each pivot row is scaled to 1, so the same step is plain elimination,
-    den is 1 and R holds ints in [0, p)."""
+    R integer and den > 0.  Over the rationals: one fraction-free
+    Gauss-Jordan pass over integers (Bareiss, Math. Comp. 22, 1968).
+    Every row is updated at every step as (q x - f y) / prev, an exact
+    division by the previous pivot q, so all entries stay integers and
+    every pivot ends equal to the last one, den up to sign.  Mod a prime
+    p < 2**32 the rows are reduced mod p as Python ints and eliminated by
+    rref_mod, den is 1 and R holds ints in [0, p); p >= 2**32 raises
+    ValueError."""
     rows = [_integer_row(row) for row in m]
-    if p is not None:
-        rows = [[x % p for x in row] for row in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    if p is not None:
+        if p >= 2**32:
+            raise ValueError("modulus must be below 2^32, got %d" % p)
+        a = np.array([[x % p for x in row] for row in rows],
+                     dtype=np.uint64).reshape(nrows, ncols)
+        pivots = rref_mod(a, p)
+        return a.tolist(), pivots, 1
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -68,9 +87,6 @@ def rref_int(m, p: int | None = None
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         top = rows[r]
-        if p is not None:
-            inv = pow(top[c], -1, p)
-            top = rows[r] = [x * inv % p for x in top]
         q = top[c]
         for i in range(nrows):
             if i == r:
@@ -79,8 +95,6 @@ def rref_int(m, p: int | None = None
             if not f:
                 if q != prev:  # only rescale, to the new pivot
                     rows[i] = [q * x // prev for x in rows[i]]
-            elif p is not None:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
             else:
                 rows[i] = [(q * x - f * y) // prev
                            for x, y in zip(rows[i], top)]
@@ -92,6 +106,42 @@ def rref_int(m, p: int | None = None
     if prev < 0:
         rows, prev = [[-x for x in row] for row in rows], -prev
     return rows, tuple(pivots), prev
+
+
+def rref_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
+    """Reduce the uint64 array a of residues in [0, p), p a prime below
+    2**32, in place to its reduced row echelon form mod p, and return the
+    pivot columns.  Each pivot row is scaled to 1 and subtracted from just
+    the rows with a nonzero entry in its column, on just the columns where
+    the pivot row is nonzero, which keeps the work near the fill-in of a
+    sparse matrix.  A row x takes (x + p - f y mod p) mod p, where
+    f y <= (p - 1)**2 < 2**64 and the sum is below 2 p, so nothing wraps.
+    The form mod p is unique, so any exact elimination gives the same
+    array."""
+    q = np.uint64(p)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not len(below):
+            continue
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+        # columns before c are zero in every row from r on
+        nonzero = c + np.flatnonzero(a[r, c:])
+        top = a[r, nonzero] * np.uint64(pow(int(a[r, c]), -1, p)) % q
+        a[r, nonzero] = top
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if len(hit):
+            block = hit[:, None], nonzero
+            a[block] = (a[block] + q - a[hit, c, None] * top % q) % q
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -107,7 +157,7 @@ def inverse(m: Mat) -> Mat:
     return mat([Q(x, den) for x in row[n:]] for row in rows[:n])
 
 
-def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
+def nullspace_rref(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
     """Basis of the right kernel, one vector per free column, read off
     rref_int: Fractions over the rationals, ints in [0, p) mod a prime."""
     if not m:
@@ -123,6 +173,17 @@ def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
         basis.append(tuple(Q(x, den) for x in v) if p is None
                      else tuple(x % p for x in v))
     return tuple(basis)
+
+
+def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
+    """nullspace_rref(m, p), with a certificate first over the rationals:
+    the rows scaled to integers have at least their rank mod CERT_PRIME
+    over Q, so when that rank is the number of columns the kernel is zero
+    and () comes back without the Bareiss pass.  Any other matrix takes
+    nullspace_rref's route."""
+    if p is None and m and len(rref_int(m, CERT_PRIME)[1]) == len(m[0]):
+        return ()
+    return nullspace_rref(m, p)
 
 
 def primitive_integer(v: Sequence[Q]) -> Vec:

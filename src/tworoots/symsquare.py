@@ -9,9 +9,13 @@ on linalg's exact object arrays, and every matrix handed out is a tuple of
 row tuples of Python ints and Fractions, so that it can be a dict key.
 
 The canonical basis pairs each simple root alpha_i with its elementary
-partners.  One exact elimination per diagram turns it into two integer
+partners.  One elimination per diagram turns it into two integer
 matrices: a scaled left inverse that gives the coordinates over the basis,
-and the functionals that vanish on its span.  expand multiplies by them in
+and the functionals that vanish on its span.  The elimination runs mod the
+prime linalg.CERT_PRIME in uint64, its result is lifted to integers, and
+one exact product proves the lift equal to the rational answer
+(lifted_solve); if the proof fails, the Bareiss pass over Q
+(rref_solve) gives the matrices instead.  expand multiplies by them in
 int64 when every entry of the input is at most a cap, (2**63 - 1) over the
 largest row sum of |entries| of the two matrices, so that no sum can
 overflow; past the cap, and on Fractions, it falls back to the exact
@@ -120,11 +124,77 @@ def root_pair(a, b) -> tuple[Root, Root]:
 
 # --- canonical basis -------------------------------------------------------
 
+def rref_solve(cols) -> tuple[np.ndarray, int]:
+    """(solve, den) for the integer columns C (dim x k) of k independent
+    elements, from rref_int over the rationals of [C | I].  The result is
+    [[I; 0] | E] with E C = [I; 0], so the first k rows of E are a left
+    inverse of C and the others cut out its span.  den is the least
+    common denominator of E's entries and solve = den E, an object array
+    of Python ints."""
+    dim, k = cols.shape
+    red, pivots, den = linalg.rref_int(np.hstack(
+        [cols.astype(object), np.eye(dim, dtype=object)]))
+    if pivots[:k] != tuple(range(k)):
+        raise RuntimeError("canonical elements are not independent")
+    # The right block is E times den; keep it over the least common
+    # denominator of E's entries.
+    g = math.gcd(den, *(x for row in red for x in row[k:]))
+    return linalg.exact([[x // g for x in row[k:]] for row in red]), den // g
+
+
+def lifted_solve(cols) -> tuple[np.ndarray, int] | None:
+    """rref_solve's (solve, den), with solve in int64, from linalg.rref_mod
+    of [C | I] mod P = linalg.CERT_PRIME and one exact check; None when
+    C has rank below k mod P or the check fails.
+
+    The right block E_P of the form mod P is lifted to L, the symmetric
+    residues of den E_P, where den is 1 or 2, whichever gives the smaller
+    largest residue: E has denominators dividing 2 on every diagram
+    tried, and a half-integer lifts to about P / 2 at den 1.  Then
+    L C = [den I; 0] is checked exactly: in float64 when
+    max |L| max |C| dim < 2**53, where every product and partial sum is
+    an integer float64 holds exactly, in int64 below 2**63, and on Python
+    ints past that.  L has full rank, as its determinant is
+    den**dim det(E_P), nonzero mod P; so its functionals are independent.
+    It is also exactly rref_solve's matrix: a symmetric residue is 0 only
+    at 0, so L / den has the zeros and unit pivots of E_P, and with the
+    check (L / den) [C | I] = [[I; 0] | L / den] is in reduced row echelon
+    form over Q and row-equivalent to [C | I]; that form is unique, so
+    L / den = E.  And den is E's least denominator: were den 2 and every
+    entry of L = 2 E even, E would be an integer matrix with entries at
+    most P / 4, so the lifts at den 1 would be E itself, half the size of
+    L, and den 1 would have been chosen."""
+    p = linalg.CERT_PRIME
+    dim, k = cols.shape
+    a = np.hstack([cols % p, np.eye(dim, dtype=np.int64)]).astype(np.uint64)
+    if linalg.rref_mod(a, p)[:k] != tuple(range(k)):
+        return None
+    e = a[:, k:].astype(np.int64)
+    lifts = [np.where(x > p // 2, x - p, x) for x in (e, 2 * e % p)]
+    den = 1 if np.abs(lifts[0]).max() <= np.abs(lifts[1]).max() else 2
+    lift = lifts[den - 1]
+    bound = (int(np.abs(lift).max()) * int(np.abs(cols).max(initial=0))
+             * dim)
+    if bound < 2**53:
+        check = lift.astype(np.float64) @ cols.astype(np.float64)
+    elif bound < 2**63:
+        check = lift @ cols
+    else:
+        check = lift.astype(object) @ cols.astype(object)
+    if (check != den * np.eye(dim, k, dtype=np.int64)).any():
+        return None
+    return lift, den
+
+
 @dataclass(frozen=True)
 class BasisElement:
-    matrix: SymMatrix
     pair: tuple[Root, Root]
     labels: tuple[tuple[int, Root], ...]  # (vertex i, elementary partner)
+
+    @functools.cached_property
+    def matrix(self) -> SymMatrix:
+        """vee of the pair, built on first use."""
+        return vee(*self.pair)
 
     def __repr__(self) -> str:
         i, beta = self.labels[0]
@@ -146,7 +216,7 @@ class CanonicalBasis:
             for beta in elementary_roots(d, i):
                 labels.setdefault(root_pair(simple_root(d, i), beta),
                                   []).append((i, beta))
-        self.elements = tuple(BasisElement(vee(*p), p, tuple(lbl))
+        self.elements = tuple(BasisElement(p, tuple(lbl))
                               for p, lbl in labels.items())
         k = len(self.elements)
         self._pairs = np.array(list(labels), dtype=np.int64).reshape(k, 2, d.n)
@@ -157,21 +227,23 @@ class CanonicalBasis:
         elif d.n >= 3:
             assert k == (d.n - 2) * (d.n + 1) // 2
 
-        # Row-reduce [C | I], C the columns of the elements: the right block
-        # of the result is E with E C = [I; 0], so its first k rows are a
-        # left inverse of C and the others cut out the span.
-        dim = d.n * (d.n + 1) // 2
-        red, pivots, den = linalg.rref_int(np.hstack(
-            [self._coords.T.astype(object), np.eye(dim, dtype=object)]))
-        if pivots[:k] != tuple(range(k)):
-            raise RuntimeError("canonical elements are not independent")
-        # The right block is E times den; keep it over the least common
-        # denominator of E's entries.
-        g = math.gcd(den, *(x for row in red for x in row[k:]))
-        self._den = den // g
+        cols = self._coords.T
+        solve, self._den = lifted_solve(cols) or rref_solve(cols)
         # First k rows: the left inverse times _den; the rest: the span's
-        # functionals.
-        self._solve = linalg.exact([[x // g for x in row[k:]] for row in red])
+        # functionals.  Kept as Python ints for the exact route.
+        self._solve = solve.astype(object)
+        # (upper, solve64, cap): the index of the upper triangle in
+        # standard_coords order, an int64 copy of _solve, and the largest
+        # |entry| of an input the copy may multiply.  cap is 2**63 - 1
+        # floor-divided by the largest row L1 norm of _solve, so every
+        # partial sum of solve64 @ v stays inside int64 when
+        # max |v| <= cap.  (The largest norm is 30 on E8, 50 on Y(4,4,4)
+        # and 124 on D20, where cap is about 7.4 * 10**16.)  A norm past
+        # int64 would make cap 0, and the copy is then exact too.
+        cap = (2**63 - 1) // max(1, int(np.abs(solve).sum(axis=1).max()))
+        self._int64_solve = (_upper(d.n),
+                             solve.astype(np.int64 if cap else object),
+                             cap)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -184,21 +256,6 @@ class CanonicalBasis:
                      if any(j == i for j, _ in e.labels))
 
     # -- expansion ---------------------------------------------------------
-
-    @functools.cached_property
-    def _int64_solve(self):
-        """(upper, solve64, cap): the index of the upper triangle in
-        standard_coords order, an int64 copy of _solve, and the largest
-        |entry| of an input the copy may multiply.  cap is 2**63 - 1
-        floor-divided by the largest row L1 norm of _solve, so every
-        partial sum of solve64 @ v stays inside int64 when max |v| <= cap.
-        (The largest norm is 30 on E8, 50 on Y(4,4,4) and 124 on D20,
-        where cap is about 7.4 * 10**16.)  A norm past int64 would make
-        cap 0, and the copy is then exact too.  Built on the first expand
-        only."""
-        cap = (2**63 - 1) // max(1, np.abs(self._solve).sum(axis=1).max())
-        return (_upper(self.diagram.n),
-                self._solve.astype(np.int64 if cap else object), cap)
 
     def expand(self, s: SymMatrix) -> tuple:
         """Exact coordinates of s over the basis, as Python ints and

@@ -28,8 +28,8 @@ from .roots import (bform, epsilon_coords, height, is_positive,
                     simple_root, theta)
 from .skein import arc_diagram, render_skein
 from .symsquare import (apply_simple, apply_word, canonical_basis, conjugate,
-                        m_functional, reflection_matrix, sign_coherent,
-                        simple_matrices, standard_coords, vee)
+                        m_functional, reflection_matrix, rref_solve,
+                        sign_coherent, simple_matrices, standard_coords, vee)
 
 
 @dataclass(frozen=True)
@@ -537,17 +537,43 @@ def suite_forms(seed=0):
     # rank mod p over Q, so nondegenerate mod p is nondegenerate over Q.
     prime = 2 ** 31 - 1
     bad = []
-    swept = 0
+    forks = []
     for arms in itertools.combinations_with_replacement(range(1, 9), 3):
         d = y_diagram(*arms)
         if d.n <= 11 and classify(d) is not TypeClass.AFFINE:
-            swept += 1
+            forks.append(d)
             mats = [e.matrix for e in canonical_basis(d).elements]
             if radical_basis(gram(d, mats, prime), prime):
                 bad.append(repr(d))
     out.append(Check("forms: the module of each of the %d non-affine forks "
                      "with n <= 11 is nondegenerate over Q and mod 2^31-1"
-                     % swept, not bad, "mismatches: %s" % (bad or "none")))
+                     % len(forks), not bad,
+                     "mismatches: %s" % (bad or "none")))
+
+    # The certified routes against the Bareiss oracle: the basis solve
+    # lifted from mod 2^31-1, and the radicals that linalg.nullspace
+    # certifies zero by their rank mod 2^31-1.
+    bad = []
+    tags = (["A%d" % n for n in range(4, 13)]
+            + ["D%d" % n for n in range(4, 17)] + ["E6", "E7", "E8"])
+    diagrams = [_family(tag) for tag in tags] + forks
+    for d in diagrams:
+        basis = canonical_basis(d)
+        solve, den = rref_solve(basis._coords.T)
+        if classify(d) is TypeClass.FINITE:
+            summands = basis.summands()
+        else:
+            summands = [range(len(basis))]
+        grams = [gram(d, [basis.elements[k].matrix for k in members])
+                 for members in summands]
+        if (den != basis._den or solve.tolist() != basis._solve.tolist()
+                or any(linalg.nullspace(g) != linalg.nullspace_rref(g)
+                       for g in grams)):
+            bad.append(repr(d))
+    out.append(Check("forms: the lifted basis solve and the certified "
+                     "radicals equal the Bareiss route on A4-A12, D4-D16, "
+                     "E6-E8 and the %d forks" % len(forks), not bad,
+                     "mismatches: %s" % (bad or "none")))
     return out
 
 

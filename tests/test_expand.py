@@ -210,3 +210,19 @@ def test_expand_pair_expands_or_refuses(d, data):
     except ValueError:
         return
     assert b.combine(coords) == vee(a, c)
+
+
+@pytest.mark.parametrize("d", [y_diagram(1, 2, 4), y_diagram(1, 1, 17),
+                               y_diagram(4, 4, 4)], ids=["E8", "D20", "Y444"])
+def test_int64_solve_is_built_with_the_basis(d):
+    """The (upper, solve64, cap) triple is there before the first expand,
+    and cap is the int64 bound over the row L1 norms of _solve."""
+    b = canonical_basis(d)
+    assert "_int64_solve" in vars(b)
+    upper, solve64, cap = b._int64_solve
+    assert solve64.dtype == np.int64
+    assert solve64.tolist() == b._solve.tolist()
+    norm = max(sum(abs(x) for x in row) for row in b._solve.tolist())
+    assert type(cap) is int and cap == (2**63 - 1) // norm
+    assert [u.tolist() for u in upper] == [list(u) for u in
+                                           np.triu_indices(d.n)]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 import numpy as np
 
 import tworoots
+from tworoots import linalg
 from tworoots.diagram import path_diagram, y_diagram
 from tworoots.forms import (_weyl_group, action_kernel_order,
                             affine_radical_witness,
@@ -86,6 +88,61 @@ def test_radical_basis_of_singular_gram():
     g = ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)))
     rad = radical_basis(g)
     assert len(rad) == 1
+
+
+@pytest.mark.parametrize("g", [
+    ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
+    gram(y_diagram(2, 2, 2),
+         [e.matrix for e in canonical_basis(y_diagram(2, 2, 2)).elements]),
+], ids=["2x2", "Y222"])
+def test_singular_gram_radical_is_the_bareiss_route(g):
+    """A singular Gram has no certificate, so radical_basis returns the
+    vectors read off rref_int unchanged (seven for Y(2,2,2), the
+    delta v alpha_i)."""
+    rad = radical_basis(g)
+    assert rad and rad == linalg.nullspace_rref(g)
+    assert repr(rad) == repr(linalg.nullspace_rref(g))
+
+
+def test_gram_of_no_elements_is_empty():
+    d = y_diagram(1, 1, 1)
+    assert gram(d, []) == () == gram(d, [], p=3)
+
+
+@pytest.mark.parametrize("d", [path_diagram(4), y_diagram(1, 1, 1),
+                               y_diagram(1, 2, 2)], ids=["A4", "D4", "E6"])
+def test_gram_with_the_inverse_cartan_element_equals_btilde(d):
+    """The inverse Cartan element has fractional entries, which an int64
+    cast would truncate to integers: the stack must take the exact route,
+    alone or among integer matrices.  bprime is half of btilde."""
+    om = virasoro(d)
+    assert any(isinstance(x, Fraction) for row in om for x in row)
+    mats = [e.matrix for e in canonical_basis(d).elements]
+    for ms in ([om], [om] + mats, mats + [om]):
+        want = tuple(tuple(bprime(d, s, t) for t in ms) for s in ms)
+        assert repr(gram(d, ms)) == repr(want)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-bound", "past-bound"])
+def test_gram_int64_bound(past):
+    """D4 has n = 4 and largest Cartan row sum a = 5, so integer entries
+    up to s with 16 (5 s)**2 < 2**63 run in int64 and larger ones on
+    Python ints.  At s = 2**29 an int64 product would wrap."""
+    d = y_diagram(1, 1, 1)
+    s = math.isqrt((2**63 - 1) // 16) // 5
+    assert 16 * (5 * s) ** 2 < 2**63 <= 16 * (5 * (s + 1)) ** 2
+    s = s if not past else 2**29
+    rng = random.Random(past)
+    mats = []
+    for _ in range(3):
+        m = [[0] * d.n for _ in range(d.n)]
+        for i in range(d.n):
+            for j in range(i, d.n):
+                m[i][j] = m[j][i] = rng.choice([s, -s, s - 1, 1 - s])
+        mats.append(tuple(tuple(row) for row in m))
+    assert np.array(mats).dtype == np.int64
+    want = tuple(tuple(bprime(d, a, b) for b in mats) for a in mats)
+    assert repr(gram(d, mats)) == repr(want)
 
 
 def test_virasoro_element():

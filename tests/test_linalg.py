@@ -91,3 +91,96 @@ def test_empty_matrix():
     assert linalg.rank(()) == 0
     assert linalg.nullspace(()) == ()
     assert linalg.inverse(()) == ()
+
+
+def reference_rref_mod(m, p):
+    """Gauss-Jordan mod p on lists of Python ints, each pivot row scaled
+    to 1: the reference for the uint64 elimination."""
+    rows = [[x % p for x in row] for row in m]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, tuple(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 4294967291])
+@pytest.mark.parametrize("seed", range(8))
+def test_rref_mod_p_with_residues_near_p(seed, p):
+    """Entries near p - 1 give products near (p - 1)**2, which for the
+    largest prime below 2**32 is within 2**36 of 2**64; the entries are
+    also offset by multiples of p past int64, which only the reduction to
+    residues removes."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    if seed % 2:
+        m = [[p - rng.randint(1, 4) for _ in range(ncols)]
+             for _ in range(nrows)]
+    else:  # low rank over Q, negative entries are residues near p
+        m = [list(row) for row in low_rank(
+            rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), 9)]
+    m = linalg.mat([[x + p * rng.randint(-2**70, 2**70) for x in row]
+                    for row in m])
+    rows, pivots, den = linalg.rref_int(m, p)
+    assert (rows, pivots, den) == (*reference_rref_mod(m, p), 1)
+    null = linalg.nullspace(m, p)
+    assert len(null) == ncols - len(pivots)
+    for v in null:
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in m)
+        assert all(type(x) is int and 0 <= x < p for x in v)
+    assert linalg.rank(m) >= len(pivots)
+
+
+def test_modulus_past_uint64_products_is_refused():
+    with pytest.raises(ValueError, match="below 2"):
+        linalg.rref_int(((1, 2), (3, 4)), 2**32)
+    with pytest.raises(ValueError, match="below 2"):
+        linalg.nullspace(((1, 2),), 2**32)
+
+
+@pytest.mark.parametrize("m", [
+    ((0, 0, 0), (0, 0, 0)),
+    ((0, 0),),
+    ((1, 2, 3),),
+    ((Fraction(1, 2), -1),),
+    ((2**31 - 1, 0),),  # zero mod the certificate prime, rank 1 over Q
+], ids=["zero", "zero-row", "row", "fraction-row", "row-zero-mod-P"])
+def test_nullspace_of_zero_and_one_row_matrices(m):
+    null = linalg.nullspace(m)
+    assert null == linalg.nullspace_rref(m)
+    assert len(null) == len(m[0]) - linalg.rank(m)
+    for v in null:
+        assert all(isinstance(x, Fraction) for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    ints = [linalg._integer_row(row) for row in m]
+    for p in (2, 3):
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0
+                   for v in linalg.nullspace(m, p) for row in ints)
+    if not any(x for row in m for x in row):
+        assert null == tuple(tuple(Fraction(int(i == j))
+                                   for j in range(len(m[0])))
+                             for i in range(len(m[0])))
+
+
+def test_certificate_falls_back_when_singular_mod_the_prime():
+    """Nonsingular over Q but singular mod CERT_PRIME: the rank mod the
+    prime proves nothing, and the Bareiss route finds the zero kernel."""
+    p = linalg.CERT_PRIME
+    m = ((p, 0), (0, 1))
+    assert len(linalg.rref_int(m, p)[1]) == 1
+    assert linalg.nullspace(m) == () == linalg.nullspace_rref(m)
+    singular = ((p, 2 * p), (1, 2))
+    assert linalg.nullspace(singular) == linalg.nullspace_rref(singular) \
+        == ((Fraction(-2), Fraction(1)),)

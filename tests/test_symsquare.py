@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from tworoots import roots, symsquare
+from tworoots import linalg, roots, symsquare
 from tworoots.diagram import adjacent, path_diagram, y_diagram
 from tworoots.forms import c_apply, norm2_witness, virasoro
 from tworoots.orbits import pair_action, simple_pair_action
@@ -437,3 +437,50 @@ def test_matrices_leave_the_api_as_exact_tuples(d):
         assert b.combine(()) == ((0,) * n,) * n
     w = norm2_witness(2, 2, 3)
     _assert_api_matrix(w["x"], w["diagram"].n)
+
+
+@pytest.mark.parametrize("d", [
+    path_diagram(8), y_diagram(1, 1, 5), y_diagram(1, 2, 4),
+    y_diagram(2, 2, 2), y_diagram(1, 2, 6), y_diagram(4, 4, 4),
+], ids=["A8", "D8", "E8", "Y222", "Y126", "Y444"])
+def test_lifted_solve_is_the_rref_solve(d):
+    """The solve lifted from mod 2**31 - 1 is the one rref_int gives over
+    Q, entry for entry, and the basis keeps it as Python ints."""
+    b = canonical_basis(d)
+    cols = b._coords.T
+    lifted, den = symsquare.lifted_solve(cols)
+    solve, want_den = symsquare.rref_solve(cols)
+    assert lifted.dtype == np.int64
+    assert den == want_den == b._den
+    assert lifted.tolist() == solve.tolist() == b._solve.tolist()
+    assert all(type(x) is int for row in b._solve.tolist() for x in row)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (2, 3)])
+def test_empty_basis_solve(n, dim):
+    """With no elements the solve is all span functionals: the identity,
+    over denominator 1."""
+    b = canonical_basis(path_diagram(n))
+    assert b._solve.shape == (dim, dim) and b._den == 1
+    assert b._solve.tolist() == np.eye(dim, dtype=int).tolist()
+    assert symsquare.lifted_solve(b._coords.T)[0].tolist() \
+        == b._solve.tolist()
+
+
+@pytest.mark.parametrize("d", [y_diagram(1, 1, 1), y_diagram(1, 2, 2)],
+                         ids=["D4", "E6"])
+def test_basis_falls_back_to_rref_when_the_lift_fails(d, monkeypatch):
+    """Mod 3 a symmetric residue is at most 1 in size, while the solves of
+    D4 and E6 have entries 2, so the exact check fails and the basis
+    takes rref_int over Q."""
+    want = canonical_basis(d)
+    monkeypatch.setattr(linalg, "CERT_PRIME", 3)
+    b = CanonicalBasis(d)
+    assert symsquare.lifted_solve(b._coords.T) is None
+    solve, den = symsquare.rref_solve(b._coords.T)
+    assert b._den == den == want._den
+    assert b._solve.tolist() == solve.tolist() == want._solve.tolist()
+    assert b._int64_solve[2] == want._int64_solve[2]
+    assert (b._int64_solve[1] == want._int64_solve[1]).all()
+    s = want.elements[0].matrix
+    assert b.expand(s) == want.expand(s) == (1,) + (0,) * (len(b) - 1)
