@@ -67,30 +67,22 @@ def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
     """Gram matrix of the given elements under the half product form,
     optionally reduced mod a prime.  One matmul: with L_i = A S_i, entry
     (i, j) is half of trace(L_i L_j) = <L_i, L_j^T>, the flattened L_i
-    against the flattened transpose of L_j.  It runs in int64 when numpy
-    reads the stack of elements as an integer array (never on Fractions,
-    which an int64 cast would truncate) and n^2 (a s)^2 < 2**63, with a
-    the largest row sum of |A| and s the largest |entry|: every entry of
-    L_i and every partial sum of the trace is then inside int64.  Any
-    other stack takes the exact object-dtype matmul over Python ints and
-    Fractions; both give the same entries."""
+    against the flattened transpose of L_j.  It runs in int64 when
+    linalg.int_array reads the stack of elements as an integer array
+    (never on Fractions, which an int64 cast would truncate) and
+    n^2 (a s)^2 < 2**63, with a the largest row sum of |A| and s the
+    largest |entry|: every entry of L_i and every partial sum of the
+    trace is then inside int64.  Any other stack takes the exact
+    object-dtype matmul over Python ints and Fractions; both give the
+    same entries."""
     if p is not None:
         _check_prime(p)
     k, n = len(mats), d.n
     cartan_np = np.array(cartan(d), dtype=np.int64)
-    try:
-        stack = np.array(mats)
-    except ValueError:  # ragged: the exact route reports it
-        stack = None
-    if stack is not None and stack.dtype.kind in "bi" and stack.size:
-        # abs leaves -2**63 negative, so 0 <= sends it to the exact route
-        s = int(np.abs(stack).max())
-        a = int(np.abs(cartan_np).sum(axis=1).max())
-        fits = 0 <= s and n * n * (a * s) ** 2 < 2**63
-    else:
-        fits = False
-    if fits:
-        left = cartan_np @ stack.astype(np.int64).reshape(k, n, n)
+    ints = linalg.int_array(mats)
+    a = int(np.abs(cartan_np).sum(axis=1).max(initial=0))
+    if ints is not None and n * n * (a * ints[1]) ** 2 < 2**63:
+        left = cartan_np @ ints[0].astype(np.int64).reshape(k, n, n)
     else:
         left = (cartan_np.astype(object)
                 @ linalg.exact(mats).reshape(k, n, n))

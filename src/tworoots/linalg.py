@@ -46,6 +46,20 @@ def mat(m) -> Mat:
     return tuple(tuple(r) for r in m)
 
 
+def int_array(x) -> tuple[np.ndarray, int] | None:
+    """(a, s) with a = np.array(x) and s its largest |entry| as a Python
+    int, when numpy reads x as an integer array; raises ValueError when x
+    is ragged.  None for any other x, which an int64 cast could change:
+    Fractions and ints past int64 (dtype object), and floats.  The int64
+    routes of the package take only what this accepts, and only under a
+    bound on s.  s comes from the least and largest entry, not from
+    np.abs, which leaves -2**63 negative."""
+    a = np.array(x)
+    if a.dtype.kind not in "bi":
+        return None
+    return a, max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 def _integer_row(row) -> list[int]:
     """The row times the lcm of its denominators: a row of Python ints
     with the same row space."""

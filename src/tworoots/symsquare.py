@@ -145,16 +145,20 @@ def rref_solve(cols) -> tuple[np.ndarray, int]:
 def lifted_solve(cols) -> tuple[np.ndarray, int] | None:
     """rref_solve's (solve, den), with solve in int64, from linalg.rref_mod
     of [C | I] mod P = linalg.CERT_PRIME and one exact check; None when
-    C has rank below k mod P or the check fails.
+    C has rank below k mod P, the check's bound fails or the check
+    fails.
 
     The right block E_P of the form mod P is lifted to L, the symmetric
     residues of den E_P, where den is 1 or 2, whichever gives the smaller
     largest residue: E has denominators dividing 2 on every diagram
     tried, and a half-integer lifts to about P / 2 at den 1.  Then
-    L C = [den I; 0] is checked exactly: in float64 when
-    max |L| max |C| dim < 2**53, where every product and partial sum is
-    an integer float64 holds exactly, in int64 below 2**63, and on Python
-    ints past that.  L has full rank, as its determinant is
+    L C = [den I; 0] is checked in float64, which is exact when
+    max |L| max |C| dim < 2**53: every product and partial sum is then
+    an integer float64 holds exactly.  Symmetric residues give
+    max |L| < 2**30 and the canonical columns have max |C| = 2 on every
+    diagram tried, so the bound holds for dim below 2**22, far past any
+    basis that fits in memory; past the bound the result is None and
+    rref_solve takes over.  L has full rank, as its determinant is
     den**dim det(E_P), nonzero mod P; so its functionals are independent.
     It is also exactly rref_solve's matrix: a symmetric residue is 0 only
     at 0, so L / den has the zeros and unit pivots of E_P, and with the
@@ -175,12 +179,9 @@ def lifted_solve(cols) -> tuple[np.ndarray, int] | None:
     lift = lifts[den - 1]
     bound = (int(np.abs(lift).max()) * int(np.abs(cols).max(initial=0))
              * dim)
-    if bound < 2**53:
-        check = lift.astype(np.float64) @ cols.astype(np.float64)
-    elif bound < 2**63:
-        check = lift @ cols
-    else:
-        check = lift.astype(object) @ cols.astype(object)
+    if bound >= 2**53:
+        return None
+    check = lift.astype(np.float64) @ cols.astype(np.float64)
     if (check != den * np.eye(dim, k, dtype=np.int64)).any():
         return None
     return lift, den
@@ -188,13 +189,9 @@ def lifted_solve(cols) -> tuple[np.ndarray, int] | None:
 
 @dataclass(frozen=True)
 class BasisElement:
+    matrix: SymMatrix
     pair: tuple[Root, Root]
     labels: tuple[tuple[int, Root], ...]  # (vertex i, elementary partner)
-
-    @functools.cached_property
-    def matrix(self) -> SymMatrix:
-        """vee of the pair, built on first use."""
-        return vee(*self.pair)
 
     def __repr__(self) -> str:
         i, beta = self.labels[0]
@@ -216,7 +213,7 @@ class CanonicalBasis:
             for beta in elementary_roots(d, i):
                 labels.setdefault(root_pair(simple_root(d, i), beta),
                                   []).append((i, beta))
-        self.elements = tuple(BasisElement(p, tuple(lbl))
+        self.elements = tuple(BasisElement(vee(*p), p, tuple(lbl))
                               for p, lbl in labels.items())
         k = len(self.elements)
         self._pairs = np.array(list(labels), dtype=np.int64).reshape(k, 2, d.n)
@@ -273,20 +270,20 @@ class CanonicalBasis:
             raise ValueError("matrix size %d does not match diagram rank %d"
                              % (len(s), n))
         try:
-            m = np.array(s)
+            ints = linalg.int_array(s)
         except ValueError:
             raise ValueError("matrix rows must all have length %d"
                              % n) from None
-        if m.dtype.kind not in "bi":
-            m = linalg.exact(s)  # ints past int64 would become floats
+        # ints past int64 would become floats in a plain np.array
+        m = linalg.exact(s) if ints is None else ints[0]
         if m.shape != (n, n):
             raise ValueError("matrix must be %d x %d" % (n, n))
         if (m != m.T).any():
             raise ValueError("matrix is not symmetric")
         upper, solve64, cap = self._int64_solve
         v = m[upper]
-        # abs leaves -2**63 negative, so 0 <= sends it to the exact route
-        if v.dtype != object and 0 <= np.abs(v).max() <= cap:
+        # s is symmetric, so its largest |entry| is v's
+        if ints is not None and ints[1] <= cap:
             c = solve64 @ v.astype(np.int64, copy=False)
         else:
             c = self._solve @ v.astype(object)

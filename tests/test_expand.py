@@ -226,3 +226,19 @@ def test_int64_solve_is_built_with_the_basis(d):
     assert type(cap) is int and cap == (2**63 - 1) // norm
     assert [u.tolist() for u in upper] == [list(u) for u in
                                            np.triu_indices(d.n)]
+
+
+@pytest.mark.parametrize("d", [y_diagram(1, 1, 1), y_diagram(1, 2, 4)],
+                         ids=["D4", "E8"])
+def test_expand_with_an_entry_of_minus_2_to_the_63(d):
+    """np.abs leaves -2**63 negative, so next to a positive entry it once
+    hid from the cap and the int64 product wrapped.  Every element times
+    -2**63 plus another must expand to exactly those coordinates."""
+    b = canonical_basis(d)
+    mats = np.array([e.matrix for e in b.elements], dtype=object)
+    for k in range(len(b)):
+        coords = [0] * len(b)
+        coords[k], coords[k - 1] = -2**63, 1
+        s = np.tensordot(np.array(coords, dtype=object), mats, 1)
+        if (s == -2**63).any() and np.abs(s).max() <= 2**63:
+            assert b.expand(linalg.mat(s)) == tuple(coords)

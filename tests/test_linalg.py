@@ -184,3 +184,29 @@ def test_certificate_falls_back_when_singular_mod_the_prime():
     singular = ((p, 2 * p), (1, 2))
     assert linalg.nullspace(singular) == linalg.nullspace_rref(singular) \
         == ((Fraction(-2), Fraction(1)),)
+
+
+@pytest.mark.parametrize("x, want", [
+    (((1, -7), (0, 2)), 7),
+    ([[True, False]], 1),
+    ([], None),  # numpy reads an empty list as float64
+    (((1, Fraction(1, 2)),), None),
+    (((Fraction(4, 2), 1),), None),
+    (((2**63, 0),), None),
+    (((-2**63, 1),), 2**63),
+    (((0.5, 1),), None),
+], ids=["ints", "bools", "empty", "fraction", "integral-fraction",
+        "past-int64", "min-int64", "float"])
+def test_int_array_takes_only_what_int64_keeps(x, want):
+    got = linalg.int_array(x)
+    if want is None:
+        assert got is None
+    else:
+        a, s = got
+        assert a.dtype.kind in "bi" and a.tolist() == [list(r) for r in x]
+        assert type(s) is int and s == want
+
+
+def test_int_array_refuses_a_ragged_sequence():
+    with pytest.raises(ValueError):
+        linalg.int_array(((1, 2), (3,)))

@@ -484,3 +484,13 @@ def test_basis_falls_back_to_rref_when_the_lift_fails(d, monkeypatch):
     assert (b._int64_solve[1] == want._int64_solve[1]).all()
     s = want.elements[0].matrix
     assert b.expand(s) == want.expand(s) == (1,) + (0,) * (len(b) - 1)
+
+
+def test_lifted_solve_refuses_past_the_float64_bound():
+    """For C = (2**52, 1) the check's bound max |L| max |C| dim reaches
+    2**53, where float64 sums need not be exact: the lift is refused and
+    rref_solve gives E with E C = (1, 0)."""
+    cols = np.array([[2**52], [1]], dtype=np.int64)
+    assert symsquare.lifted_solve(cols) is None
+    solve, den = symsquare.rref_solve(cols)
+    assert den == 1 and solve.tolist() == [[0, 1], [1, -2**52]]
