@@ -128,10 +128,11 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
     pivot columns.  Each pivot row is scaled to 1 and subtracted from just
     the rows with a nonzero entry in its column, on just the columns where
     the pivot row is nonzero, which keeps the work near the fill-in of a
-    sparse matrix.  A row x takes (x + p - f y mod p) mod p, where
-    f y <= (p - 1)**2 < 2**64 and the sum is below 2 p, so nothing wraps.
-    The form mod p is unique, so any exact elimination gives the same
-    array."""
+    sparse matrix; a pivot row that is nonzero on every column from its
+    pivot on updates that slice instead.  A row x takes
+    (x + p - f y mod p) mod p, where f y <= (p - 1)**2 < 2**64 and the sum
+    is below 2 p, so nothing wraps.  The form mod p is unique, so any
+    exact elimination gives the same array."""
     q = np.uint64(p)
     nrows, ncols = a.shape
     pivots: list[int] = []
@@ -139,19 +140,22 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
     for c in range(ncols):
         if r == nrows:
             break
-        below = np.flatnonzero(a[r:, c])
+        below = a[r:, c].nonzero()[0]
         if not len(below):
             continue
         if below[0]:
             a[[r, r + below[0]]] = a[[r + below[0], r]]
         # columns before c are zero in every row from r on
-        nonzero = c + np.flatnonzero(a[r, c:])
+        nonzero = c + a[r, c:].nonzero()[0]
+        dense = len(nonzero) == ncols - c
+        if dense:
+            nonzero = slice(c, None)
         top = a[r, nonzero] * np.uint64(pow(int(a[r, c]), -1, p)) % q
         a[r, nonzero] = top
-        hit = np.flatnonzero(a[:, c])
+        hit = a[:, c].nonzero()[0]
         hit = hit[hit != r]
         if len(hit):
-            block = hit[:, None], nonzero
+            block = (hit, nonzero) if dense else (hit[:, None], nonzero)
             a[block] = (a[block] + q - a[hit, c, None] * top % q) % q
         pivots.append(c)
         r += 1
@@ -189,13 +193,23 @@ def nullspace_rref(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
+def cert_pivots(m: Mat) -> tuple[int, ...]:
+    """The pivot columns mod CERT_PRIME of m's rows scaled to integers.
+    An integer matrix (int_array) is reduced mod CERT_PRIME in numpy and
+    handed to rref_mod as it is; any other takes rref_int's route."""
+    got = int_array(m)
+    if got is None or got[0].ndim != 2:
+        return rref_int(m, CERT_PRIME)[1]
+    return rref_mod((got[0] % CERT_PRIME).astype(np.uint64), CERT_PRIME)
+
+
 def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
     """nullspace_rref(m, p), with a certificate first over the rationals:
     the rows scaled to integers have at least their rank mod CERT_PRIME
-    over Q, so when that rank is the number of columns the kernel is zero
-    and () comes back without the Bareiss pass.  Any other matrix takes
-    nullspace_rref's route."""
-    if p is None and m and len(rref_int(m, CERT_PRIME)[1]) == len(m[0]):
+    over Q, so when that rank (cert_pivots) is the number of columns the
+    kernel is zero and () comes back without the Bareiss pass.  Any other
+    matrix takes nullspace_rref's route."""
+    if p is None and m and len(cert_pivots(m)) == len(m[0]):
         return ()
     return nullspace_rref(m, p)
 

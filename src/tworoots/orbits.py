@@ -7,9 +7,13 @@ overall sign that never shows up on positive representatives.
 
 An orbit is walked breadth first over the pair graph, one layer of pairs
 at a time as numpy arrays, from a canonical basis element (orbit tables)
-or from any pair (orbit_of, cut at a coordinate height).  Every pair
-carries its exact expansion over the canonical basis along every edge, so
-membership, heights, and the coordinatewise order come for free.
+or from any pair (orbit_of, cut at a coordinate height).  The walk keeps
+a small table of the positive roots it meets, each with the indices of
+its simple reflections, and a pair is one int64 key of its two root
+indices, so a layer is reflected by one gather and deduplicated by one
+sort of single keys (see _pair_layers for why int64 is exact).  Every
+pair carries its exact expansion over the canonical basis along every
+edge, so membership, heights, and the coordinatewise order come for free.
 """
 
 from __future__ import annotations
@@ -89,21 +93,83 @@ class OrbitTable:
         return len(self.members)
 
 
+# A 2-root of a walk is the int64 key lo << _KEY_SHIFT | hi of the indices
+# lo < hi of its two roots in the walk's _RootTable.
+_KEY_SHIFT = 32
+
+
+class _RootTable:
+    """The positive roots one walk meets, interned in the order met: row k
+    of vec is root k, and row k of refl, once filled, holds the indices of
+    its n sign-normalised simple reflections (-1 until then)."""
+
+    def __init__(self, d: Diagram):
+        self.a = np.array(cartan(d), dtype=np.int64)
+        self.index: dict[bytes, int] = {}
+        self.vec = np.zeros((0, d.n), dtype=np.int64)
+        self.refl = self.vec.copy()
+
+    def intern(self, roots: np.ndarray) -> np.ndarray:
+        """The indices of the rows of the int64 stack roots, new roots
+        appended.  Raises RuntimeError rather than hand out an index of
+        2**(_KEY_SHIFT - 1) or more, which a key could not hold."""
+        out, new = [], []
+        for r in roots:
+            k = self.index.setdefault(r.tobytes(), len(self.index))
+            if k == len(self.vec) + len(new):
+                new.append(r)
+            out.append(k)
+        if len(self.index) > 1 << (_KEY_SHIFT - 1):
+            raise RuntimeError("the walk met more than 2**%d roots"
+                               % (_KEY_SHIFT - 1))
+        if new:
+            self.vec = np.concatenate([self.vec, new])
+            self.refl = np.concatenate(
+                [self.refl, np.full((len(new), self.a.shape[0]), -1)])
+        return np.array(out, dtype=np.int64)
+
+    def reflect(self, idx: np.ndarray) -> None:
+        """Fill the reflection rows of the roots idx that lack one, as one
+        batch: s_j r = r - B(r, alpha_j) alpha_j, negated when negative
+        (of the reflections of a positive root only s_j alpha_j is)."""
+        idx = idx[self.refl[idx, 0] < 0]
+        if not len(idx):
+            return
+        form = self.vec[idx] @ self.a  # form[h, j] = B(root idx[h], alpha_j)
+        h, j = np.nonzero(form)
+        s = self.vec[idx[h]]
+        s[np.arange(len(h)), j] -= form[h, j]
+        s *= np.sign(s.sum(axis=1, keepdims=True))
+        rows = np.repeat(idx[:, None], self.a.shape[0], axis=1)
+        rows[h, j] = self.intern(s)
+        self.refl[idx] = rows
+
+
 def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
     """The orbit of a canonical pair under the simple reflections, sorted
     as by vee_pair, and the members' expansions over the canonical basis
     as the rows of an int64 array, carried from the start's coords.
 
-    Breadth first, one layer of pairs (F, 2, n) and coordinates (F, K) at
-    a time, with no visited set: reflections are involutions, so the next
+    The walk runs on indices into a _RootTable, which interns each root
+    the first time a layer holds it and fills in its n simple reflections
+    in one numpy batch per layer.  A 2-root is the one int64 key
+    lo << 32 | hi of its root indices lo < hi; an index stays below 2**31
+    (the table raises RuntimeError first), so hi fits the low 32 bits,
+    lo << 32 < 2**63, and the order of the keys is that of (lo, hi).
+
+    Breadth first, one layer of keys (F,) and coordinates (F, K) at a
+    time, with no visited set: reflections are involutions, so the next
     layer is the neighbours of this one minus it and the one before.  Each
-    layer is reflected by every simple root at once, at the (pair, root)
-    hits where a root of the pair is not orthogonal to it; the coordinates
-    of a hit are its parent's with the reflection's few changed rows
-    rewritten (CanonicalBasis.reflect_rows).  One stable lexsort over the
-    three layers deduplicates, and each edge must carry the coordinates
-    first found for its pair.  A pair of coordinate height above the
-    bound is dropped and not walked from; the start never is.
+    layer is reflected by every simple root at once with one gather from
+    the table, at the (pair, root) edges that move the pair; the
+    coordinates of an edge are its parent's with the reflection's few
+    changed rows rewritten (CanonicalBasis.reflect_rows).  One stable
+    argsort of the keys of the three layers deduplicates, and each edge
+    must carry the coordinates first found for its pair.  A pair of
+    coordinate height above the bound is dropped and not walked from; the
+    start never is.  At the end each pair takes root_pair's order from a
+    rank of the interned roots by (height, root), and the members are
+    sorted by one lexsort of their pair_coords_np.
 
     int64 is exact: a module matrix column has at most two nonzero entries,
     each +-1, so a step at most doubles the sum of absolute coordinates,
@@ -112,41 +178,58 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
     (both <= 2**61, see orbit_of) on a cut walk.  A rewritten row sums
     distinct coordinates with coefficients +-1, so its partial sums stay
     within the parent's sum of absolute coordinates as well."""
-    a = np.array(cartan(d), dtype=np.int64)
     basis = canonical_basis(d)
-    p, c = np.array([pair], dtype=np.int64), np.array([coords], dtype=np.int64)
-    last_p, last_c, out = p[:0], c[:0], [(p, c)]
-    while len(p):
-        form = p @ a  # form[f, r, j] = B(root r of pair f, alpha_j)
-        f, i = np.nonzero((form != 0).any(axis=1))
-        hits = np.arange(len(f))
-        q = p[f]
-        q[hits, :, i] -= form[f, :, i]  # s_i r = r - B(r, alpha_i) alpha_i
-        q *= np.sign(q.sum(axis=2, keepdims=True))
-        diff = q[:, 1] - q[:, 0]  # root_pair's (height, root) order
-        diff = np.concatenate([diff.sum(axis=1, keepdims=True), diff], axis=1)
-        swap = diff[hits, (diff != 0).argmax(axis=1)] < 0
-        q[swap] = q[swap, ::-1]
-        moved = (q != p[f]).any(axis=(1, 2))
-        f, i = f[moved], i[moved]
-        all_p = np.concatenate([last_p, p, q[moved]])
+    roots = _RootTable(d)
+    shift, low = _KEY_SHIFT, (1 << _KEY_SHIFT) - 1
+    lo, hi = sorted(roots.intern(np.array(pair, dtype=np.int64)).tolist())
+    k = np.array([lo << shift | hi], dtype=np.int64)
+    c = np.array([coords], dtype=np.int64)
+    last_k, last_c, out = k[:0], c[:0], [(k, c)]
+    while len(k):
+        lo, hi = k >> shift, k & low
+        touched = np.zeros(len(roots.vec), dtype=bool)
+        touched[lo] = touched[hi] = True
+        roots.reflect(np.flatnonzero(touched))
+        # a pair moves unless both its roots stay: no reflection swaps two
+        # orthogonal roots, as B(r, s r) = 2 - B(r, alpha)**2 is never 0
+        u, v = roots.refl[lo], roots.refl[hi]
+        f, i = np.nonzero((u != lo[:, None]) | (v != hi[:, None]))
+        u, v = u[f, i], v[f, i]
+        all_k = np.concatenate([last_k, k, np.minimum(u, v) << shift
+                                | np.maximum(u, v)])
         all_c = np.concatenate([last_c, c, basis.reflect_rows(c[f], i)])
-        flat = all_p.reshape(len(all_p), -1)
-        order = np.lexsort(flat.T[::-1])
-        first = np.ones(len(flat), dtype=bool)
-        first[1:] = (np.diff(flat[order], axis=0) != 0).any(axis=1)
+        order = np.argsort(all_k, kind="stable")
+        sorted_k = all_k[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = sorted_k[1:] != sorted_k[:-1]
         heads = order[first]
-        if (all_c[order] != all_c[heads][np.cumsum(first) - 1]).any():
+        again = ~first
+        if (all_c[order[again]]
+                != all_c[heads[np.cumsum(first)[again] - 1]]).any():
             raise RuntimeError("inconsistent expansion along orbit")
-        heads = heads[heads >= len(last_p) + len(p)]
-        last_p, last_c, p, c = p, c, all_p[heads], all_c[heads]
+        heads = heads[heads >= len(last_k) + len(k)]
+        last_k, last_c, k, c = k, c, all_k[heads], all_c[heads]
         if height_bound is not None:
             keep = c.sum(axis=1) <= height_bound
-            p, c = p[keep], c[keep]
-        out.append((p, c))
-    p, c = (np.concatenate(x) for x in zip(*out))
-    order = np.lexsort(pair_coords_np(p).T[::-1])
-    return tuple((tuple(x), tuple(y)) for x, y in p[order].tolist()), c[order]
+            k, c = k[keep], c[keep]
+        out.append((k, c))
+    k, c = (np.concatenate(x) for x in zip(*out))
+    del out  # free the layers before the final sort's stacks
+    vec = roots.vec
+    rank = np.empty(len(vec), dtype=np.int64)
+    rank[np.lexsort(np.vstack([vec.T[::-1], vec.sum(axis=1)]))] = \
+        np.arange(len(vec))
+    lo, hi = k >> shift, k & low
+    swap = rank[lo] > rank[hi]
+    a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    # an entry a_i b_j + a_j b_i of pair_coords_np is below 2**15 when no
+    # root entry passes 127, so the sort keys can be int16
+    narrow = vec.astype(np.int16) if vec.max(initial=0) <= 127 else vec
+    order = np.lexsort(pair_coords_np(narrow[np.stack([a, b], 1)]).T[::-1])
+    tuples = list(map(tuple, vec.tolist()))
+    members = tuple((tuples[x], tuples[y])
+                    for x, y in zip(a[order].tolist(), b[order].tolist()))
+    return members, c[order]
 
 
 @functools.cache
@@ -221,25 +304,28 @@ def monoidal_covers(d: Diagram, p: Pair) -> tuple[tuple[int, Pair], ...]:
 def highest_pair(d: Diagram, p: Pair, rng=None, max_steps: int = 100000) -> Pair:
     """Climb from p by simple reflections that strictly increase the
     expansion coordinates, until none applies.  The scan order is fixed
-    unless an rng is supplied to shuffle it.  Each step reflects the
-    coordinates by every simple root at once (CanonicalBasis.reflect_rows)
-    and moves the pair by the first rising reflection in the scan order;
-    a reflection that fixes the pair sends c to +-c, which never rises.
-    p must be two orthogonal roots; anything else raises ValueError."""
+    unless an rng is supplied to shuffle it.  Each step computes, for
+    every simple root at once, just the rows of the coordinates that its
+    reflection rewrites (the padded slots of CanonicalBasis.reflect_rows;
+    a padded row repeats one of them), and moves the pair by the first
+    rising reflection in the scan order; a reflection that fixes the pair
+    sends c to +-c, which never rises.  p must be two orthogonal roots;
+    anything else raises ValueError."""
     basis = canonical_basis(d)
     c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
-    letters = np.arange(d.n)
+    rows, cols, coefs = basis._rows
     order = list(range(d.n))
     for _ in range(max_steps):
         if rng is not None:
             rng.shuffle(order)
-        up = basis.reflect_rows(np.tile(c, (d.n, 1)), letters)
-        diff = up - c
+        new = np.einsum("lrw,lrw->lr", c[cols], coefs)
+        diff = new - c[rows]
         rises = diff.any(axis=1) & (diff >= 0).all(axis=1)
         i = next((i for i in order if rises[i]), None)
         if i is None:
             return p
-        p, c = simple_pair_action(d, i, p), up[i]
+        p = simple_pair_action(d, i, p)
+        c[rows[i]] = new[i]
     raise RuntimeError("no highest element reached within the step budget")
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tworoots import linalg
-from tworoots.diagram import cartan, y_diagram
+from tworoots import forms, linalg
+from tworoots.diagram import cartan, path_diagram, y_diagram
+from tworoots.symsquare import canonical_basis
 
 
 def low_rank(rng, nrows, ncols, rank, size):
@@ -210,3 +211,45 @@ def test_int_array_takes_only_what_int64_keeps(x, want):
 def test_int_array_refuses_a_ragged_sequence():
     with pytest.raises(ValueError):
         linalg.int_array(((1, 2), (3,)))
+
+
+def _summand_grams():
+    """The Gram of every orbit summand of A4-A8, D4-D8 and E6-E8 and the
+    whole-module Grams of Y(2,2,3) and Y(1,2,6)."""
+    finite = [path_diagram(n) for n in range(4, 9)]
+    finite += [y_diagram(1, 1, n - 3) for n in range(4, 9)]
+    finite += [y_diagram(1, 2, n - 4) for n in range(6, 9)]
+    for d in finite:
+        basis = canonical_basis(d)
+        for summand in basis.summands():
+            yield forms.gram(d, [basis.elements[k].matrix for k in summand])
+    for arms in ((2, 2, 3), (1, 2, 6)):
+        d = y_diagram(*arms)
+        yield forms.gram(d, [e.matrix for e in canonical_basis(d).elements])
+
+
+def test_certificate_pivots_are_the_rank_on_the_paper_grams():
+    grams = list(_summand_grams())
+    assert len(grams) == 21
+    for g in grams:
+        assert linalg.int_array(g) is not None
+        pivots = linalg.cert_pivots(g)
+        assert len(pivots) == len(g) - len(linalg.nullspace_rref(g))
+        assert pivots == linalg.rref_int(g)[1]
+        assert pivots == linalg.rref_int(g, linalg.CERT_PRIME)[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_reduces_int64_entries_as_python_ints_do(seed):
+    """Negative entries and entries near +-2**61 reduce mod CERT_PRIME in
+    numpy to the residues that Python's % gives."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(2, 9), rng.randint(3, 9)
+    m = [list(row) for row in low_rank(
+        rng, nrows, ncols, rng.randint(1, min(nrows, ncols - 1)), 9)]
+    m = linalg.mat([[x + linalg.CERT_PRIME * rng.randint(-2**30, 2**30)
+                     for x in row] for row in m])
+    assert linalg.int_array(m) is not None
+    assert linalg.cert_pivots(m) == \
+        linalg.rref_int(m, linalg.CERT_PRIME)[1] == \
+        reference_rref_mod(m, linalg.CERT_PRIME)[1]

@@ -1,8 +1,12 @@
 import importlib
+import os
 import pkgutil
 import random
 import signal
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
                              orbit_of, orbit_tables, orthogonal_pairs,
                              pair_action, simple_pair_action, vee_pair)
 from tworoots.roots import closure, positive_roots, simple_root, theta
-from tworoots.symsquare import canonical_basis, simple_matrices
+from tworoots.symsquare import canonical_basis, root_pair, simple_matrices
 
 
 def test_orthogonal_pairs_a3():
@@ -178,6 +182,53 @@ def test_layered_pair_walk_checks_every_edge(tag, time_limit):
         _pair_layers(d, basis.elements[0].pair, wrong)
 
 
+@pytest.mark.parametrize("arms, bound", [((2, 2, 3), 20), ((4, 4, 4), 8)],
+                         ids=["Y223-20", "Y444-8"])
+def test_cut_walks_with_a_growing_root_table(arms, bound, time_limit,
+                                             monkeypatch):
+    """On these cut walks the root table takes new roots on every layer
+    but the last, and the walk still equals the reflection closure."""
+    sizes = []
+    fill = orbits._RootTable.reflect
+
+    def recorded(self, idx):
+        fill(self, idx)
+        sizes.append(len(self.vec))
+
+    monkeypatch.setattr(orbits._RootTable, "reflect", recorded)
+    d = y_diagram(*arms)
+    start = canonical_basis(d).elements[0].pair
+    assert orbit_of(d, start, bound) == _closure_orbit(d, start, bound)[0]
+    assert len(sizes) > 20
+    assert all(a < b for a, b in zip(sizes, sizes[1:-1]))
+
+
+def test_cut_walk_checks_every_edge(time_limit):
+    d = y_diagram(2, 2, 3)
+    basis = canonical_basis(d)
+    wrong = np.eye(len(basis), dtype=np.int64)[1]
+    with pytest.raises(RuntimeError, match="inconsistent expansion"):
+        _pair_layers(d, basis.elements[0].pair, wrong, 10)
+
+
+@pytest.mark.parametrize("tag", sorted(FINITE))
+def test_table_members_are_canonical_pairs_of_ints(tag):
+    for t in orbit_tables(FINITE[tag]):
+        for m in t.members + (t.highest,):
+            assert m == root_pair(*m)
+            assert all(type(x) is int for r in m for x in r)
+
+
+def test_a_walk_refuses_root_indices_past_the_key_half(monkeypatch):
+    """With 3-bit key halves a walk may index 4 roots; D4's walk meets
+    more and must stop rather than pack a larger index."""
+    d = y_diagram(1, 1, 1)
+    basis = canonical_basis(d)
+    monkeypatch.setattr(orbits, "_KEY_SHIFT", 3)
+    with pytest.raises(RuntimeError, match="more than 2\\*\\*2 roots"):
+        _pair_layers(d, basis.elements[0].pair, np.eye(len(basis))[0])
+
+
 def test_orbit_of_refuses_heights_past_int64():
     d = y_diagram(1, 1, 1)
     start = canonical_basis(d).elements[0].pair
@@ -225,6 +276,48 @@ def test_highest_pair_climbs_to_the_table_top():
     for _ in range(5):
         start = rng.choice(t.members)
         assert highest_pair(d, start, rng=rng) == t.highest
+
+
+def _full_rise_climb(d, p, rng):
+    """The climb with the rise test on whole coordinate vectors: every
+    letter's reflection of n copies of c by reflect_rows, compared with c
+    in every entry.  Returns the letters taken and the top."""
+    basis = canonical_basis(d)
+    c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
+    letters, order, taken = np.arange(d.n), list(range(d.n)), []
+    while True:
+        if rng is not None:
+            rng.shuffle(order)
+        up = basis.reflect_rows(np.tile(c, (d.n, 1)), letters)
+        diff = up - c
+        rises = diff.any(axis=1) & (diff >= 0).all(axis=1)
+        i = next((i for i in order if rises[i]), None)
+        if i is None:
+            return taken, p
+        taken.append(i)
+        p, c = simple_pair_action(d, i, p), up[i]
+
+
+@pytest.mark.parametrize("tag", ["E6", "D6", "E8"])
+def test_highest_pair_takes_the_letters_of_the_full_rise_test(tag,
+                                                              monkeypatch):
+    d = FINITE[tag]
+    taken = []
+
+    def recorded(d, i, p):
+        taken.append(i)
+        return simple_pair_action(d, i, p)
+
+    monkeypatch.setattr(orbits, "simple_pair_action", recorded)
+    rng = random.Random("climb:" + tag)
+    for t in orbit_tables(d):
+        for start in rng.sample(t.members, min(12, t.size)):
+            seed = rng.random()
+            for fresh in (lambda: None, lambda: random.Random(seed)):
+                taken.clear()
+                top = highest_pair(d, start, rng=fresh())
+                assert (taken, top) == _full_rise_climb(d, start, fresh())
+                assert top == t.highest
 
 
 def test_highest_pair_step_budget():
@@ -360,3 +453,27 @@ def test_d5_strictness_witness():
              if ht2_of_pair(d, pair_action(d, [i], p)) < 3]
     assert downs == []
     assert sorted(i for i, _q in monoidal_covers(d, p)) == [1, 2, 3]
+
+
+def test_cold_walk_climb_and_radical_do_not_import_numpy_ma():
+    """np.unique and np.isin import numpy.ma on first use, about 27 ms in
+    a cold process; the walk, the climb and the radical use neither."""
+    code = "\n".join([
+        "import sys",
+        "from tworoots import forms",
+        "from tworoots.diagram import y_diagram",
+        "from tworoots.orbits import highest_pair, orbit_tables",
+        "from tworoots.symsquare import canonical_basis",
+        "d = y_diagram(1, 2, 4)",
+        "(t,) = orbit_tables(d)",
+        "assert highest_pair(d, t.members[0]) == t.highest",
+        "basis = canonical_basis(d)",
+        "mats = [basis.elements[k].matrix for k in t.basis_members]",
+        "assert forms.radical_basis(forms.gram(d, mats)) == ()",
+        "assert 'numpy.ma' not in sys.modules",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
