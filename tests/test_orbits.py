@@ -203,7 +203,21 @@ def test_cut_walks_with_a_growing_root_table(arms, bound, time_limit,
     assert all(a < b for a, b in zip(sizes, sizes[1:-1]))
 
 
-def test_cut_walk_checks_every_edge(time_limit):
+def test_cut_walk_checks_every_edge(monkeypatch):
+    """Wrong start coordinates disagree along two paths within a few
+    layers.  A cut walk that kept going would keep pairs by coordinates
+    that depend on the path, and could grow without end; it is stopped
+    after 30 layers (the walk with the right start takes 25)."""
+    layers = []
+    fill = orbits._RootTable.reflect
+
+    def counted(self, idx):
+        layers.append(len(idx))
+        if len(layers) > 30:
+            raise TimeoutError("the cut walk ran past 30 layers")
+        fill(self, idx)
+
+    monkeypatch.setattr(orbits._RootTable, "reflect", counted)
     d = y_diagram(2, 2, 3)
     basis = canonical_basis(d)
     wrong = np.eye(len(basis), dtype=np.int64)[1]
