@@ -24,10 +24,10 @@ __all__ = [
 
 def clear_caches() -> None:
     """Empty every functools cache in the package's loaded modules (roots,
-    neighbours, reflection matrices, canonical bases, orbit tables, and
-    any cache added later), so the next call of each computes from
-    scratch.  Each cached function reports its hits and misses through
-    cache_info()."""
+    neighbours, reflection matrices, canonical bases, orbit tables, walks
+    of Weyl groups, and any cache added later), so the next call of each
+    computes from scratch.  Each cached function reports its hits and
+    misses through cache_info()."""
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for f in vars(module).values():

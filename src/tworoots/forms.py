@@ -13,8 +13,8 @@ from fractions import Fraction as Q
 import numpy as np
 
 from . import linalg
-from .diagram import (Diagram, TypeClass, cartan, classify, weyl_order,
-                      y_diagram)
+from .diagram import (Diagram, TypeClass, cartan, classify, neighbors,
+                      weyl_order, y_diagram)
 from .roots import delta, simple_root
 from .symsquare import (SymMatrix, canonical_basis, reflection_matrix,
                         sign_coherent, vee)
@@ -158,35 +158,77 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
 
 
 def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
-    """The elements of W as an int8 stack of matrices on coefficient
-    columns, by length from the identity; a group larger than the cap is
-    refused before the walk starts.  A tree walk: column j of w is the root
-    w(alpha_j), whose sign is that of its height, and each w other than 1
-    has the parent w s_i, one shorter, for the least i with w(alpha_i) < 0.
-    So w s_i is a child of w when its column i is negative and its columns
-    before i are positive, and each element is reached once.  Entries are
-    root coefficients (at most 6, on E8) and are checked to fit int8."""
+    """The elements of W as a read-only int8 stack of matrices on
+    coefficient columns, by length from the identity (see _weyl_walk).  A
+    group larger than the cap is refused before the walk or the cache is
+    touched."""
     order = weyl_order(d)
     if order > state_cap:
-        raise RuntimeError("group closure exceeded the state cap")
-    a = np.array(cartan(d), dtype=np.int64)
-    group = np.empty((order, d.n, d.n), dtype=np.int8)
-    layer, size = np.eye(d.n, dtype=np.int64)[None], 0
-    while len(layer):
-        if np.abs(layer).max() > 127:
-            raise RuntimeError("a group element has an entry past int8")
-        if size + len(layer) <= order:
-            group[size:size + len(layer)] = layer
-        size += len(layer)
-        heights, children = layer.sum(axis=1), []
-        for i in range(d.n):  # w s_i = w - (column i of w) (row i of A)
-            h = heights - heights[:, i:i + 1] * a[i]
-            w = layer[(h[:, i] < 0) & (h[:, :i] > 0).all(axis=1)]
-            children.append(w - w[:, :, i:i + 1] * a[i])
-        layer = np.concatenate(children)
-    if size != order:
+        raise RuntimeError("the Weyl group has order %d, above the state "
+                           "cap %d" % (order, state_cap))
+    return _weyl_walk(d)
+
+
+@functools.cache
+def _weyl_walk(d: Diagram) -> np.ndarray:
+    """A tree walk of W, written straight into one preallocated int8
+    stack.  Column j of w is the root w(alpha_j), whose sign is that of
+    its height, and each w other than 1 has the parent w s_i, one
+    shorter, for the least i with w(alpha_i) < 0.  So w s_i is a child of
+    w when its column i is negative and its columns before i are
+    positive, and each element is reached once: layer by layer, and
+    within a layer by letter, then by parent.  The child w s_i differs
+    from w in few columns: column i is negated and each neighbour j of i
+    gets column j plus column i.  The column heights of a layer are
+    carried in int16 and updated the same way.  Entries are root
+    coefficients (at most 6, on E8); a parent with an entry past 63, whose
+    children could leave int8, is refused, and so is a rank whose heights
+    could leave int16."""
+    order, n, adj = weyl_order(d), d.n, neighbors(d)
+    if 126 * n >= 2 ** 15:
+        raise RuntimeError("rank %d is past the int16 heights" % n)
+    lower = [(k, i) for i in range(n) for k in adj[i] if k < i]
+    group = np.empty((order, n, n), dtype=np.int8)
+    group[0] = np.eye(n, dtype=np.int8)
+    heights = np.ones((n, 1), dtype=np.int16)  # [k, l]: of column k of l
+    start, end = 0, 1
+    while end > start:
+        layer = group[start:end]
+        if layer.max() > 63 or layer.min() < -63:
+            raise RuntimeError("a group element has an entry past 63, "
+                               "whose children could leave int8")
+        # bad[i, l]: how many of the columns 0..i of (parent l) s_i are
+        # positive where they must be negative (i) or negative where they
+        # must be positive (k < i).  A column k < i not joined to i is the
+        # parent's; a joined one is the parent's column k plus column i.
+        neg = heights < 0
+        bad = neg.astype(np.int16)
+        for i in range(1, n):
+            bad[i] += bad[i - 1]
+        for k, i in lower:
+            bad[i] -= neg[k]
+            bad[i] += heights[k] + heights[i] < 0
+        # by letter, then by parent
+        letters, parents = np.divmod(np.flatnonzero(bad == 0), end - start)
+        if end + len(parents) > order:
+            raise RuntimeError("walk found more than %d elements" % order)
+        child = group[end:end + len(parents)]
+        # parents are in range; mode "raise" would buffer a copy of child
+        np.take(layer, parents, axis=0, out=child, mode="clip")
+        heights = heights[:, parents]
+        cuts = np.searchsorted(letters, np.arange(n + 1))
+        for i, js in enumerate(adj):
+            w, h = child[cuts[i]:cuts[i + 1]], heights[:, cuts[i]:cuts[i + 1]]
+            for j in js:
+                w[:, :, j] += w[:, :, i]
+                h[j] += h[i]
+            w[:, :, i] *= -1
+            h[i] *= -1
+        start, end = end, end + len(parents)
+    if end != order:
         raise RuntimeError("walk found %d elements, expected %d"
-                           % (size, order))
+                           % (end, order))
+    group.flags.writeable = False
     return group
 
 
@@ -197,23 +239,35 @@ def _kernel(d: Diagram, group: np.ndarray, members) -> np.ndarray:
     those members span it.  As a and b are independent norm-2 roots, that
     holds exactly when (w(a), w(b)) is (a, b) or (b, a) up to one common
     sign.  Each member is checked only against the elements that fixed
-    the members before it.  The images are summed in int16: each entry
-    is at most 127 height(a) in size."""
+    the members before it, in two stages: first on w(a) alone, which is
+    column i of w as a basis pair starts with a simple root alpha_i, then
+    on w(b) for the elements left.  w(b) is a sum of columns of w in
+    int16: each entry is at most 127 height(b) in size."""
     basis = canonical_basis(d)
     if tuple(members) not in basis.summands():
         raise RuntimeError("summand is not invariant")
     keep = np.arange(len(group))
     for k in members:
         a, b = basis.elements[k].pair  # positive: heights are sums
-        if max(sum(a), sum(b)) * 127 >= 2 ** 15:
+        if sum(a) != 1:
+            raise RuntimeError("a basis pair does not start with a simple "
+                               "root")
+        if sum(b) * 127 >= 2 ** 15:
             raise RuntimeError("a root's image may have an entry past int16")
         pair = np.array((a, b), dtype=np.int16)
-        w = np.zeros((len(keep), 2, d.n), dtype=np.int16)  # w(a), w(b)
-        for j in np.flatnonzero(pair.any(axis=0)):  # sum columns of w
-            w += group[keep, None, :, j] * pair[:, j, None]
-        fixed = [(w == t).all(axis=(1, 2))
-                 for t in (pair, pair[::-1], -pair, -pair[::-1])]
-        keep = keep[np.logical_or.reduce(fixed)]
+        ends = np.concatenate([pair, -pair])
+        i = a.index(1)  # sliced, not gathered, while keep has every index
+        wa = group[:, :, i] if len(keep) == len(group) else group[keep, :, i]
+        wa = np.ascontiguousarray(wa).T.copy()  # read the stack in order
+        which = np.full(len(keep), -1, dtype=np.int8)
+        for t, root in enumerate(ends):
+            which[np.logical_and.reduce(wa == root[:, None])] = t
+        keep, which = keep[which >= 0], which[which >= 0]
+        wb = np.zeros((d.n, len(keep)), dtype=np.int16)
+        for j in np.flatnonzero(b):
+            wb += group[keep, :, j].T * pair[1, j]
+        # w(b) must be b, a, -b, -a as w(a) is a, b, -a, -b
+        keep = keep[np.logical_and.reduce(wb == ends[which ^ 1].T)]
     return keep
 
 
@@ -244,16 +298,17 @@ def kernel_intersection(d: Diagram, state_cap: int = 10 ** 6) -> dict:
     orders, the intersection order, and whether the intersection is
     exactly the center (the identity, plus minus one when present)."""
     group = _weyl_group(d, state_cap)
-    kernels = [set(_kernel(d, group, s).tolist())
-               for s in canonical_basis(d).summands()]
-    inter = set(range(len(group))).intersection(*kernels)
-    neg = (group == -np.eye(d.n, dtype=np.int64)).all(axis=(1, 2))
-    center = {0} | set(np.flatnonzero(neg).tolist())  # 0: the identity
+    kernels = [_kernel(d, group, s) for s in canonical_basis(d).summands()]
+    inter = np.arange(len(group))
+    for k in kernels:
+        inter = inter[np.isin(inter, k)]
+    # the identity is first; -1, when in W, is the longest element, last
+    center = [0] + [len(group) - 1] * bool((group[-1] == -np.eye(d.n)).all())
     return {
         "group_order": len(group),
         "kernel_orders": tuple(len(k) for k in kernels),
         "intersection_order": len(inter),
-        "is_center": inter == center,
+        "is_center": inter.tolist() == center,
     }
 
 

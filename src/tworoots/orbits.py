@@ -19,7 +19,7 @@ edge, so membership, heights, and the coordinatewise order come for free.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -84,13 +84,19 @@ class OrbitTable:
     id: int
     members: tuple[Pair, ...]          # sorted by matrix key
     basis_members: tuple[int, ...]     # the summand, as basis indices
-    coords: dict                       # pair -> integer expansion tuple
     highest: Pair
     height: int
+    # row k: the expansion of members[k], read-only int64
+    expansions: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @functools.cached_property
+    def coords(self) -> dict:
+        """pair -> integer expansion tuple, built on first access."""
+        return dict(zip(self.members, map(tuple, self.expansions.tolist())))
 
 
 # A 2-root of a walk is the int64 key lo << _KEY_SHIFT | hi of the indices
@@ -259,9 +265,9 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
         if len(top) != 1:
             raise RuntimeError("orbit %d has %d members of greatest height"
                                % (oid, len(top)))
-        coords = dict(zip(members, map(tuple, c.tolist())))
-        tables.append(OrbitTable(oid, members, summand, coords,
-                                 members[top[0]], int(heights[top[0]])))
+        c.flags.writeable = False
+        tables.append(OrbitTable(oid, members, summand, members[top[0]],
+                                 int(heights[top[0]]), c))
     return tuple(tables)
 
 

@@ -355,13 +355,8 @@ class CanonicalBasis:
         time, and shared read-only."""
         return self._action_np
 
-    def summands(self) -> tuple[tuple[int, ...], ...]:
-        """The connected components, as sorted index tuples in the order of
-        their least elements, of the graph joining elements j and k when
-        some matrix of action_matrices_np has a nonzero (k, j) entry.  Each
-        is closed under every reflection, so it spans a W-invariant
-        summand; in finite type it is the set of basis elements in one
-        orbit, which orbit_tables checks.  O(K^2), on each call."""
+    @functools.cached_property
+    def _summands(self):
         joined = (np.stack(self.action_matrices_np()) != 0).any(axis=0)
         joined |= joined.T
         out = []
@@ -370,6 +365,16 @@ class CanonicalBasis:
                 out.append(tuple(sorted(closure(
                     [j], lambda k: np.flatnonzero(joined[k]).tolist()))))
         return tuple(out)
+
+    def summands(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components, as sorted index tuples in the order of
+        their least elements, of the graph joining elements j and k when
+        some matrix of action_matrices_np has a nonzero (k, j) entry.  Each
+        is closed under every reflection, so it spans a W-invariant
+        summand; in finite type it is the set of basis elements in one
+        orbit, which orbit_tables checks.  O(K^2), once per basis: every
+        call returns the same tuple."""
+        return self._summands
 
     @functools.cached_property
     def _row_form(self):

@@ -279,6 +279,15 @@ def test_kernel_order_cap(capsys):
     assert "state cap" in err
 
 
+def test_kernel_cap_names_the_order_and_the_cap(capsys):
+    code, out, err = run(capsys, "kernel", "--y", "1", "1", "1",
+                         "--max-order", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "192" in err and "state cap 10" in err
+
+
 def test_kernel_refuses_e7_before_walking(capsys):
     # |W(E7)| = 2,903,040 is above the default cap of 10**6.
     code, out, err = run(capsys, "kernel", "--y", "1", "2", "3")

@@ -9,8 +9,8 @@ import numpy as np
 
 import tworoots
 from tworoots import linalg
-from tworoots.diagram import path_diagram, y_diagram
-from tworoots.forms import (_weyl_group, action_kernel_order,
+from tworoots.diagram import path_diagram, weyl_order, y_diagram
+from tworoots.forms import (_weyl_group, _weyl_walk, action_kernel_order,
                             affine_radical_witness,
                             bprime, btilde, c_apply, decompose_s2v, gram,
                             kernel_intersection, norm2_witness, radical_basis,
@@ -201,6 +201,39 @@ def test_weyl_group_entries_are_bounded_by_the_highest_root(d):
     # root has the largest coefficients.
     group = _weyl_group(d, 10 ** 6)
     assert np.abs(group).max() == max(positive_roots(d)[-1])
+
+
+@pytest.mark.parametrize("d", [y_diagram(1, 1, 3), y_diagram(1, 2, 2)],
+                         ids=["D6", "E6"])
+def test_weyl_group_is_closed_under_the_simple_reflections(d):
+    # The walk builds each child by rewriting a few columns; the oracle
+    # multiplies whole matrices.
+    group = _weyl_group(d, 10 ** 6).astype(np.int64)
+    elements = {w.tobytes() for w in group}
+    assert len(group) == len(elements) == weyl_order(d)
+    for r in simple_matrices(d):
+        moved = np.matmul(group, np.array(r, dtype=np.int64))
+        assert {w.tobytes() for w in moved} == elements
+
+
+def test_weyl_group_is_cached_read_only_and_still_capped():
+    d = y_diagram(1, 1, 1)
+    group = _weyl_group(d, 10 ** 6)
+    assert _weyl_group(d, 192) is group
+    with pytest.raises(ValueError):
+        group[0, 0, 0] = 2
+    with pytest.raises(RuntimeError,
+                       match="order 192, above the state cap 191"):
+        _weyl_group(d, 191)
+
+
+def test_kernel_queries_walk_the_group_once():
+    tworoots.clear_caches()
+    d = y_diagram(1, 1, 2)
+    report = kernel_intersection(d)
+    orders = [action_kernel_order(d, t, 1920) for t in orbit_tables(d)]
+    assert list(report["kernel_orders"]) == orders
+    assert _weyl_walk.cache_info().misses == 1
 
 
 def test_kernel_state_cap():

@@ -161,6 +161,13 @@ def test_layered_pair_walk_equals_the_reflection_closure(tag, time_limit):
             k for k, e in enumerate(basis.elements) if e.pair in coords)
 
 
+def test_orbit_table_coords_are_built_on_first_access():
+    tworoots.clear_caches()
+    t = orbit_tables(y_diagram(1, 1, 2))[0]
+    assert "coords" not in vars(t)
+    assert t.coords is t.coords and len(t.coords) == t.size
+
+
 @pytest.mark.parametrize("arms, bound", [((2, 2, 3), 12), ((1, 2, 6), 14),
                                          ((3, 3, 3), 10)],
                          ids=["Y223-12", "Y126-14", "Y333-10"])

@@ -218,6 +218,7 @@ def test_empty_basis_has_empty_action_matrices(n):
 def test_summands_are_the_components_of_the_action(d, sizes):
     b = canonical_basis(d)
     parts = b.summands()
+    assert b.summands() is parts  # computed once per basis
     assert [len(s) for s in parts] == sizes
     assert sorted(k for s in parts for k in s) == list(range(len(b)))
     assert [s[0] for s in parts] == sorted(s[0] for s in parts)
