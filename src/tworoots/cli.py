@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 
-from . import linalg
 from .diagram import (Diagram, TypeClass, classify, diagram_to_json,
                       path_diagram, weyl_order, y_diagram)
 from .forms import (affine_radical_witness, decompose_s2v, kernel_orders,
@@ -22,7 +21,7 @@ from .forms import (affine_radical_witness, decompose_s2v, kernel_orders,
 from .orbits import closed_form_highest, orbit_tables
 from .roots import paper_labels, positive_roots, simple_root
 from .skein import render_skein
-from .symsquare import canonical_basis, sign_coherent, standard_coords
+from .symsquare import canonical_basis, sign_coherent
 from .verify import SUITES, run_suites
 
 
@@ -193,14 +192,12 @@ def cmd_decompose(args) -> int:
         if args.prime is not None:
             raise ValueError("--prime is not supported for affine diagrams")
         w = affine_radical_witness(d)
-        rows = [standard_coords(m) for m in w["elements"]]
-        rows.append(standard_coords(w["delta_squared"]))
-        rad_dim = linalg.rank(tuple(rows))
         emit(args, d, {"type": "affine", "delta": list(w["delta"]),
-                       "radical_dim": rad_dim},
+                       "radical_dim": w["radical_dim"]},
              ["%r: affine, invariant form is degenerate" % (d,),
               "delta = %s" % fmt_root(w["delta"]),
-              "radical spanned by delta v a_i, dimension %d" % rad_dim])
+              "radical spanned by delta v a_i, dimension %d"
+              % w["radical_dim"]])
         return 0
     rep = decompose_s2v(d, p=args.prime)
     lines = ["%r: %s" % (d, cls.name.lower())]

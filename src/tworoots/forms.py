@@ -7,7 +7,6 @@ subdiagram."""
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -17,7 +16,7 @@ from .diagram import (Diagram, TypeClass, cartan, classify, neighbors,
                       weyl_order, y_diagram)
 from .roots import delta, simple_root
 from .symsquare import (SymMatrix, canonical_basis, reflection_matrix,
-                        sign_coherent, vee)
+                        sign_coherent, standard_coords, vee)
 
 
 def _as_int(x):
@@ -46,16 +45,6 @@ def c_apply(d: Diagram, alpha, s: SymMatrix) -> SymMatrix:
     return linalg.mat(r @ s @ r.T - s)
 
 
-@functools.cache
-def _check_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime below 2**32, by trial division
-    in at most 2**16 steps."""
-    if p >= 2 ** 32:
-        raise ValueError("modulus must be below 2^32, got %d" % p)
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError("modulus must be a prime, got %d" % p)
-
-
 def _half(x):
     """x / 2, as an int when it is integral."""
     if isinstance(x, int) and not x & 1:
@@ -76,7 +65,7 @@ def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
     object-dtype matmul over Python ints and Fractions; both give the
     same entries."""
     if p is not None:
-        _check_prime(p)
+        linalg.check_prime(p)
     k, n = len(mats), d.n
     cartan_np = np.array(cartan(d), dtype=np.int64)
     ints = linalg.int_array(mats)
@@ -92,15 +81,13 @@ def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
     if p is not None:
         if any(isinstance(x, Q) for row in g for x in row):
             raise ValueError("modular Gram needs integer entries")
-        g = [[x % p for x in row] for row in g]
+        g = linalg.residues(g, p)
     return linalg.mat(g)
 
 
 def radical_basis(g: linalg.Mat, p: int | None = None) -> tuple:
     """Coordinate vectors spanning the radical of a Gram matrix, over the
     rationals or mod a prime."""
-    if p is not None:
-        _check_prime(p)
     return linalg.nullspace(g, p)
 
 
@@ -114,10 +101,13 @@ def virasoro(d: Diagram) -> SymMatrix:
 def affine_radical_witness(d: Diagram) -> dict:
     """For an affine diagram: the null root delta and the family
     delta v alpha_i (with delta v delta in their span) that spans the
-    radical of the half product form on the canonical-basis module."""
+    radical of the half product form on the canonical-basis module, and
+    radical_dim, the rank of that family with delta v delta."""
     dv = delta(d)
     mats = tuple(vee(dv, simple_root(d, i)) for i in range(d.n))
-    return {"delta": dv, "elements": mats, "delta_squared": vee(dv, dv)}
+    family = mats + (vee(dv, dv),)
+    return {"delta": dv, "elements": mats, "delta_squared": family[-1],
+            "radical_dim": linalg.rank(tuple(map(standard_coords, family)))}
 
 
 def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
@@ -130,7 +120,7 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
         raise ValueError("affine diagram: the form is degenerate; "
                          "see affine_radical_witness")
     if p is not None:
-        _check_prime(p)
+        linalg.check_prime(p)
     basis = canonical_basis(d)
     n = d.n
     report: dict = {

@@ -7,18 +7,19 @@ matrices across its API as tuples of row tuples, which hash and appear in
 JSON.  exact and mat are the two conversions between them.
 
 There are two eliminations.  Over the rationals rref_int is Bareiss's
-fraction-free pass on Python ints.  Mod a prime p < 2**32 it is
-Gauss-Jordan on a uint64 array (rref_mod), which is exact because no
-product of two residues, at most (p - 1)**2 < 2**64, can wrap.  The
-modular pass also certifies rational answers: an integer matrix has at
-least its rank mod p over Q, so full column rank mod CERT_PRIME proves a
-zero nullspace over Q without the Bareiss pass (the "cheap solve, exact
-certificate" pattern: Dixon, Numer. Math. 40, 1982; Wan, J. Symb. Comput.
-41, 2006).
+fraction-free pass on Python ints.  Mod a prime p, which check_prime
+alone vets, it is Gauss-Jordan (rref_mod) on the uint64 array
+residues(m, p), exact as no product of two residues, (p - 1)**2 < 2**64
+at most, can wrap.  The modular pass also certifies rational answers: an
+integer matrix has at least its rank mod p over Q, so full column rank
+mod CERT_PRIME proves a zero nullspace over Q without the Bareiss pass
+(the "cheap solve, exact certificate" pattern: Dixon, Numer. Math. 40,
+1982; Wan, J. Symb. Comput. 41, 2006).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction as Q
 from typing import Sequence
@@ -71,6 +72,26 @@ def _integer_row(row) -> list[int]:
             else x.numerator * (den // x.denominator) for x in row]
 
 
+@functools.cache
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below 2**32 (trial division)."""
+    if p >= 2 ** 32:
+        raise ValueError("modulus must be below 2^32, got %d" % p)
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError("modulus must be a prime, got %d" % p)
+
+
+def residues(m, p: int) -> np.ndarray:
+    """The rows of m scaled to integers (_integer_row), mod p, as a uint64
+    array of residues in [0, p): numpy's % on an integer matrix
+    (int_array), Python's % row by row on any other; p is not checked."""
+    got = int_array(m)
+    if got is not None:
+        return (got[0].astype(np.int64, copy=False) % p).astype(np.uint64)
+    rows = [[x % p for x in _integer_row(row)] for row in m]
+    return np.array(rows, np.uint64).reshape(len(rows), -1 if rows else 0)
+
+
 def rref_int(m, p: int | None = None
              ) -> tuple[list[list[int]], tuple[int, ...], int]:
     """(R, pivots, den) with R / den the reduced row echelon form of m,
@@ -78,20 +99,21 @@ def rref_int(m, p: int | None = None
     Gauss-Jordan pass over integers (Bareiss, Math. Comp. 22, 1968).
     Every row is updated at every step as (q x - f y) / prev, an exact
     division by the previous pivot q, so all entries stay integers and
-    every pivot ends equal to the last one, den up to sign.  Mod a prime
-    p < 2**32 the rows are reduced mod p as Python ints and eliminated by
-    rref_mod, den is 1 and R holds ints in [0, p); p >= 2**32 raises
-    ValueError."""
-    rows = [_integer_row(row) for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    every pivot ends equal to the last one, den up to sign.  Mod p,
+    checked first by check_prime even when m is empty, rref_mod
+    eliminates residues(m, p), den is 1 and R holds ints in [0, p).  Rows
+    of unequal length raise ValueError."""
     if p is not None:
-        if p >= 2**32:
-            raise ValueError("modulus must be below 2^32, got %d" % p)
-        a = np.array([[x % p for x in row] for row in rows],
-                     dtype=np.uint64).reshape(nrows, ncols)
+        check_prime(p)
+    ncols = len(m[0]) if len(m) else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("matrix rows must all have length %d" % ncols)
+    if p is not None:
+        a = residues(m, p)
         pivots = rref_mod(a, p)
         return a.tolist(), pivots, 1
+    rows = [_integer_row(row) for row in m]
+    nrows = len(rows)
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -178,10 +200,8 @@ def inverse(m: Mat) -> Mat:
 def nullspace_rref(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
     """Basis of the right kernel, one vector per free column, read off
     rref_int: Fractions over the rationals, ints in [0, p) mod a prime."""
-    if not m:
-        return ()
-    ncols = len(m[0])
     rows, pivots, den = rref_int(m, p)
+    ncols = len(m[0]) if m else 0
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
@@ -193,23 +213,15 @@ def nullspace_rref(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-def cert_pivots(m: Mat) -> tuple[int, ...]:
-    """The pivot columns mod CERT_PRIME of m's rows scaled to integers.
-    An integer matrix (int_array) is reduced mod CERT_PRIME in numpy and
-    handed to rref_mod as it is; any other takes rref_int's route."""
-    got = int_array(m)
-    if got is None or got[0].ndim != 2:
-        return rref_int(m, CERT_PRIME)[1]
-    return rref_mod((got[0] % CERT_PRIME).astype(np.uint64), CERT_PRIME)
-
-
 def nullspace(m: Mat, p: int | None = None) -> tuple[Vec, ...]:
     """nullspace_rref(m, p), with a certificate first over the rationals:
     the rows scaled to integers have at least their rank mod CERT_PRIME
-    over Q, so when that rank (cert_pivots) is the number of columns the
-    kernel is zero and () comes back without the Bareiss pass.  Any other
-    matrix takes nullspace_rref's route."""
-    if p is None and m and len(cert_pivots(m)) == len(m[0]):
+    over Q, so when that rank is the number of columns the kernel is zero
+    and () comes back without the Bareiss pass.  Any other matrix takes
+    nullspace_rref's route."""
+    # CERT_PRIME is prime: check_prime's trial division would cost ~5 ms
+    if p is None and m and len(rref_mod(residues(m, CERT_PRIME),
+                                        CERT_PRIME)) == len(m[0]):
         return ()
     return nullspace_rref(m, p)
 

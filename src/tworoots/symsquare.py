@@ -411,20 +411,20 @@ class CanonicalBasis:
         return rows, cols, coefs
 
     def reflect_rows(self, c, letters):
-        """Row h of the result is the matrix of s_{letters[h]} times row h
-        of the integer stack c (H, K).  Each reflection's matrix differs
-        from the identity in a few rows only, each with a few nonzero
-        entries: the result is a copy of c with just those rows rewritten
-        from (column, coefficient) slots gathered out of c.  The slots are
-        padded out of the row form of action_matrices_np, built once per
-        basis; padding repeats rows and adds zero coefficients, so every
-        write is one that the matrix product makes too."""
+        """Rewrite row h of the integer stack c (H, K) in place as the
+        matrix of s_{letters[h]} times it, and return c.  Each reflection's
+        matrix differs from the identity in a few rows only, each with a
+        few nonzero entries: just those entries of c are rewritten, from
+        (column, coefficient) slots all gathered out of c before any
+        write.  The slots are padded out of the row form of
+        action_matrices_np, built once per basis; padding repeats rows and
+        adds zero coefficients, so every write is one that the matrix
+        product makes too."""
         rows, cols, coefs = self._rows
         h = np.arange(len(c))[:, None]
-        out = c.copy()
         slots = c[h[:, None], cols[letters]]
-        out[h, rows[letters]] = np.einsum("hrw,hrw->hr", slots, coefs[letters])
-        return out
+        c[h, rows[letters]] = np.einsum("hrw,hrw->hr", slots, coefs[letters])
+        return c
 
     def _act(self, word, x):
         """x multiplied on the left by the matrix of s_{w[0]} ... s_{w[-1]},

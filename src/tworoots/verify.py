@@ -535,7 +535,7 @@ def suite_forms(seed=0):
     # The mod p radical alone decides both: gram refuses a Gram with a
     # non-integral entry mod p, and an integral matrix has at least its
     # rank mod p over Q, so nondegenerate mod p is nondegenerate over Q.
-    prime = 2 ** 31 - 1
+    prime = linalg.CERT_PRIME
     bad = []
     forks = []
     for arms in itertools.combinations_with_replacement(range(1, 9), 3):

@@ -18,7 +18,7 @@ from tworoots.forms import (_weyl_group, _weyl_walk, action_kernel_order,
 from tworoots.orbits import orbit_tables
 from tworoots.roots import closure, positive_roots, simple_root
 from tworoots.symsquare import (canonical_basis, m_functional, simple_matrices,
-                                vee)
+                                standard_coords, vee)
 
 
 def test_btilde_symmetric_and_even():
@@ -177,6 +177,16 @@ def test_affine_radical_witness_shape():
     w = affine_radical_witness(d)
     assert len(w["elements"]) == d.n
     assert len(w["delta"]) == d.n
+
+
+@pytest.mark.parametrize("arms", [(2, 2, 2), (1, 3, 3), (1, 2, 5)])
+def test_affine_radical_witness_reports_the_rank_of_its_family(arms):
+    d = y_diagram(*arms)
+    w = affine_radical_witness(d)
+    rows = [standard_coords(m) for m in w["elements"]]
+    assert linalg.rank(tuple(rows)) == w["radical_dim"] == d.n
+    rows.append(standard_coords(w["delta_squared"]))
+    assert linalg.rank(tuple(rows)) == w["radical_dim"]
 
 
 @pytest.mark.parametrize("d", [path_diagram(3), y_diagram(1, 1, 1),

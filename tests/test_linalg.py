@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tworoots import forms, linalg
 from tworoots.diagram import cartan, path_diagram, y_diagram
+from tworoots.forms import decompose_s2v, gram, radical_basis
 from tworoots.symsquare import canonical_basis
 
 
@@ -151,6 +153,100 @@ def test_modulus_past_uint64_products_is_refused():
         linalg.nullspace(((1, 2),), 2**32)
 
 
+BAD_MODULI = [1, 0, -3, 4, 2**32]
+MOD_P_ENTRIES = {"rref_int": linalg.rref_int,
+                 "nullspace_rref": linalg.nullspace_rref,
+                 "nullspace": linalg.nullspace, "radical_basis": radical_basis}
+
+
+@pytest.mark.parametrize("p", BAD_MODULI)
+@pytest.mark.parametrize("m", [((1, 1), (2, 3)), ()], ids=["2x2", "empty"])
+@pytest.mark.parametrize("entry", sorted(MOD_P_ENTRIES))
+def test_every_mod_p_entry_refuses_a_bad_modulus(entry, m, p):
+    with pytest.raises(ValueError, match="^modulus must be"):
+        MOD_P_ENTRIES[entry](m, p)
+
+
+@pytest.mark.parametrize("p", BAD_MODULI)
+@pytest.mark.parametrize("d", [path_diagram(4), path_diagram(2)],
+                         ids=["A4", "A2"])
+def test_gram_and_decompose_refuse_a_bad_modulus(d, p):
+    """A2 has no 2-roots, so its basis and every Gram of it are empty."""
+    mats = [e.matrix for e in canonical_basis(d).elements]
+    assert bool(mats) == (d.n == 4)
+    for call in (lambda: gram(d, mats, p), lambda: gram(d, (), p),
+                 lambda: decompose_s2v(d, p)):
+        with pytest.raises(ValueError, match="^modulus must be"):
+            call()
+
+
+def test_nullspace_over_q_never_checks_a_modulus(monkeypatch):
+    def refuse(p):
+        raise AssertionError("check_prime(%d) called" % p)
+    monkeypatch.setattr(linalg, "check_prime", refuse)
+    # certified zero, then two Bareiss fallbacks: singular over Q, and
+    # nonsingular over Q but singular mod CERT_PRIME
+    assert linalg.nullspace(((1, 2), (3, 4))) == ()
+    assert linalg.nullspace(((1, 2), (2, 4))) == ((Fraction(-2), 1),)
+    assert linalg.nullspace(((linalg.CERT_PRIME, 0), (0, 1))) == ()
+
+
+@pytest.mark.parametrize("route", [
+    linalg.rank,
+    linalg.rref_int,
+    lambda m: linalg.rref_int(m, 3),
+    linalg.nullspace_rref,
+    lambda m: linalg.nullspace(m, 3),
+], ids=["rank", "rref_int", "rref_int-mod-p", "nullspace_rref",
+        "nullspace-mod-p"])
+@pytest.mark.parametrize("m", [((1, 2), (3,)), ((1,), (2, Fraction(1, 2)))],
+                         ids=["short-second", "long-second"])
+def test_ragged_rows_are_refused(route, m):
+    with pytest.raises(ValueError, match="matrix rows must all have length"):
+        route(m)
+
+
+@pytest.mark.parametrize("m", [((1, 2), (3,)), ((1,), (2, Fraction(1, 2)))],
+                         ids=["short-second", "long-second"])
+def test_ragged_rows_are_refused_by_the_certificate(m):
+    """nullspace over Q reads the rows as an array before rref_int."""
+    with pytest.raises(ValueError):
+        linalg.nullspace(m)
+
+
+def _python_residues(m, p):
+    return [[x % p for x in linalg._integer_row(row)] for row in m]
+
+
+@pytest.mark.parametrize("p", [2, 3, linalg.CERT_PRIME, 4294967291])
+@pytest.mark.parametrize("seed", range(4))
+def test_residues_are_python_remainders(seed, p):
+    """Entries near +-2**61 and -2**63 through numpy's %, ints past int64
+    and Fraction rows row by row, each against Python's %."""
+    rng = random.Random(seed)
+    near = [[rng.choice([1, -1]) * 2**61 + rng.randint(-9, 9)
+             for _ in range(5)] for _ in range(4)]
+    near[0][0] = -2**63
+    past = [row[:] for row in near]
+    past[1][2] = 2**64 + rng.randint(-9, 9)
+    fractions = [[Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 99))
+                  for _ in range(5)] for _ in range(4)]
+    fractions[2] = [rng.randint(-9, 9) for _ in range(5)]  # an int row
+    for m in (near, past, fractions):
+        got = linalg.residues(linalg.mat(m), p)
+        assert got.dtype == np.uint64 and got.shape == (4, 5)
+        assert got.tolist() == _python_residues(m, p)
+    assert linalg.int_array(linalg.mat(near)) is not None
+    assert linalg.int_array(linalg.mat(past)) is None
+
+
+@pytest.mark.parametrize("m", [(), ((),), ((), ())])
+def test_residues_of_empty_matrices(m):
+    got = linalg.residues(m, 5)
+    assert got.dtype == np.uint64
+    assert got.shape == (len(m), 0)
+
+
 @pytest.mark.parametrize("m", [
     ((0, 0, 0), (0, 0, 0)),
     ((0, 0),),
@@ -233,7 +329,8 @@ def test_certificate_pivots_are_the_rank_on_the_paper_grams():
     assert len(grams) == 21
     for g in grams:
         assert linalg.int_array(g) is not None
-        pivots = linalg.cert_pivots(g)
+        pivots = linalg.rref_mod(linalg.residues(g, linalg.CERT_PRIME),
+                                 linalg.CERT_PRIME)
         assert len(pivots) == len(g) - len(linalg.nullspace_rref(g))
         assert pivots == linalg.rref_int(g)[1]
         assert pivots == linalg.rref_int(g, linalg.CERT_PRIME)[1]
@@ -250,6 +347,7 @@ def test_certificate_reduces_int64_entries_as_python_ints_do(seed):
     m = linalg.mat([[x + linalg.CERT_PRIME * rng.randint(-2**30, 2**30)
                      for x in row] for row in m])
     assert linalg.int_array(m) is not None
-    assert linalg.cert_pivots(m) == \
+    assert linalg.rref_mod(linalg.residues(m, linalg.CERT_PRIME),
+                           linalg.CERT_PRIME) == \
         linalg.rref_int(m, linalg.CERT_PRIME)[1] == \
         reference_rref_mod(m, linalg.CERT_PRIME)[1]

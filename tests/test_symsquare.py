@@ -175,7 +175,7 @@ def test_reflect_rows_equals_the_matrix_product(tag):
     c = rng.integers(-2 ** 40, 2 ** 40, size=(12, len(b)), dtype=np.int64)
     for i, m in enumerate(mats):
         letters = np.full(len(c), i)
-        assert (b.reflect_rows(c, letters) == c @ m.T).all()
+        assert (b.reflect_rows(c.copy(), letters) == c @ m.T).all()
     letters = rng.integers(0, len(mats), size=len(c))
     want = np.stack([mats[i] @ row for i, row in zip(letters, c)])
     got = b.reflect_rows(c, letters)
@@ -314,6 +314,28 @@ def test_word_column_and_matrix_are_the_dense_products(d):
         for i in reversed(word):
             exact = mats[i].astype(object) @ exact
         assert b.word_matrix(word) == tuple(map(tuple, exact.tolist()))
+
+
+def test_word_column_takes_60_letters_and_refuses_61():
+    b = canonical_basis(y_diagram(4, 4, 4))
+    rng = random.Random("bound")
+    word = [rng.randrange(b.diagram.n) for _ in range(61)]
+    m = b.word_matrix(word[:60])
+    for j in rng.sample(range(len(b)), 4):
+        assert b.word_column(word[:60], j) == tuple(row[j] for row in m)
+        with pytest.raises(ValueError, match="too long"):
+            b.word_column(word, j)
+
+
+def test_reflect_rows_rewrites_its_stack_in_place():
+    b = canonical_basis(y_diagram(1, 2, 4))
+    rng = np.random.default_rng(3)
+    c = rng.integers(-99, 99, size=(20, len(b)), dtype=np.int64)
+    letters = rng.integers(0, b.diagram.n, size=len(c))
+    want = np.stack([b.action_matrices_np()[i] @ row
+                     for i, row in zip(letters, c)])
+    assert b.reflect_rows(c, letters) is c
+    assert (c == want).all()
 
 
 def test_word_column_refuses_long_words():
