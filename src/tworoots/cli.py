@@ -242,16 +242,10 @@ def cmd_skein(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suite if args.suite else sorted(SUITES)
-    checks = run_suites(names, seed=args.seed, max_order=args.max_order)
-    failed = 0
+    checks = run_suites(args.suite or ["all"], seed=args.seed)
     for c in checks:
-        line = "%s %s" % ("PASS" if c.ok else "FAIL", c.name)
-        if c.detail:
-            line += ": " + c.detail
-        print(line)
-        if not c.ok:
-            failed += 1
+        print(c.line())
+    failed = sum(not c.ok for c in checks)
     print("%d checks, %d failed" % (len(checks), failed))
     return 1 if failed else 0
 
@@ -277,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "Weyl groups of path and fork type.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, diagram=True, numbering=False):
+    def add(name, fn, help_, numbering=False):
         p = sub.add_parser(name, help=help_)
-        if diagram:
-            add_diagram_args(p)
+        add_diagram_args(p)
         if numbering:
             p.add_argument("--paper-numbering",
                            choices=["internal", "d", "e", "a"],
@@ -345,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite name (repeatable; default all)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized checks")
-    p.add_argument("--max-order", type=int, default=None,
-                   help="skip kernel checks for groups above this order")
     p.set_defaults(fn=cmd_verify)
 
     return ap

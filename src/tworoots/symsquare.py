@@ -227,20 +227,15 @@ class CanonicalBasis:
         cols = self._coords.T
         solve, self._den = lifted_solve(cols) or rref_solve(cols)
         # First k rows: the left inverse times _den; the rest: the span's
-        # functionals.  Kept as Python ints for the exact route.
-        self._solve = solve.astype(object)
-        # (upper, solve64, cap): the index of the upper triangle in
-        # standard_coords order, an int64 copy of _solve, and the largest
-        # |entry| of an input the copy may multiply.  cap is 2**63 - 1
-        # floor-divided by the largest row L1 norm of _solve, so every
-        # partial sum of solve64 @ v stays inside int64 when
-        # max |v| <= cap.  (The largest norm is 30 on E8, 50 on Y(4,4,4)
-        # and 124 on D20, where cap is about 7.4 * 10**16.)  A norm past
-        # int64 would make cap 0, and the copy is then exact too.
-        cap = (2**63 - 1) // max(1, int(np.abs(solve).sum(axis=1).max()))
-        self._int64_solve = (_upper(d.n),
-                             solve.astype(np.int64 if cap else object),
-                             cap)
+        # functionals.  _cap is the largest |entry| of an input that
+        # expand multiplies in int64: 2**63 - 1 floor-divided by the
+        # largest row L1 norm of _solve, so every partial sum of
+        # _solve @ v stays inside int64 when max |v| <= _cap.  (The
+        # largest norm is 30 on E8, 50 on Y(4,4,4) and 124 on D20, where
+        # _cap is about 7.4 * 10**16.)  _solve is int64, or Python ints
+        # when a norm past int64 makes _cap 0.
+        self._cap = (2**63 - 1) // max(1, int(np.abs(solve).sum(axis=1).max()))
+        self._solve = solve.astype(np.int64 if self._cap else object)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -260,11 +255,11 @@ class CanonicalBasis:
         matrix or is outside the span.  The upper triangle v of s is
         multiplied by _solve: the first rows give the coordinates times
         _den and the others must vanish.  When numpy reads s as an
-        integer array with max |v| <= cap (see _int64_solve) the product
+        integer array with max |v| <= _cap (see __init__) the product
         runs in int64, where no sum can overflow, and one divmod by _den
         gives the coordinates; any other s (Fractions, integers past the
         cap, floats) takes the exact object-dtype route on its entries as
-        given."""
+        given, where numpy multiplies _solve's entries as Python ints."""
         n = self.diagram.n
         if len(s) != n:
             raise ValueError("matrix size %d does not match diagram rank %d"
@@ -280,11 +275,10 @@ class CanonicalBasis:
             raise ValueError("matrix must be %d x %d" % (n, n))
         if (m != m.T).any():
             raise ValueError("matrix is not symmetric")
-        upper, solve64, cap = self._int64_solve
-        v = m[upper]
+        v = m[_upper(n)]
         # s is symmetric, so its largest |entry| is v's
-        if ints is not None and ints[1] <= cap:
-            c = solve64 @ v.astype(np.int64, copy=False)
+        if ints is not None and ints[1] <= self._cap:
+            c = self._solve @ v.astype(np.int64, copy=False)
         else:
             c = self._solve @ v.astype(object)
         c, outside = c[:len(self.elements)], c[len(self.elements):]
@@ -390,6 +384,14 @@ class CanonicalBasis:
 
     @functools.cached_property
     def _rows(self):
+        """The row form padded into three arrays (rows, cols, coefs): for
+        letter i and slot r, rows[i, r] is a row its matrix rewrites, and
+        that row's entries are coefs[i, r] at columns cols[i, r].  Every
+        letter gets the same number of slots and every slot the same
+        width, by repeating rows and adding zero coefficients.  Read by
+        reflect_rows and by orbits.highest_pair, whose climb gathers all
+        letters at once from these arrays: through reflect_rows on a tiled
+        stack a climb took about 1.7 times as long on A8, D8, E8 and D16."""
         form = self._row_form
         depth = max(len(rows) for rows, _ in form)
         width = max([1] + [int(np.count_nonzero(sub, axis=1).max())

@@ -1,16 +1,17 @@
 """Self-check suites.
 
-Each suite re-derives a family of known facts from scratch and compares
-against frozen expected values.  The CLI subcommand ``verify`` and the
-acceptance tests both run these; a Check with ok=False means a real
-regression, details carry the numbers.
+Each suite is a generator that re-derives a family of known facts from
+scratch and yields one Check per comparison with frozen expected values,
+as soon as it is made.  The CLI subcommand ``verify`` and the acceptance
+tests both run these through run_suites; a Check with ok=False means a
+real regression, details carry the numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +38,21 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
+
+    def line(self) -> str:
+        """The report line: PASS or FAIL, the name and any ": detail"."""
+        head = "%s %s" % ("PASS" if self.ok else "FAIL", self.name)
+        return "%s: %s" % (head, self.detail) if self.detail else head
+
+
+def _listed(name, bad):
+    """A check that passes when the list bad of mismatches is empty."""
+    return Check(name, not bad, "mismatches: %s" % (bad or "none"))
+
+
+def _counted(name, bad):
+    """A check that passes when the count bad of failures is zero."""
+    return Check(name, bad == 0, "%d failures" % bad)
 
 
 def _family(tag):
@@ -77,14 +93,12 @@ D4_BASIS_PAIRS = (
 
 
 def suite_basis(seed=0):
-    out = []
     bad = []
     for spec, want in CLASSIFICATION:
         d = path_diagram(spec[1]) if spec[0] == "path" else y_diagram(*spec[1:])
         if classify(d).name != want:
             bad.append(repr(d))
-    out.append(Check("basis: classification of 16 sample diagrams",
-                     not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("basis: classification of 16 sample diagrams", bad)
 
     bad = []
     for a, b, c in itertools.combinations_with_replacement(range(1, 5), 3):
@@ -92,20 +106,18 @@ def suite_basis(seed=0):
         want = d.n * (d.n + 1) // 2 - 1
         if len(canonical_basis(d)) != want:
             bad.append(repr(d))
-    out.append(Check("basis: size n(n+1)/2 - 1 for all Y(a,b,c), a<=b<=c<=4",
-                     not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("basis: size n(n+1)/2 - 1 for all Y(a,b,c), a<=b<=c<=4", bad)
 
     bad = []
     for n in range(3, 9):
         d = path_diagram(n)
         if len(canonical_basis(d)) != (n - 2) * (n + 1) // 2:
             bad.append(repr(d))
-    out.append(Check("basis: size (n-2)(n+1)/2 for paths n=3..8",
-                     not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("basis: size (n-2)(n+1)/2 for paths n=3..8", bad)
 
     got = tuple(e.pair for e in canonical_basis(y_diagram(1, 1, 1)).elements)
-    out.append(Check("basis: the nine elements for Y(1,1,1)",
-                     got == D4_BASIS_PAIRS, "got %d pairs" % len(got)))
+    yield Check("basis: the nine elements for Y(1,1,1)",
+                got == D4_BASIS_PAIRS, "got %d pairs" % len(got))
 
     bad = []
     for d, bound in [(_family("A8"), None), (_family("D8"), None),
@@ -118,11 +130,9 @@ def suite_basis(seed=0):
         want = tuple(sorted(walk, key=lambda r: (height(r), r)))
         if positive_roots(d, bound) != want:
             bad.append(repr(d))
-    out.append(Check("basis: positive roots equal the reflection walk of the "
-                     "simple roots on A8, D8, E8, Y(2,2,3) <= 30, "
-                     "Y(1,2,6) <= 40", not bad,
-                     "mismatches: %s" % (bad or "none")))
-    return out
+    yield _listed("basis: positive roots equal the reflection walk of the "
+                  "simple roots on A8, D8, E8, Y(2,2,3) <= 30, "
+                  "Y(1,2,6) <= 40", bad)
 
 
 # --- 2. orbit tables -------------------------------------------------------
@@ -135,18 +145,17 @@ ORBIT_SIZES = {
 
 
 def suite_orbits(seed=0):
-    out = []
     for tag, sizes in sorted(ORBIT_SIZES.items()):
         d = _family(tag)
         tabs = orbit_tables(d)
         got = sorted(t.size for t in tabs)
-        out.append(Check("orbits: %s splits as %s" % (tag, sizes),
-                         got == sorted(sizes), "got %s" % got))
+        yield Check("orbits: %s splits as %s" % (tag, sizes),
+                    got == sorted(sizes), "got %s" % got)
         brute = orthogonal_pairs(d)
         union = {p for t in tabs for p in t.members}
-        out.append(Check("orbits: %s total matches brute force" % tag,
-                         len(brute) == sum(sizes) and union == set(brute),
-                         "%d pairs" % len(brute)))
+        yield Check("orbits: %s total matches brute force" % tag,
+                    len(brute) == sum(sizes) and union == set(brute),
+                    "%d pairs" % len(brute))
     bad = []
     for tag in ["D5", "D6", "D7", "D8"]:
         d = _family(tag)
@@ -166,9 +175,8 @@ def suite_orbits(seed=0):
         else:
             if len(index_pairs) != small.size:
                 bad.append(tag)
-    out.append(Check("orbits: D small orbit is the difference-sum arc pairs, "
-                     "size C(n,2), n-1 basis members",
-                     not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("orbits: D small orbit is the difference-sum arc pairs, "
+                  "size C(n,2), n-1 basis members", bad)
 
     bad = []
     for spec in [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 1, 5),
@@ -176,16 +184,13 @@ def suite_orbits(seed=0):
         got = component_count(h_graph(*spec))
         if got != len(orbit_tables(y_diagram(*spec))):
             bad.append(str(spec))
-    out.append(Check("orbits: hexagon graph components count the orbits on "
-                     "all finite forks", not bad,
-                     "mismatches: %s" % (bad or "none")))
-    return out
+    yield _listed("orbits: hexagon graph components count the orbits on "
+                  "all finite forks", bad)
 
 
 # --- 3. sign coherence -----------------------------------------------------
 
 def suite_coherence(seed=0):
-    out = []
     for tag in ["D4", "D5", "D6", "E6"]:
         d = _family(tag)
         basis = canonical_basis(d)
@@ -201,9 +206,8 @@ def suite_coherence(seed=0):
                         and coords == t.coords[p]
                         and basis.combine(coords) == vee(*p)):
                     bad += 1
-        out.append(Check("coherence: %s all %d positive 2-roots expand with "
-                         "nonnegative integers" % (tag, total), bad == 0,
-                         "%d failures" % bad))
+        yield _counted("coherence: %s all %d positive 2-roots expand with "
+                       "nonnegative integers" % (tag, total), bad)
 
     for spec in [(1, 2, 4), (2, 2, 2), (3, 3, 3), (1, 2, 6)]:
         d = y_diagram(*spec)
@@ -219,9 +223,8 @@ def suite_coherence(seed=0):
             neg = any(x < 0 for x in col)
             if (pos and neg) or not (pos or neg):
                 bad += 1
-        out.append(Check("coherence: %r columns of %d random words stay "
-                         "one-signed" % (d, trials), bad == 0,
-                         "%d failures" % bad))
+        yield _counted("coherence: %r columns of %d random words stay "
+                       "one-signed" % (d, trials), bad)
 
         # full matrices for a smaller sample
         mats = basis.action_matrices_np()
@@ -236,10 +239,8 @@ def suite_coherence(seed=0):
                 col = m[:, j]
                 if bool((col > 0).any()) == bool((col < 0).any()):
                     bad += 1
-        out.append(Check("coherence: %r all columns of 100 random word "
-                         "matrices stay one-signed" % (d,), bad == 0,
-                         "%d failures" % bad))
-    return out
+        yield _counted("coherence: %r all columns of 100 random word "
+                       "matrices stay one-signed" % (d,), bad)
 
 
 # --- 4. highest 2-roots ----------------------------------------------------
@@ -252,35 +253,34 @@ HIGHEST_HEIGHTS = {
 
 
 def suite_highest(seed=0):
-    out = []
     for tag, heights in sorted(HIGHEST_HEIGHTS.items()):
         d = _family(tag)
         tabs = orbit_tables(d)
         closed = set(closed_form_highest(d))
         climbed = {highest_pair(d, t.members[0]) for t in tabs}
-        out.append(Check("highest: %s closed form matches the climb" % tag,
-                         closed == climbed, "%d orbits" % len(tabs)))
+        yield Check("highest: %s closed form matches the climb" % tag,
+                    closed == climbed, "%d orbits" % len(tabs))
         got = sorted(t.height for t in tabs)
-        out.append(Check("highest: %s heights are %s" % (tag, heights),
-                         got == sorted(heights), "got %s" % got))
+        yield Check("highest: %s heights are %s" % (tag, heights),
+                    got == sorted(heights), "got %s" % got)
         dominated = all(
             all(c <= h for c, h in zip(t.coords[p], t.coords[t.highest]))
             for t in tabs for p in t.members)
-        out.append(Check("highest: %s top dominates every orbit member "
-                         "coordinatewise" % tag, dominated))
+        yield Check("highest: %s top dominates every orbit member "
+                    "coordinatewise" % tag, dominated)
         rng = random.Random("%d:%s" % (seed, tag))
         redo = all(
             highest_pair(d, rng.choice(t.members), rng=rng) == t.highest
             for t in tabs for _ in range(5))
-        out.append(Check("highest: %s five randomized climbs per orbit reach "
-                         "the same top" % tag, redo))
+        yield Check("highest: %s five randomized climbs per orbit reach "
+                    "the same top" % tag, redo)
 
     for tag in ["D4", "D5", "D6", "E6"]:
         d = _family(tag)
         bad = sum(1 for t in orbit_tables(d) for p in t.members
                   if highest_pair(d, p) != t.highest)
-        out.append(Check("highest: %s every member climbs to its orbit top"
-                         % tag, bad == 0, "%d failures" % bad))
+        yield _counted("highest: %s every member climbs to its orbit top"
+                       % tag, bad)
 
     for tag in ["E7", "E8"]:
         d = _family(tag)
@@ -288,8 +288,8 @@ def suite_highest(seed=0):
         rng = random.Random("%d:%s:sample" % (seed, tag))
         bad = sum(1 for _ in range(200)
                   if highest_pair(d, rng.choice(t.members)) != t.highest)
-        out.append(Check("highest: %s 200 sampled members climb to the top"
-                         % tag, bad == 0, "%d failures" % bad))
+        yield _counted("highest: %s 200 sampled members climb to the top"
+                       % tag, bad)
 
     e8 = _family("E8")
     b = canonical_basis(e8)
@@ -297,16 +297,14 @@ def suite_highest(seed=0):
     coords = b.expand_pair(*top)
     ones = [k for k, c in enumerate(coords) if c == 1]
     want = ((0, 0, 0, 0, 0, 0, 0, 1), (2, 1, 1, 0, 2, 2, 2, 1))
-    out.append(Check("highest: E8 has a unique coefficient-1 element, "
-                     "a7 v theta", ones == [34] and b.elements[34].pair == want,
-                     "indices %s" % ones))
-    return out
+    yield Check("highest: E8 has a unique coefficient-1 element, "
+                "a7 v theta", ones == [34] and b.elements[34].pair == want,
+                "indices %s" % ones)
 
 
 # --- 5. the two partial orders ---------------------------------------------
 
 def suite_orders(seed=0):
-    out = []
     for tag in ["D4", "D5", "D6", "E6"]:
         d = _family(tag)
         bad = 0
@@ -318,9 +316,8 @@ def suite_orders(seed=0):
                     moves += 1
                     if any(c > h for c, h in zip(base, t.coords[q])):
                         bad += 1
-        out.append(Check("orders: %s all %d monoidal covers increase "
-                         "coordinates" % (tag, moves), bad == 0,
-                         "%d failures" % bad))
+        yield _counted("orders: %s all %d monoidal covers increase "
+                       "coordinates" % (tag, moves), bad)
 
     d = y_diagram(1, 1, 2)
     basis = canonical_basis(d)
@@ -334,28 +331,25 @@ def suite_orders(seed=0):
     b0 = basis.elements[0].pair
     strict = b0 != p and all(c >= e for c, e in zip(
         coords, (1,) + (0,) * 13))
-    out.append(Check("orders: D5 witness a0 v theta expands as three "
-                     "coefficient-1 terms", ok_coords, "coords %s" % (coords,)))
-    out.append(Check("orders: D5 witness is monoidally minimal with covers "
-                     "at 1,2,3", no_down and covers == [1, 2, 3],
-                     "covers %s" % covers))
-    out.append(Check("orders: D5 witness dominates a basis element it does "
-                     "not cover monoidally", strict))
-    return out
+    yield Check("orders: D5 witness a0 v theta expands as three "
+                "coefficient-1 terms", ok_coords, "coords %s" % (coords,))
+    yield Check("orders: D5 witness is monoidally minimal with covers "
+                "at 1,2,3", no_down and covers == [1, 2, 3],
+                "covers %s" % covers)
+    yield Check("orders: D5 witness dominates a basis element it does "
+                "not cover monoidally", strict)
 
 
 # --- 6. invariant forms and decompositions ---------------------------------
 
 def suite_forms(seed=0):
-    out = []
     bad = []
     for tag in ["A4", "D4", "D5", "D6", "E6"]:
         d = _family(tag)
         basis = canonical_basis(d)
         if any(bprime(d, e.matrix, e.matrix) != 4 for e in basis.elements):
             bad.append(tag)
-    out.append(Check("forms: B'(t,t) = 4 on every basis 2-root",
-                     not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: B'(t,t) = 4 on every basis 2-root", bad)
 
     d = path_diagram(4)
     basis = canonical_basis(d)
@@ -364,8 +358,8 @@ def suite_forms(seed=0):
         for j in range(i + 1, len(basis)):
             v = bprime(d, basis.elements[i].matrix, basis.elements[j].matrix)
             vals[v] = vals.get(v, 0) + 1
-    out.append(Check("forms: A4 off-diagonal B' values are {-2: 6, 1: 4}",
-                     vals == {-2: 6, 1: 4}, "got %s" % vals))
+    yield Check("forms: A4 off-diagonal B' values are {-2: 6, 1: 4}",
+                vals == {-2: 6, 1: 4}, "got %s" % vals)
 
     a3 = path_diagram(3)
     mats3 = [e.matrix for e in canonical_basis(a3).elements]
@@ -374,8 +368,8 @@ def suite_forms(seed=0):
     g4 = gram(d, mats4, p=2)
     even3 = all(x == 0 for row in g3 for x in row)
     odd4 = any(x for row in g4 for x in row)
-    out.append(Check("forms: half-form Gram vanishes mod 2 for A3 "
-                     "but not for A4", even3 and odd4))
+    yield Check("forms: half-form Gram vanishes mod 2 for A3 "
+                "but not for A4", even3 and odd4)
 
     bad = []
     for tag in ["A3", "A4", "A5", "A6", "A7", "A8",
@@ -387,8 +381,8 @@ def suite_forms(seed=0):
         want_comp = d.n if d.kind == "Path" else 0
         if any(rads) or comp != want_comp:
             bad.append("%s %s comp=%d" % (tag, rads, comp))
-    out.append(Check("forms: per-orbit radicals 0, complement n for paths "
-                     "and 0 for forks", not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: per-orbit radicals 0, complement n for paths "
+                  "and 0 for forks", bad)
 
     patterns = {"D4": [3, 3, 3], "D5": [4, 10], "E6": [20]}
     bad = []
@@ -398,9 +392,8 @@ def suite_forms(seed=0):
         got = sorted(s["dim"] for s in rep["orbit_summands"])
         if got != sorted(dims) or 1 + sum(got) != d.n * (d.n + 1) // 2:
             bad.append("%s %s" % (tag, got))
-    out.append(Check("forms: summand dimensions 1+3+3+3, 1+4+10, 1+20 fill "
-                     "the symmetric square", not bad,
-                     "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: summand dimensions 1+3+3+3, 1+4+10, 1+20 fill "
+                  "the symmetric square", bad)
 
     bad = []
     for tag in ["A4", "D4", "D5", "E6"]:
@@ -415,9 +408,9 @@ def suite_forms(seed=0):
         if not (btilde(d, om, om) == d.n == m_functional(d, om)
                 and fixed and outside):
             bad.append(tag)
-    out.append(Check("forms: inverse Cartan element has norm n, trace "
-                     "functional n, is group-fixed, and lies outside the "
-                     "basis span", not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: inverse Cartan element has norm n, trace "
+                  "functional n, is group-fixed, and lies outside the "
+                  "basis span", bad)
 
     bad = []
     for tag in ["A3", "A4", "A5", "A6", "A7", "A8",
@@ -435,9 +428,8 @@ def suite_forms(seed=0):
                     break
             if tag in bad:
                 break
-    out.append(Check("forms: trace formula matches the two-term pairing "
-                     "product on every basis pair through rank 8",
-                     not bad, "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: trace formula matches the two-term pairing "
+                  "product on every basis pair through rank 8", bad)
 
     bad = []
     for fam in [("A4",), ("D5",), ("E6",), ("y", 2, 2, 3)]:
@@ -448,10 +440,9 @@ def suite_forms(seed=0):
             # repr tells an int from an equal Fraction
             if repr(gram(d, ms)) != repr(want):
                 bad.append("%r with %d elements" % (d, len(ms)))
-    out.append(Check("forms: matmul Gram equals the per-entry trace-form "
-                     "Gram on A4, D5, E6, Y(2,2,3), with and without the "
-                     "inverse Cartan element", not bad,
-                     "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: matmul Gram equals the per-entry trace-form "
+                  "Gram on A4, D5, E6, Y(2,2,3), with and without the "
+                  "inverse Cartan element", bad)
 
     bad = []
     for fam in [("A4",), ("D5",), ("E6",), ("y", 2, 2, 3)]:
@@ -469,9 +460,8 @@ def suite_forms(seed=0):
                     != bprime(d, t1, t2):
                 bad.append(repr(d))
                 break
-    out.append(Check("forms: the half form is reflection-invariant on 1000 "
-                     "random pairs per type", not bad,
-                     "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: the half form is reflection-invariant on 1000 "
+                  "random pairs per type", bad)
 
     bad = []
     for tag in ["A3", "D4"]:
@@ -485,9 +475,8 @@ def suite_forms(seed=0):
             if v != 0:
                 bad.append(tag)
                 break
-    out.append(Check("forms: symmetrized tensors pair to zero with "
-                     "antisymmetrized ones", not bad,
-                     "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: symmetrized tensors pair to zero with "
+                  "antisymmetrized ones", bad)
 
     def s2_gram_rank(d):
         units = []
@@ -509,10 +498,10 @@ def suite_forms(seed=0):
     rk, full = s2_gram_rank(y_diagram(2, 2, 2))
     if rk >= full:
         bad.append("Y(2,2,2) unexpectedly nonsingular")
-    out.append(Check("forms: product form is nonsingular on the full "
-                     "symmetric square exactly when the Cartan matrix is",
-                     not bad, "mismatches: %s; Y(2,2,2) rank %d of %d"
-                     % (bad or "none", rk, full)))
+    c = _listed("forms: product form is nonsingular on the full symmetric "
+                "square exactly when the Cartan matrix is", bad)
+    yield replace(c, detail="%s; Y(2,2,2) rank %d of %d"
+                  % (c.detail, rk, full))
 
     d = y_diagram(2, 2, 2)
     try:
@@ -527,10 +516,10 @@ def suite_forms(seed=0):
     ortho = all(btilde(d, m, vee(simple_root(d, i), simple_root(d, j))) == 0
                 for m in w["elements"]
                 for i in range(d.n) for j in range(i, d.n))
-    out.append(Check("forms: Y(2,2,2) is degenerate with radical delta v a_i "
-                     "of dimension 7",
-                     raised and rk == 7 == d.n and rk2 == 7 and ortho,
-                     "rank %d" % rk))
+    yield Check("forms: Y(2,2,2) is degenerate with radical delta v a_i "
+                "of dimension 7",
+                raised and rk == 7 == d.n and rk2 == 7 and ortho,
+                "rank %d" % rk)
 
     # The mod p radical alone decides both: gram refuses a Gram with a
     # non-integral entry mod p, and an integral matrix has at least its
@@ -545,10 +534,9 @@ def suite_forms(seed=0):
             mats = [e.matrix for e in canonical_basis(d).elements]
             if radical_basis(gram(d, mats, prime), prime):
                 bad.append(repr(d))
-    out.append(Check("forms: the module of each of the %d non-affine forks "
-                     "with n <= 11 is nondegenerate over Q and mod 2^31-1"
-                     % len(forks), not bad,
-                     "mismatches: %s" % (bad or "none")))
+    yield _listed("forms: the module of each of the %d non-affine forks "
+                  "with n <= 11 is nondegenerate over Q and mod 2^31-1"
+                  % len(forks), bad)
 
     # The certified routes against the Bareiss oracle: the basis solve
     # lifted from mod 2^31-1, and the radicals that linalg.nullspace
@@ -570,70 +558,54 @@ def suite_forms(seed=0):
                 or any(linalg.nullspace(g) != linalg.nullspace_rref(g)
                        for g in grams)):
             bad.append(repr(d))
-    out.append(Check("forms: the lifted basis solve and the certified "
-                     "radicals equal the Bareiss route on A4-A12, D4-D16, "
-                     "E6-E8 and the %d forks" % len(forks), not bad,
-                     "mismatches: %s" % (bad or "none")))
-    return out
+    yield _listed("forms: the lifted basis solve and the certified "
+                  "radicals equal the Bareiss route on A4-A12, D4-D16, "
+                  "E6-E8 and the %d forks" % len(forks), bad)
 
 
 # --- 7. kernels of the orbit actions ---------------------------------------
 
-def suite_kernels(seed=0, max_order=None):
-    out = []
+def suite_kernels(seed=0):
+    d = y_diagram(1, 1, 1)
+    ks = kernel_orders(d, orbit_tables(d), 192)
+    yield Check("kernels: D4 all three orbits have kernel of order 8",
+                ks == [8, 8, 8], "got %s" % ks)
 
-    def within(order):
-        return max_order is None or order <= max_order
+    d = y_diagram(1, 1, 2)
+    tabs = {t.size: t for t in orbit_tables(d)}
+    k_small, k_large = kernel_orders(d, [tabs[10], tabs[60]], 1920)
+    yield Check("kernels: D5 small orbit 16, large orbit 1",
+                (k_small, k_large) == (16, 1),
+                "got %d, %d" % (k_small, k_large))
 
-    if within(192):
-        d = y_diagram(1, 1, 1)
-        ks = kernel_orders(d, orbit_tables(d), 192)
-        out.append(Check("kernels: D4 all three orbits have kernel of order 8",
-                         ks == [8, 8, 8], "got %s" % ks))
+    d = y_diagram(1, 1, 3)
+    large = max(orbit_tables(d), key=lambda t: t.size)
+    k = action_kernel_order(d, large, 23040)
+    yield Check("kernels: D6 large orbit has kernel of order 2",
+                k == 2, "got %d" % k)
 
-    if within(1920):
-        d = y_diagram(1, 1, 2)
-        tabs = {t.size: t for t in orbit_tables(d)}
-        k_small, k_large = kernel_orders(d, [tabs[10], tabs[60]], 1920)
-        out.append(Check("kernels: D5 small orbit 16, large orbit 1",
-                         (k_small, k_large) == (16, 1),
-                         "got %d, %d" % (k_small, k_large)))
+    d = y_diagram(1, 2, 2)
+    (t,) = orbit_tables(d)
+    k = action_kernel_order(d, t, 51840)
+    yield Check("kernels: E6 action is faithful", k == 1, "got %d" % k)
 
-    if within(23040):
-        d = y_diagram(1, 1, 3)
-        large = max(orbit_tables(d), key=lambda t: t.size)
-        k = action_kernel_order(d, large, 23040)
-        out.append(Check("kernels: D6 large orbit has kernel of order 2",
-                         k == 2, "got %d" % k))
-
-    if within(51840):
-        d = y_diagram(1, 2, 2)
-        (t,) = orbit_tables(d)
-        k = action_kernel_order(d, t, 51840)
-        out.append(Check("kernels: E6 action is faithful", k == 1,
-                         "got %d" % k))
-
-    if within(1920):
-        bad = []
-        for d in map(_family, ["A4", "D4", "D5"]):
-            gens = [np.array(m, dtype=np.int64) for m in simple_matrices(d)]
-            walk = {g.tobytes() for g in closure(
-                [np.eye(d.n, dtype=np.int64)], lambda g: (g @ r for r in gens),
-                key=np.ndarray.tobytes)}
-            ws = [w.tobytes() for w in _weyl_group(d, 1920).astype(np.int64)]
-            if len(set(ws)) != len(ws) or set(ws) != walk:
-                bad.append(repr(d))
-        out.append(Check("kernels: the Weyl group tree walk has distinct "
-                         "elements and equals the closure of the simple "
-                         "reflections on A4, D4, D5", not bad,
-                         "mismatches: %s" % (bad or "none")))
-    return out
+    bad = []
+    for d in map(_family, ["A4", "D4", "D5"]):
+        gens = [np.array(m, dtype=np.int64) for m in simple_matrices(d)]
+        walk = {g.tobytes() for g in closure(
+            [np.eye(d.n, dtype=np.int64)], lambda g: (g @ r for r in gens),
+            key=np.ndarray.tobytes)}
+        ws = [w.tobytes() for w in _weyl_group(d, 1920).astype(np.int64)]
+        if len(set(ws)) != len(ws) or set(ws) != walk:
+            bad.append(repr(d))
+    yield _listed("kernels: the Weyl group tree walk has distinct elements "
+                  "and equals the closure of the simple reflections on A4, "
+                  "D4, D5", bad)
 
 
 # --- 8. algebraic identities -----------------------------------------------
 
 def suite_identities(seed=0):
-    out = []
     for tag in ["D5", "E6"]:
         d = _family(tag)
         basis = canonical_basis(d)
@@ -647,10 +619,9 @@ def suite_identities(seed=0):
                 if lhs != linalg.mat(bprime(d, t, e.matrix)
                                      * linalg.exact(t)):
                     bad += 1
-        out.append(Check("identities: %s composite projection equals B' "
-                         "coefficient on all %d cases"
-                         % (tag, len(pairs) * len(basis)), bad == 0,
-                         "%d failures" % bad))
+        yield _counted("identities: %s composite projection equals B' "
+                       "coefficient on all %d cases"
+                       % (tag, len(pairs) * len(basis)), bad)
 
         sm = simple_matrices(d)
         bad = 0
@@ -670,11 +641,10 @@ def suite_identities(seed=0):
                     isroot = is_root(d, v) or is_root(d, negate(v))
                     if isroot != (abs(x) == 1 or abs(y) == 1):
                         crit_bad += 1
-        out.append(Check("identities: %s reflection formula "
-                         "s(a v b) = a v b + g v (xy g - x b - y a)" % tag,
-                         bad == 0, "%d failures" % bad))
-        out.append(Check("identities: %s correction root test |x|=1 or |y|=1"
-                         % tag, crit_bad == 0, "%d failures" % crit_bad))
+        yield _counted("identities: %s reflection formula "
+                       "s(a v b) = a v b + g v (xy g - x b - y a)" % tag, bad)
+        yield _counted("identities: %s correction root test |x|=1 or |y|=1"
+                       % tag, crit_bad)
 
         bad = 0
         for e in basis.elements:
@@ -689,9 +659,8 @@ def suite_identities(seed=0):
                     ok = v in (-1, 0, 1)
                 if not ok:
                     bad += 1
-        out.append(Check("identities: %s elementary roots pair with simples "
-                         "in {-1,0,1} away from their vertex" % tag,
-                         bad == 0, "%d failures" % bad))
+        yield _counted("identities: %s elementary roots pair with simples "
+                       "in {-1,0,1} away from their vertex" % tag, bad)
 
         bad = 0
         for g, act in enumerate(basis.action_matrices_np()):
@@ -702,9 +671,8 @@ def suite_identities(seed=0):
                 if not shape_ok or basis.expand(
                         apply_simple(d, g, e.matrix)) != col:
                     bad += 1
-        out.append(Check("identities: %s reflection action is fix, negate, "
-                         "or add a single partner" % tag, bad == 0,
-                         "%d failures" % bad))
+        yield _counted("identities: %s reflection action is fix, negate, "
+                       "or add a single partner" % tag, bad)
 
         bad = 0
         for i in range(d.n):
@@ -718,17 +686,16 @@ def suite_identities(seed=0):
                         or not set(img) <= set(basis.wrt(j))
                         or any(g[f[k]] != k for k in basis.wrt(i))):
                     bad += 1
-        out.append(Check("identities: %s star maps are inverse bijections "
-                         "between adjacent classes" % tag, bad == 0,
-                         "%d failures" % bad))
+        yield _counted("identities: %s star maps are inverse bijections "
+                       "between adjacent classes" % tag, bad)
 
     d6 = y_diagram(1, 1, 3)
     word = [4, 5, 3, 4, 0, 3, 1, 0]
     got = pair_action(d6, word, (simple_root(d6, 1), simple_root(d6, 2)))
     top = positive_roots(d6, None)[-1]
-    out.append(Check("identities: D6 braid word carries the leaf pair to "
-                     "(leaf, highest root)",
-                     got == (simple_root(d6, 5), top), "got %s" % (got,)))
+    yield Check("identities: D6 braid word carries the leaf pair to "
+                "(leaf, highest root)",
+                got == (simple_root(d6, 5), top), "got %s" % (got,))
 
     reports = []
     all_found = True
@@ -751,10 +718,9 @@ def suite_identities(seed=0):
                     found += 1
         reports.append("%s %d/%d" % (tag, found, total))
         all_found = all_found and found == total
-    out.append(Check("identities: add-case partner 2-roots conjugate under "
-                     "the rank-3 reflection subgroup", all_found,
-                     ", ".join(reports)))
-    return out
+    yield Check("identities: add-case partner 2-roots conjugate under "
+                "the rank-3 reflection subgroup", all_found,
+                ", ".join(reports))
 
 
 def _rank3_orbit_reaches(d, src, dst, gens, cap=100000):
@@ -818,27 +784,25 @@ expansion:
 
 
 def suite_skein(seed=0):
-    out = []
     a3 = path_diagram(3)
     pair = ((1, 1, 0), (0, 1, 1))
     got = render_skein(a3, pair)
-    out.append(Check("skein: A3 crossing resolves into two plain terms",
-                     got == A3_SKEIN))
+    yield Check("skein: A3 crossing resolves into two plain terms",
+                got == A3_SKEIN)
     arcs = arc_diagram(a3, pair).arcs
-    out.append(Check("skein: A3 input arcs are 1-3 and 2-4",
-                     arcs == ((1, 3, False), (2, 4, False)),
-                     "got %s" % (arcs,)))
+    yield Check("skein: A3 input arcs are 1-3 and 2-4",
+                arcs == ((1, 3, False), (2, 4, False)),
+                "got %s" % (arcs,))
 
     d4 = y_diagram(1, 1, 1)
     pair = ((1, 0, 1, 1), (1, 1, 1, 0))
     got = render_skein(d4, pair)
-    out.append(Check("skein: D4 starred crossing resolves into three terms",
-                     got == D4_SKEIN))
+    yield Check("skein: D4 starred crossing resolves into three terms",
+                got == D4_SKEIN)
     arcs = arc_diagram(d4, pair).arcs
-    out.append(Check("skein: D4 input arcs are 1+4 and 2+3 starred",
-                     arcs == ((1, 4, True), (2, 3, True)),
-                     "got %s" % (arcs,)))
-    return out
+    yield Check("skein: D4 input arcs are 1+4 and 2+3 starred",
+                arcs == ((1, 4, True), (2, 3, True)),
+                "got %s" % (arcs,))
 
 
 # --- 10. norm 2 witnesses beyond affine type -------------------------------
@@ -851,16 +815,14 @@ WITNESS_DELTAS = {
 
 
 def suite_witness(seed=0):
-    out = []
     for spec, want_delta in sorted(WITNESS_DELTAS.items()):
         w = norm2_witness(*spec)
         ok = (w["norm"] == 2 and w["sign_coherent"] and w["sign"] == 1
               and w["delta"] == want_delta
               and all(isinstance(c, int) and c >= 0 for c in w["coords"]))
-        out.append(Check("witness: Y%s norm 2 element with one-signed "
-                         "expansion" % (spec,), ok,
-                         "norm %s sign %s" % (w["norm"], w["sign"])))
-    return out
+        yield Check("witness: Y%s norm 2 element with one-signed "
+                    "expansion" % (spec,), ok,
+                    "norm %s sign %s" % (w["norm"], w["sign"]))
 
 
 SUITES = {
@@ -877,20 +839,15 @@ SUITES = {
 }
 
 
-def run_suites(names, seed=0, max_order=None):
+def run_suites(names, seed=0):
+    """The checks of the named suites in the order named, each suite once;
+    "all" stands for every suite in SUITES order."""
     expanded = []
     for name in names:
-        if name == "all":
-            expanded.extend(k for k in SUITES if k not in expanded)
-        elif name not in expanded:
-            expanded.append(name)
-    out = []
-    for name in expanded:
-        fn = SUITES.get(name)
-        if fn is None:
-            raise ValueError("unknown suite %r" % (name,))
-        if name == "kernels":
-            out.extend(fn(seed=seed, max_order=max_order))
-        else:
-            out.extend(fn(seed=seed))
-    return out
+        for k in SUITES if name == "all" else [name]:
+            if k not in SUITES:
+                raise ValueError("unknown suite %r" % (k,))
+            if k not in expanded:
+                expanded.append(k)
+    return list(itertools.chain.from_iterable(
+        SUITES[k](seed=seed) for k in expanded))

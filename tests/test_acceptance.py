@@ -11,10 +11,7 @@ def _run(suite, budget, label):
     checks = run_suites([suite], seed=0)
     dt = time.monotonic() - t0
     for c in checks:
-        line = ("PASS " if c.ok else "FAIL ") + c.name
-        if c.detail:
-            line += ": " + c.detail
-        print(line)
+        print(c.line())
     print("%s: %d checks in %.1fs (budget %ds)"
           % (label, len(checks), dt, budget))
     bad = [(c.name, c.detail) for c in checks if not c.ok]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tworoots import forms
+from tworoots import cli, forms, verify
 from tworoots.cli import build_parser, main
 from tworoots.diagram import y_diagram
 from tworoots.orbits import orbit_tables
@@ -296,15 +296,6 @@ def test_kernel_refuses_e7_before_walking(capsys):
     assert err.startswith("error:") and "state cap" in err
 
 
-def test_verify_kernels_order_cap(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "kernels",
-                       "--max-order", "200")
-    assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("PASS")]
-    assert len(lines) == 1  # only the 192-element group qualifies
-    assert "D4" in lines[0]
-
-
 def test_verify_seed_is_deterministic(capsys):
     runs = []
     for _ in range(2):
@@ -322,6 +313,41 @@ def test_verify_accepts_all(capsys):
                        "--suite", "witness")
     assert code == 0
     assert out.splitlines()[-1].endswith("0 failed")
+
+
+def test_plain_verify_is_suite_all_in_suites_order(capsys, monkeypatch):
+    """Two cheap generator suites stand in for the real ones: plain verify
+    prints what --suite all prints, in SUITES order (b before a), and
+    repeated --suite flags keep the order given."""
+    def suite_b(seed=0):
+        yield verify.Check("b: first", True, "seed %d" % seed)
+        yield verify.Check("b: second", True)
+
+    def suite_a(seed=0):
+        yield verify.Check("a: only", False, "1 failures")
+
+    fake = {"b": suite_b, "a": suite_a}
+    monkeypatch.setattr(verify, "SUITES", fake)
+    monkeypatch.setattr(cli, "SUITES", fake)
+    plain = run(capsys, "verify", "--seed", "3")
+    assert plain == run(capsys, "verify", "--suite", "all", "--seed", "3")
+    assert plain == (1, "PASS b: first: seed 3\nPASS b: second\n"
+                        "FAIL a: only: 1 failures\n3 checks, 1 failed\n", "")
+    code, out, _ = run(capsys, "verify", "--suite", "a", "--suite", "b")
+    assert [l.split(":")[0] for l in out.splitlines()[:-1]] \
+        == ["FAIL a", "PASS b", "PASS b"]
+    code, out, _ = run(capsys, "verify", "--suite", "b", "--suite", "a",
+                       "--suite", "b")
+    assert [l.split(":")[0] for l in out.splitlines()[:-1]] \
+        == ["PASS b", "PASS b", "FAIL a"]
+
+
+def test_verify_has_no_max_order(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--max-order", "5"])
+    assert e.value.code == 2
+    assert "--max-order" in capsys.readouterr().err
+
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:

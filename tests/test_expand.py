@@ -12,7 +12,7 @@ from tworoots import linalg
 from tworoots.diagram import path_diagram, y_diagram
 from tworoots.orbits import orbit_tables, pair_action
 from tworoots.roots import bform, negate, positive_roots
-from tworoots.symsquare import canonical_basis, standard_coords, vee
+from tworoots.symsquare import _upper, canonical_basis, standard_coords, vee
 
 
 def exact_solve(b, s):
@@ -66,7 +66,7 @@ def test_routes_agree_at_the_int64_cap(d, past):
     """Largest entry exactly cap takes the int64 route, cap + 1 the exact
     one; the answers are the same either way."""
     b = canonical_basis(d)
-    cap = b._int64_solve[2]
+    cap = b._cap
     k = unit_element(b)
     for sign in (1, -1):
         coords = tuple(sign * (cap + past) if j == k else 0
@@ -98,10 +98,11 @@ def test_expand_refuses_a_matrix_whose_int64_check_would_wrap():
     0 in int64.  The entries are past the cap, so the exact route sees the
     nonzero value."""
     b = canonical_basis(y_diagram(1, 1, 1))
-    upper, solve64, cap = b._int64_solve
+    upper = np.triu_indices(4)
     s = tuple(tuple(2**62 if i == j < 2 else 0 for j in range(4))
               for i in range(4))
-    assert 2**62 > cap and not (solve64 @ np.array(s)[upper])[len(b):].any()
+    assert 2**62 > b._cap and b._solve.dtype == np.int64
+    assert not (b._solve @ np.array(s)[upper])[len(b):].any()
     with pytest.raises(ValueError, match="trace"):
         b.expand(s)
 
@@ -215,17 +216,16 @@ def test_expand_pair_expands_or_refuses(d, data):
 @pytest.mark.parametrize("d", [y_diagram(1, 2, 4), y_diagram(1, 1, 17),
                                y_diagram(4, 4, 4)], ids=["E8", "D20", "Y444"])
 def test_int64_solve_is_built_with_the_basis(d):
-    """The (upper, solve64, cap) triple is there before the first expand,
-    and cap is the int64 bound over the row L1 norms of _solve."""
+    """The int64 solve and its cap are there before the first expand, cap
+    is the int64 bound over the row L1 norms of _solve, and expand's
+    upper triangle index is standard_coords order."""
     b = canonical_basis(d)
-    assert "_int64_solve" in vars(b)
-    upper, solve64, cap = b._int64_solve
-    assert solve64.dtype == np.int64
-    assert solve64.tolist() == b._solve.tolist()
+    assert {"_solve", "_cap"} <= vars(b).keys()
+    assert b._solve.dtype == np.int64
     norm = max(sum(abs(x) for x in row) for row in b._solve.tolist())
-    assert type(cap) is int and cap == (2**63 - 1) // norm
-    assert [u.tolist() for u in upper] == [list(u) for u in
-                                           np.triu_indices(d.n)]
+    assert type(b._cap) is int and b._cap == (2**63 - 1) // norm
+    assert [u.tolist() for u in _upper(d.n)] == [list(u) for u in
+                                                 np.triu_indices(d.n)]
 
 
 @pytest.mark.parametrize("d", [y_diagram(1, 1, 1), y_diagram(1, 2, 4)],

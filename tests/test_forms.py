@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import numpy as np
+from hypothesis import given, seed, settings, strategies as st
 
 import tworoots
 from tworoots import linalg
@@ -17,8 +18,8 @@ from tworoots.forms import (_weyl_group, _weyl_walk, action_kernel_order,
                             virasoro)
 from tworoots.orbits import orbit_tables
 from tworoots.roots import closure, positive_roots, simple_root
-from tworoots.symsquare import (canonical_basis, m_functional, simple_matrices,
-                                standard_coords, vee)
+from tworoots.symsquare import (apply_word, canonical_basis, m_functional,
+                                simple_matrices, standard_coords, vee)
 
 
 def test_btilde_symmetric_and_even():
@@ -312,3 +313,23 @@ def test_kernel_intersection(d, expected):
     rep = kernel_intersection(d)
     assert (rep["group_order"], rep["kernel_orders"],
             rep["intersection_order"], rep["is_center"]) == expected
+
+
+# --- seeded property -------------------------------------------------------
+
+@seed(1701)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([path_diagram(4), y_diagram(1, 1, 2),
+                        y_diagram(1, 2, 2), y_diagram(2, 2, 3)]), st.data())
+def test_half_form_is_reflection_invariant(d, data):
+    """On A4, D5, E6 and Y(2,2,3) the half form pairs s_i t1 with s_i t2
+    as it pairs t1 with t2, for basis elements moved by words of up to 8
+    letters."""
+    letter = st.integers(0, d.n - 1)
+    t1, t2 = (apply_word(d, data.draw(st.lists(letter, max_size=8)),
+                         data.draw(st.sampled_from(
+                             canonical_basis(d).elements)).matrix)
+              for _ in range(2))
+    i = data.draw(letter)
+    assert gram(d, [apply_word(d, [i], t1), apply_word(d, [i], t2)]) \
+        == gram(d, [t1, t2])
