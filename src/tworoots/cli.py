@@ -16,8 +16,8 @@ import sys
 
 from .diagram import (Diagram, TypeClass, classify, diagram_to_json,
                       path_diagram, weyl_order, y_diagram)
-from .forms import (affine_radical_witness, decompose_s2v, kernel_orders,
-                    norm2_witness)
+from .forms import (STATE_CAP, affine_radical_witness, decompose_s2v,
+                    kernel_orders, norm2_witness)
 from .orbits import closed_form_highest, orbit_tables
 from .roots import paper_labels, positive_roots, simple_root
 from .skein import render_skein
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("kernel", cmd_kernel, "kernel of the group action on an orbit "
                                   "summand (practical for rank <= 7)")
     p.add_argument("--orbit", type=int, default=None, help="orbit id")
-    p.add_argument("--max-order", type=int, default=10 ** 6,
+    p.add_argument("--max-order", type=int, default=STATE_CAP,
                    help="abort if the Weyl group exceeds this order")
 
     p = add("skein", cmd_skein, "arc picture of a 2-root and its expansion")
@@ -349,6 +349,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, RuntimeError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print("error: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return 2
 
 

@@ -147,6 +147,10 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
     return report
 
 
+# The default cap on the order of a Weyl group walked element by element.
+STATE_CAP = 10 ** 6
+
+
 def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
     """The elements of W as a read-only int8 stack of matrices on
     coefficient columns, by length from the identity (see _weyl_walk).  A
@@ -262,7 +266,7 @@ def _kernel(d: Diagram, group: np.ndarray, members) -> np.ndarray:
 
 
 def kernel_orders(d: Diagram, tables, group_order: int,
-                  state_cap: int = 10 ** 6) -> list[int]:
+                  state_cap: int = STATE_CAP) -> list[int]:
     """Orders of the kernels of the Weyl group action on the given orbit
     summands, from one walk of W in the reflection representation: the
     elements that fix every basis 2-root of a summand.  The walk must find
@@ -275,13 +279,13 @@ def kernel_orders(d: Diagram, tables, group_order: int,
 
 
 def action_kernel_order(d: Diagram, table, group_order: int,
-                        state_cap: int = 10 ** 6) -> int:
+                        state_cap: int = STATE_CAP) -> int:
     """Order of the kernel of the Weyl group action on one orbit summand;
     see kernel_orders."""
     return kernel_orders(d, [table], group_order, state_cap)[0]
 
 
-def kernel_intersection(d: Diagram, state_cap: int = 10 ** 6) -> dict:
+def kernel_intersection(d: Diagram, state_cap: int = STATE_CAP) -> dict:
     """Walks the Weyl group once, collects for each summand of the
     canonical basis the elements acting trivially on it, and intersects
     those kernels.  Reports the group order, the per-summand kernel

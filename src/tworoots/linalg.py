@@ -10,11 +10,13 @@ There are two eliminations.  Over the rationals rref_int is Bareiss's
 fraction-free pass on Python ints.  Mod a prime p, which check_prime
 alone vets, it is Gauss-Jordan (rref_mod) on the uint64 array
 residues(m, p), exact as no product of two residues, (p - 1)**2 < 2**64
-at most, can wrap.  The modular pass also certifies rational answers: an
-integer matrix has at least its rank mod p over Q, so full column rank
-mod CERT_PRIME proves a zero nullspace over Q without the Bareiss pass
-(the "cheap solve, exact certificate" pattern: Dixon, Numer. Math. 40,
-1982; Wan, J. Symb. Comput. 41, 2006).
+at most, can wrap.  The modular pass also certifies rational answers (the
+"cheap solve, exact certificate" pattern: Dixon, Numer. Math. 40, 1982;
+Wan, J. Symb. Comput. 41, 2006): an integer matrix has at least its rank
+mod p over Q, so full column rank mod CERT_PRIME proves a zero nullspace
+over Q without the Bareiss pass, and the solve of [C | I] mod CERT_PRIME,
+lifted to integers, is proven by one float64 product (lifted_solve).
+rref_solve is its Bareiss fallback, and inverse its square case.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 Vec = tuple
 Mat = tuple
 
-# The prime of the certified routes here and in symsquare: the largest
-# prime below 2**31, so symmetric residues and their products fit int64.
+# The prime of the certified routes: the largest prime below 2**31, so
+# symmetric residues and their products fit int64.
 CERT_PRIME = 2**31 - 1
 
 
@@ -189,12 +191,68 @@ def rank(m: Mat) -> int:
 
 
 def inverse(m: Mat) -> Mat:
-    n = len(m)
-    rows, pivots, den = rref_int([list(row) + [int(i == j) for j in range(n)]
-                                  for i, row in enumerate(m)])
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return mat([Q(x, den) for x in row[n:]] for row in rows[:n])
+    """The inverse of a square matrix, as Fractions: E M = I (rref_solve)."""
+    x, den = rref_solve(exact(m).reshape(len(m), len(m)))
+    return mat([Q(v, den) for v in row] for row in x.tolist())
+
+
+def rref_solve(cols) -> tuple[np.ndarray, int]:
+    """(solve, den) for the columns C (dim x k, ints or Fractions) of k
+    independent vectors, from rref_int over the rationals of [C | I]; raises
+    ValueError, "singular", when they are dependent.  The result is
+    [[I; 0] | E] with E C = [I; 0], so the first k rows of E are a left
+    inverse of C and the others cut out its span.  den is the least
+    common denominator of E's entries and solve = den E, an object array
+    of Python ints."""
+    dim, k = cols.shape
+    red, pivots, den = rref_int(np.hstack(
+        [cols.astype(object), np.eye(dim, dtype=object)]))
+    if pivots[:k] != tuple(range(k)):
+        raise ValueError("matrix is singular: its columns are dependent")
+    g = math.gcd(den, *(x for row in red for x in row[k:]))
+    return exact([[x // g for x in row[k:]] for row in red]), den // g
+
+
+def lifted_solve(cols) -> tuple[np.ndarray, int] | None:
+    """rref_solve's (solve, den) for the int64 columns C, with solve in
+    int64, from rref_mod of [C | I] mod P = CERT_PRIME and one exact
+    check; None when C has rank below k mod P, the check's bound fails or
+    the check fails.
+
+    The right block E_P of the form mod P is lifted once: L holds the
+    symmetric residues of 2 E_P, halved with den = 1 when every one is
+    even, and den = 2 otherwise (E has denominators dividing 2 on every
+    diagram tried).  Then L C = [den I; 0] is checked in float64, which
+    is exact when max |L| max |C| dim < 2**53: every product and partial
+    sum is then an integer float64 holds exactly.  Symmetric residues
+    give max |L| < 2**30 and the canonical columns have max |C| = 2 on
+    every diagram tried, so the bound holds for dim below 2**22, far past
+    any basis that fits in memory; past the bound the result is None and
+    rref_solve takes over.  L has full rank, as its determinant is
+    den**dim det(E_P), nonzero mod P; so its functionals are independent.
+    It is also exactly rref_solve's matrix: a symmetric residue is 0 only
+    at 0, so L / den has the zeros and unit pivots of E_P, and with the
+    check (L / den) [C | I] = [[I; 0] | L / den] is in reduced row echelon
+    form over Q and row-equivalent to [C | I]; that form is unique, so
+    L / den = E.  den is least, as at den 2 some entry of L = 2 E is odd."""
+    p = CERT_PRIME
+    dim, k = cols.shape
+    a = np.hstack([cols % p, np.eye(dim, dtype=np.int64)]).astype(np.uint64)
+    if rref_mod(a, p)[:k] != tuple(range(k)):
+        return None
+    lift = 2 * a[:, k:].astype(np.int64) % p
+    lift = np.where(lift > p // 2, lift - p, lift)
+    den = 2 if (lift % 2).any() else 1
+    if den == 1:
+        lift //= 2
+    bound = (int(np.abs(lift).max()) * int(np.abs(cols).max(initial=0))
+             * dim)
+    if bound >= 2**53:
+        return None
+    check = lift.astype(np.float64) @ cols.astype(np.float64)
+    if (check != den * np.eye(dim, k, dtype=np.int64)).any():
+        return None
+    return lift, den
 
 
 def nullspace_rref(m: Mat, p: int | None = None) -> tuple[Vec, ...]:

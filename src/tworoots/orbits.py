@@ -24,7 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .diagram import Diagram, TypeClass, cartan, classify, neighbors
+from .diagram import (Diagram, TypeClass, cartan, classify, neighbors,
+                      parabolic_restrict)
 from .roots import (Root, bform, height, is_positive, negate, positive_roots,
                     root_from_labels, simple_reflect)
 from .symsquare import (SymMatrix, canonical_basis, pair_coords_np,
@@ -307,7 +308,11 @@ def monoidal_covers(d: Diagram, p: Pair) -> tuple[tuple[int, Pair], ...]:
     return tuple(out)
 
 
-def highest_pair(d: Diagram, p: Pair, rng=None, max_steps: int = 100000) -> Pair:
+# highest_pair's step budget; a finite-type climb stops at the top height.
+CLIMB_STEPS = 100000
+
+
+def highest_pair(d: Diagram, p: Pair, rng=None) -> Pair:
     """Climb from p by simple reflections that strictly increase the
     expansion coordinates, until none applies.  The scan order is fixed
     unless an rng is supplied to shuffle it.  Each step computes, for
@@ -321,7 +326,7 @@ def highest_pair(d: Diagram, p: Pair, rng=None, max_steps: int = 100000) -> Pair
     c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
     rows, cols, coefs = basis._rows
     order = list(range(d.n))
-    for _ in range(max_steps):
+    for _ in range(CLIMB_STEPS):
         if rng is not None:
             rng.shuffle(order)
         new = np.einsum("lrw,lrw->lr", c[cols], coefs)
@@ -343,8 +348,14 @@ def ht2_of_pair(d: Diagram, p: Pair) -> int:
 # --- closed forms for the highest elements ---------------------------------
 
 def closed_form_highest(d: Diagram) -> tuple[Pair, ...]:
-    """The known highest 2-roots of the finite types, one per orbit."""
+    """The known highest 2-roots of the finite types, one per orbit; a fork
+    with arms out of order maps back those of its parabolic_restrict."""
     n = d.n
+    if list(d.arms) != sorted(d.arms) and classify(d) is TypeClass.FINITE:
+        canon, new = parabolic_restrict(d, range(n))
+        return tuple(root_pair(*(tuple(r[new[v]] for v in range(n))
+                                 for r in top))
+                     for top in closed_form_highest(canon))
     if d.kind == "Path":
         if n < 3:
             return ()

@@ -9,13 +9,10 @@ on linalg's exact object arrays, and every matrix handed out is a tuple of
 row tuples of Python ints and Fractions, so that it can be a dict key.
 
 The canonical basis pairs each simple root alpha_i with its elementary
-partners.  One elimination per diagram turns it into two integer
+partners.  One certified elimination per diagram (linalg.lifted_solve, or
+linalg.rref_solve when its proof fails) turns it into two integer
 matrices: a scaled left inverse that gives the coordinates over the basis,
-and the functionals that vanish on its span.  The elimination runs mod the
-prime linalg.CERT_PRIME in uint64, its result is lifted to integers, and
-one exact product proves the lift equal to the rational answer
-(lifted_solve); if the proof fails, the Bareiss pass over Q
-(rref_solve) gives the matrices instead.  expand multiplies by them in
+and the functionals that vanish on its span.  expand multiplies by them in
 int64 when every entry of the input is at most a cap, (2**63 - 1) over the
 largest row sum of |entries| of the two matrices, so that no sum can
 overflow; past the cap, and on Fractions, it falls back to the exact
@@ -29,7 +26,6 @@ identity.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -124,69 +120,6 @@ def root_pair(a, b) -> tuple[Root, Root]:
 
 # --- canonical basis -------------------------------------------------------
 
-def rref_solve(cols) -> tuple[np.ndarray, int]:
-    """(solve, den) for the integer columns C (dim x k) of k independent
-    elements, from rref_int over the rationals of [C | I].  The result is
-    [[I; 0] | E] with E C = [I; 0], so the first k rows of E are a left
-    inverse of C and the others cut out its span.  den is the least
-    common denominator of E's entries and solve = den E, an object array
-    of Python ints."""
-    dim, k = cols.shape
-    red, pivots, den = linalg.rref_int(np.hstack(
-        [cols.astype(object), np.eye(dim, dtype=object)]))
-    if pivots[:k] != tuple(range(k)):
-        raise RuntimeError("canonical elements are not independent")
-    # The right block is E times den; keep it over the least common
-    # denominator of E's entries.
-    g = math.gcd(den, *(x for row in red for x in row[k:]))
-    return linalg.exact([[x // g for x in row[k:]] for row in red]), den // g
-
-
-def lifted_solve(cols) -> tuple[np.ndarray, int] | None:
-    """rref_solve's (solve, den), with solve in int64, from linalg.rref_mod
-    of [C | I] mod P = linalg.CERT_PRIME and one exact check; None when
-    C has rank below k mod P, the check's bound fails or the check
-    fails.
-
-    The right block E_P of the form mod P is lifted to L, the symmetric
-    residues of den E_P, where den is 1 or 2, whichever gives the smaller
-    largest residue: E has denominators dividing 2 on every diagram
-    tried, and a half-integer lifts to about P / 2 at den 1.  Then
-    L C = [den I; 0] is checked in float64, which is exact when
-    max |L| max |C| dim < 2**53: every product and partial sum is then
-    an integer float64 holds exactly.  Symmetric residues give
-    max |L| < 2**30 and the canonical columns have max |C| = 2 on every
-    diagram tried, so the bound holds for dim below 2**22, far past any
-    basis that fits in memory; past the bound the result is None and
-    rref_solve takes over.  L has full rank, as its determinant is
-    den**dim det(E_P), nonzero mod P; so its functionals are independent.
-    It is also exactly rref_solve's matrix: a symmetric residue is 0 only
-    at 0, so L / den has the zeros and unit pivots of E_P, and with the
-    check (L / den) [C | I] = [[I; 0] | L / den] is in reduced row echelon
-    form over Q and row-equivalent to [C | I]; that form is unique, so
-    L / den = E.  And den is E's least denominator: were den 2 and every
-    entry of L = 2 E even, E would be an integer matrix with entries at
-    most P / 4, so the lifts at den 1 would be E itself, half the size of
-    L, and den 1 would have been chosen."""
-    p = linalg.CERT_PRIME
-    dim, k = cols.shape
-    a = np.hstack([cols % p, np.eye(dim, dtype=np.int64)]).astype(np.uint64)
-    if linalg.rref_mod(a, p)[:k] != tuple(range(k)):
-        return None
-    e = a[:, k:].astype(np.int64)
-    lifts = [np.where(x > p // 2, x - p, x) for x in (e, 2 * e % p)]
-    den = 1 if np.abs(lifts[0]).max() <= np.abs(lifts[1]).max() else 2
-    lift = lifts[den - 1]
-    bound = (int(np.abs(lift).max()) * int(np.abs(cols).max(initial=0))
-             * dim)
-    if bound >= 2**53:
-        return None
-    check = lift.astype(np.float64) @ cols.astype(np.float64)
-    if (check != den * np.eye(dim, k, dtype=np.int64)).any():
-        return None
-    return lift, den
-
-
 @dataclass(frozen=True)
 class BasisElement:
     matrix: SymMatrix
@@ -225,7 +158,7 @@ class CanonicalBasis:
             assert k == (d.n - 2) * (d.n + 1) // 2
 
         cols = self._coords.T
-        solve, self._den = lifted_solve(cols) or rref_solve(cols)
+        solve, self._den = linalg.lifted_solve(cols) or linalg.rref_solve(cols)
         # First k rows: the left inverse times _den; the rest: the span's
         # functionals.  _cap is the largest |entry| of an input that
         # expand multiplies in int64: 2**63 - 1 floor-divided by the
@@ -506,8 +439,7 @@ def sign_coherent(coords) -> tuple[bool, int | None]:
 
 # --- component recovery ---------------------------------------------------
 
-def components(d: Diagram, s: SymMatrix,
-               height_bound: int | None = None) -> tuple[Root, Root]:
+def components(d: Diagram, s: SymMatrix) -> tuple[Root, Root]:
     """Recover {alpha, beta} from the matrix of alpha v beta.  Candidate
     first components are enumerated roots; the partner is then forced
     linearly and checked exactly.  The returned pair is canonically
@@ -516,10 +448,7 @@ def components(d: Diagram, s: SymMatrix,
         raise ValueError("the zero element has no components")
     n = d.n
     maxe = max(abs(x) for row in s for x in row)
-    if classify(d) is TypeClass.FINITE:
-        bound = None
-    else:
-        bound = height_bound if height_bound is not None else n * maxe + 2
+    bound = None if classify(d) is TypeClass.FINITE else n * maxe + 2
     for a in positive_roots(d, bound):
         k = next(i for i in range(n) if a[i] != 0)
         bk = Q(s[k][k], 2 * a[k])

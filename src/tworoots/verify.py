@@ -29,8 +29,8 @@ from .roots import (bform, epsilon_coords, height, is_positive,
                     simple_root, theta)
 from .skein import arc_diagram, render_skein
 from .symsquare import (apply_simple, apply_word, canonical_basis, conjugate,
-                        m_functional, reflection_matrix, rref_solve,
-                        sign_coherent, simple_matrices, standard_coords, vee)
+                        m_functional, reflection_matrix, sign_coherent,
+                        simple_matrices, standard_coords, vee)
 
 
 @dataclass(frozen=True)
@@ -547,7 +547,7 @@ def suite_forms(seed=0):
     diagrams = [_family(tag) for tag in tags] + forks
     for d in diagrams:
         basis = canonical_basis(d)
-        solve, den = rref_solve(basis._coords.T)
+        solve, den = linalg.rref_solve(basis._coords.T)
         if classify(d) is TypeClass.FINITE:
             summands = basis.summands()
         else:
@@ -723,18 +723,13 @@ def suite_identities(seed=0):
                 ", ".join(reports))
 
 
-def _rank3_orbit_reaches(d, src, dst, gens, cap=100000):
+def _rank3_orbit_reaches(d, src, dst, gens):
     """Whether dst lies in the orbit of the 2-root src under the subgroup
     generated by reflections in the three given roots; gives up after
-    cap orbit members."""
+    100001 orbit members."""
     mats = [reflection_matrix(d, g) for g in gens]
     orbit = closure([src], lambda s: (conjugate(m, s) for m in mats))
-    for count, s in enumerate(orbit, start=1):
-        if s == dst:
-            return True
-        if count > cap:
-            return False
-    return False
+    return dst in itertools.islice(orbit, 100001)
 
 
 # --- 9. arc pictures -------------------------------------------------------

@@ -90,6 +90,15 @@ def test_highest_heights(capsys):
     assert "(height 28)" in out
 
 
+def test_highest_takes_any_arm_order(capsys):
+    """Y(2,1,1) is D5 numbered with its long arm first: D5's two tops, in
+    its own vertex numbers."""
+    code, out, _ = run(capsys, "highest", "--y", "2", "1", "1")
+    assert code == 0
+    assert out == ("a0+a1+a2+a4 v a0+a1+a2+a3 (height 4)\n"
+                   "a0+a1+a2+a3+a4 v 2a0+a1+a3+a4 (height 11)\n")
+
+
 def test_expand_golden(capsys):
     code, out, _ = run(capsys, "expand", "--path", "3",
                        "--components", "1,1,0;0,1,1")
@@ -150,6 +159,55 @@ def test_decompose_json(capsys):
     assert code == 0
     assert data["complement_dim"] == 0
     assert len(data["orbit_summands"]) == 2
+
+
+def test_decompose_indefinite(capsys):
+    """An indefinite fork has no orbit summands: one module radical."""
+    code, out, _ = run(capsys, "decompose", "--y", "2", "2", "3")
+    assert code == 0
+    assert out == ("Y(2,2,3): indefinite\ndim S^2(V) = 36\n"
+                   "invariant line: 1\nmodule dim: 35\n"
+                   "module radical dim: 0\n")
+    code, out, _ = run(capsys, "decompose", "--y", "2", "2", "3", "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["module_radical_dim"] == 0 and data["type"] == "indefinite"
+    assert "orbit_summands" not in data
+
+
+def test_basis_with_path_labels(capsys):
+    code, out, _ = run(capsys, "basis", "--path", "4",
+                       "--paper-numbering", "a")
+    assert code == 0
+    assert out.splitlines()[0] == "  0  a1 v a4"
+    assert out.splitlines()[-1] == "total 5"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--y", "2", "2", "2", "--prime", "3"],
+     "--prime is not supported for affine diagrams"),
+    (["expand", "--path", "3", "--components", "1,1,0"],
+     "expected two coefficient vectors separated by ';'"),
+], ids=["affine-prime", "one-vector"])
+def test_refusals_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 291. MiB for an array with shape (127512, 299) "
+     "and data type int64", None),
+    ("", "out of memory"),
+], ids=["numpy", "empty"])
+def test_out_of_memory_exits_2(capsys, monkeypatch, message, shown):
+    """Running out of memory is not a failed check: one error line, exit
+    2.  The stand-in for orbit_tables raises without allocating."""
+    def exhausted(d):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "orbit_tables", exhausted)
+    code, out, err = run(capsys, "orbits", "--y", "1", "1", "21")
+    assert (code, out, err) == (2, "", "error: %s\n" % (shown or message))
 
 
 def test_decompose_affine(capsys):
@@ -340,6 +398,19 @@ def test_plain_verify_is_suite_all_in_suites_order(capsys, monkeypatch):
                        "--suite", "b")
     assert [l.split(":")[0] for l in out.splitlines()[:-1]] \
         == ["PASS b", "PASS b", "FAIL a"]
+
+
+def test_unknown_suite_runs_nothing(monkeypatch):
+    ran = []
+
+    def suite(seed=0):
+        ran.append(seed)
+        yield verify.Check("ran", True)
+
+    monkeypatch.setitem(verify.SUITES, "basis", suite)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suites(["basis", "nope"])
+    assert ran == []
 
 
 def test_verify_has_no_max_order(capsys):

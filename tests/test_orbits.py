@@ -5,6 +5,7 @@ import random
 import signal
 import subprocess
 import sys
+from itertools import permutations
 from math import comb
 from pathlib import Path
 
@@ -341,12 +342,13 @@ def test_highest_pair_takes_the_letters_of_the_full_rise_test(tag,
                 assert top == t.highest
 
 
-def test_highest_pair_step_budget():
+def test_highest_pair_step_budget(monkeypatch):
     d = y_diagram(1, 1, 1)
     t = orbit_tables(d)[0]
     low = min(t.members, key=lambda p: ht2_of_pair(d, p))
+    monkeypatch.setattr(orbits, "CLIMB_STEPS", 0)
     with pytest.raises(RuntimeError):
-        highest_pair(d, low, max_steps=0)
+        highest_pair(d, low)
 
 
 @pytest.mark.parametrize("p, match", [
@@ -363,6 +365,17 @@ def test_highest_and_ht2_refuse_pairs_that_are_not_2_roots(p, match):
 
 def test_closed_form_matches_climb_for_d6():
     d = y_diagram(1, 1, 3)
+    assert set(closed_form_highest(d)) == {t.highest for t in orbit_tables(d)}
+
+
+@pytest.mark.parametrize("arms", sorted(
+    {order for arms in [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 4),
+                        (1, 1, 5), (1, 2, 2), (1, 2, 3), (1, 2, 4)]
+     for order in permutations(arms)}), ids=lambda arms: "Y%d%d%d" % arms)
+def test_closed_forms_on_every_arm_order(arms):
+    """The 28 numberings of D4-D8 and E6-E8: the closed forms, computed on
+    the standard numbering and mapped back, are the tops of the tables."""
+    d = y_diagram(*arms)
     assert set(closed_form_highest(d)) == {t.highest for t in orbit_tables(d)}
 
 

@@ -23,6 +23,14 @@ def test_vee_symmetric():
     assert s[0][2] == 1 and s[0][0] == 0
 
 
+def test_basis_element_repr():
+    """An element prints as its vertex and partner, a_i v beta."""
+    assert [repr(e) for e in canonical_basis(y_diagram(1, 1, 1)).elements] \
+        == ["a0 v a0+a2+a3", "a0 v a0+a1+a3", "a0 v a0+a1+a2", "a1 v a3",
+            "a1 v a2", "a1 v 2a0+a1+a2+a3", "a2 v a3",
+            "a2 v 2a0+a1+a2+a3", "a3 v 2a0+a1+a2+a3"]
+
+
 def test_trace_functional_vanishes_on_two_roots():
     # m(a v b) = 2 B(a, b), so it is zero exactly on orthogonal pairs
     d = path_diagram(3)
@@ -472,8 +480,8 @@ def test_lifted_solve_is_the_rref_solve(d):
     Python ints."""
     b = canonical_basis(d)
     cols = b._coords.T
-    lifted, den = symsquare.lifted_solve(cols)
-    solve, want_den = symsquare.rref_solve(cols)
+    lifted, den = linalg.lifted_solve(cols)
+    solve, want_den = linalg.rref_solve(cols)
     assert lifted.dtype == np.int64
     assert den == want_den == b._den
     assert lifted.tolist() == solve.tolist() == b._solve.tolist()
@@ -488,7 +496,7 @@ def test_empty_basis_solve(n, dim):
     b = canonical_basis(path_diagram(n))
     assert b._solve.shape == (dim, dim) and b._den == 1
     assert b._solve.tolist() == np.eye(dim, dtype=int).tolist()
-    assert symsquare.lifted_solve(b._coords.T)[0].tolist() \
+    assert linalg.lifted_solve(b._coords.T)[0].tolist() \
         == b._solve.tolist()
 
 
@@ -501,8 +509,8 @@ def test_basis_falls_back_to_rref_when_the_lift_fails(d, monkeypatch):
     want = canonical_basis(d)
     monkeypatch.setattr(linalg, "CERT_PRIME", 3)
     b = CanonicalBasis(d)
-    assert symsquare.lifted_solve(b._coords.T) is None
-    solve, den = symsquare.rref_solve(b._coords.T)
+    assert linalg.lifted_solve(b._coords.T) is None
+    solve, den = linalg.rref_solve(b._coords.T)
     assert b._den == den == want._den
     assert b._solve.tolist() == solve.tolist() == want._solve.tolist()
     assert b._cap == want._cap
@@ -516,6 +524,6 @@ def test_lifted_solve_refuses_past_the_float64_bound():
     2**53, where float64 sums need not be exact: the lift is refused and
     rref_solve gives E with E C = (1, 0)."""
     cols = np.array([[2**52], [1]], dtype=np.int64)
-    assert symsquare.lifted_solve(cols) is None
-    solve, den = symsquare.rref_solve(cols)
+    assert linalg.lifted_solve(cols) is None
+    solve, den = linalg.rref_solve(cols)
     assert den == 1 and solve.tolist() == [[0, 1], [1, -2**52]]
