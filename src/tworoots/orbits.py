@@ -8,12 +8,17 @@ overall sign that never shows up on positive representatives.
 An orbit is walked breadth first over the pair graph, one layer of pairs
 at a time as numpy arrays, from a canonical basis element (orbit tables)
 or from any pair (orbit_of, cut at a coordinate height).  The walk keeps
-a small table of the positive roots it meets, each with the indices of
-its simple reflections, and a pair is one int64 key of its two root
-indices, so a layer is reflected by one gather and deduplicated by one
-sort of single keys (see _pair_layers for why int64 is exact).  Every
-pair carries its exact expansion over the canonical basis along every
-edge, so membership, heights, and the coordinatewise order come for free.
+a table of positive roots, each with the indices of its simple
+reflections: in finite type it is seeded with every positive root and
+filled once before the walk, on a cut walk it grows by the roots each
+layer meets.  A pair is one int64 key of its two root indices, so a layer
+is reflected by one gather and deduplicated by one sort of single keys
+(see _pair_layers for why int64 is exact).  Every pair carries its exact
+expansion over the canonical basis along every edge, each edge checked
+once, in the direction first met: the simple reflections act on the
+coordinates by involutions, so the reverse edge holds when the forward
+one does.  Membership, heights, and the coordinatewise order come for
+free.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ _KEY_SHIFT = 32
 
 
 class _RootTable:
-    """The positive roots one walk meets, interned in the order met: row k
+    """The positive roots of one walk, interned in the order given: row k
     of vec is root k, and row k of refl, once filled, holds the indices of
     its n sign-normalised simple reflections (-1 until then)."""
 
@@ -157,12 +162,15 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
     as by vee_pair, and the members' expansions over the canonical basis
     as the rows of an int64 array, carried from the start's coords.
 
-    The walk runs on indices into a _RootTable, which interns each root
-    the first time a layer holds it and fills in its n simple reflections
-    in one numpy batch per layer.  A 2-root is the one int64 key
-    lo << 32 | hi of its root indices lo < hi; an index stays below 2**31
-    (the table raises RuntimeError first), so hi fits the low 32 bits,
-    lo << 32 < 2**63, and the order of the keys is that of (lo, hi).
+    The walk runs on indices into a _RootTable.  In finite type the table
+    is seeded before the walk with every positive root, their simple
+    reflections filled in one numpy batch, as every orbit meets every
+    root; on a cut walk it interns each root the first time a layer holds
+    it and fills in its n simple reflections in one batch per layer.  A
+    2-root is the one int64 key lo << 32 | hi of its root indices
+    lo < hi; an index stays below 2**31 (the table raises RuntimeError
+    first), so hi fits the low 32 bits, lo << 32 < 2**63, and the order
+    of the keys is that of (lo, hi).
 
     Breadth first, one layer of keys (F,) and coordinates (F, K) at a
     time, with no visited set: reflections are involutions, so the next
@@ -170,13 +178,19 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
     layer is reflected by every simple root at once with one gather from
     the table, at the (pair, root) edges that move the pair; the
     coordinates of an edge are its parent's with the reflection's few
-    changed rows rewritten (CanonicalBasis.reflect_rows).  One stable
-    argsort of the keys of the three layers deduplicates, and each edge
-    must carry the coordinates first found for its pair.  A pair of
-    coordinate height above the bound is dropped and not walked from; the
-    start never is.  At the end each pair takes root_pair's order from a
-    rank of the interned roots by (height, root), and the members are
-    sorted by one lexsort of their pair_coords_np.
+    changed rows rewritten (CanonicalBasis.reflect_rows).  Each edge is
+    checked once, in the direction first met: an edge into the last layer
+    (one searchsorted in its sorted keys) is the reverse of an edge
+    checked one layer earlier, and is dropped before reflect_rows.  That
+    is sound because every matrix of action_matrices_np squares to the
+    identity, which the walk checks first (RuntimeError otherwise): the
+    reverse edge would send the pair's coordinates back to its parent's.
+    One stable argsort of the keys of this layer and its new edges
+    deduplicates, and each edge must carry the coordinates first found for
+    its pair.  A pair of coordinate height above the bound is dropped and
+    not walked from; the start never is.  At the end each pair takes
+    root_pair's order from a rank of the interned roots by (height, root),
+    and the members are sorted by one lexsort of their pair_coords_np.
 
     int64 is exact: a module matrix column has at most two nonzero entries,
     each +-1, so a step at most doubles the sum of absolute coordinates,
@@ -186,25 +200,38 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
     distinct coordinates with coefficients +-1, so its partial sums stay
     within the parent's sum of absolute coordinates as well."""
     basis = canonical_basis(d)
+    if not basis._involutive:
+        raise RuntimeError("a simple reflection's matrix does not square "
+                           "to the identity")
     roots = _RootTable(d)
+    grows = classify(d) is not TypeClass.FINITE
+    if not grows:
+        roots.reflect(roots.intern(np.array(positive_roots(d),
+                                            dtype=np.int64)))
     shift, low = _KEY_SHIFT, (1 << _KEY_SHIFT) - 1
     lo, hi = sorted(roots.intern(np.array(pair, dtype=np.int64)).tolist())
     k = np.array([lo << shift | hi], dtype=np.int64)
     c = np.array([coords], dtype=np.int64)
-    last_k, last_c, out = k[:0], c[:0], [(k, c)]
+    last_k, out = k[:0], [(k, c)]
     while len(k):
         lo, hi = k >> shift, k & low
-        touched = np.zeros(len(roots.vec), dtype=bool)
-        touched[lo] = touched[hi] = True
-        roots.reflect(np.flatnonzero(touched))
+        if grows:
+            touched = np.zeros(len(roots.vec), dtype=bool)
+            touched[lo] = touched[hi] = True
+            roots.reflect(np.flatnonzero(touched))
         # a pair moves unless both its roots stay: no reflection swaps two
         # orthogonal roots, as B(r, s r) = 2 - B(r, alpha)**2 is never 0
         u, v = roots.refl[lo], roots.refl[hi]
         f, i = np.nonzero((u != lo[:, None]) | (v != hi[:, None]))
         u, v = u[f, i], v[f, i]
-        all_k = np.concatenate([last_k, k, np.minimum(u, v) << shift
-                                | np.maximum(u, v)])
-        all_c = np.concatenate([last_c, c, basis.reflect_rows(c[f], i)])
+        new_k = np.minimum(u, v) << shift | np.maximum(u, v)
+        # an edge into the last layer reverses one checked a layer ago
+        at = np.searchsorted(last_k, new_k)
+        back = at < len(last_k)
+        back[back] = last_k[at[back]] == new_k[back]
+        f, i, new_k = f[~back], i[~back], new_k[~back]
+        all_k = np.concatenate([k, new_k])
+        all_c = np.concatenate([c, basis.reflect_rows(c[f], i)])
         order = np.argsort(all_k, kind="stable")
         sorted_k = all_k[order]
         first = np.ones(len(order), dtype=bool)
@@ -214,8 +241,9 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
         if (all_c[order[again]]
                 != all_c[heads[np.cumsum(first)[again] - 1]]).any():
             raise RuntimeError("inconsistent expansion along orbit")
-        heads = heads[heads >= len(last_k) + len(k)]
-        last_k, last_c, k, c = k, c, all_k[heads], all_c[heads]
+        heads = heads[heads >= len(k)]
+        last_k, k, c = k, all_k[heads], all_c[heads]
+        del all_c  # free the edges before the next layer reflects its own
         if height_bound is not None:
             keep = c.sum(axis=1) <= height_bound
             k, c = k[keep], c[keep]

@@ -77,8 +77,16 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
     the least such i, of lower height.  So each root is reached once, from
     its parent.  One step can add more than one to the height, so roots
     wait in buckets by height and each bucket is expanded as one array.
-    Cached per call signature: positive_roots(d) and
-    positive_roots(d, None) are separate entries."""
+
+    A layer is handled once for all letters.  With c = B(r, alpha_j) for
+    each root r, s_i r = r - c_i alpha_i is a child of r when c_i < 0 and
+    i is the least j with B(s_i r, alpha_j) > 0, that is, when no j < i
+    has c_j - c_i a_ij > 0: a running count of the columns j < i with
+    c_j > 0, less the neighbours j < i with 0 < c_j <= -c_i, must be 0.
+    Each layer is sorted by packed keys: its entries as fields of the bit
+    length of layer.max(), as many to an int64 word as fit, and one
+    lexsort over the words.  Cached per call signature: positive_roots(d)
+    and positive_roots(d, None) are separate entries."""
     if height_bound is not None and height_bound < 1:
         raise ValueError("height bound must be at least 1, got %d"
                          % height_bound)
@@ -86,22 +94,45 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
         raise ValueError("infinite root system: pass a height bound")
     limit = np.inf if height_bound is None else height_bound
     a = np.array(cartan(d), dtype=np.int64)
+    lo, hi = np.sort(np.array(d.edges, dtype=np.intp).reshape(-1, 2), 1).T
+    up = np.eye(d.n, dtype=np.int64)[hi]  # edge e -> its upper end hi[e]
     buckets, found = {1: [np.eye(d.n, dtype=np.int64)]}, []
     while buckets:
         h = min(buckets)
         layer = np.concatenate(buckets.pop(h))
-        layer = layer[np.lexsort(layer.T[::-1])]
+        layer = layer[np.lexsort(_packed_keys(layer)[::-1])]
         found.extend(zip(*layer.T.tolist()))
+        if h == limit:  # no child fits under the bound
+            break
         c = layer @ a  # c[r, j] = B(r, alpha_j)
-        for i in range(d.n):
-            step = -c[:, i]  # s_i r = r + step alpha_i
-            keep = ((step > 0) & (h + step <= limit)
-                    & (c[:, :i] + step[:, None] * a[i, :i] <= 0).all(axis=1))
-            for s in set(step[keep].tolist()):
-                child = layer[keep & (step == s)]
-                child[:, i] += s
-                buckets.setdefault(h + s, []).append(child)
+        pos = c > 0
+        count = np.cumsum(pos, axis=1)
+        count -= pos
+        count -= (pos[:, lo] & (c[:, lo] <= -c[:, hi])) @ up
+        r, i = np.nonzero((c < 0) & (count == 0) & (h - c <= limit))
+        step = -c[r, i]  # s_i r = r + step alpha_i
+        del c, pos, count  # free them before the next layer is gathered
+        for s in set(step.tolist()):
+            at = step == s
+            child = layer[r[at]]
+            child[np.arange(len(child)), i[at]] += s
+            buckets.setdefault(h + s, []).append(child)
     return tuple(found)
+
+
+def _packed_keys(rows: np.ndarray) -> np.ndarray:
+    """Keys (W, R) of the nonnegative int64 rows (R, N), most significant
+    word first, whose lexicographic order is that of the rows: each word
+    holds the next 63 // b columns as b-bit fields, b the bit length of
+    rows.max(), so every key stays below 2**63."""
+    b = max(1, int(rows.max()).bit_length())
+    g = 63 // b
+    words = []
+    for w in range(0, rows.shape[1], g):
+        block = rows[:, w:w + g]
+        place = 1 << b * np.arange(block.shape[1] - 1, -1, -1)
+        words.append(block @ place)
+    return np.stack(words)
 
 
 def is_root(d: Diagram, v, height_bound: int | None = None) -> bool:

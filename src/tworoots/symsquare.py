@@ -316,6 +316,20 @@ class CanonicalBasis:
         return tuple(form)
 
     @functools.cached_property
+    def _involutive(self) -> bool:
+        """Whether every matrix of action_matrices_np squares to the
+        identity, read off the row form once per basis.  A matrix is
+        A = I + E with E zero outside the rows R that A rewrites, so A^2
+        is the identity outside R and A^2 - I is E[R] + sub[:, R] @ E[R]
+        on R, for sub = A[R]: no K x K product is made."""
+        for rows, sub in self._row_form:
+            e = sub.copy()
+            e[np.arange(len(rows)), rows] -= 1  # E[R] = sub - I[R]
+            if (e + sub[:, rows] @ e).any():
+                return False
+        return True
+
+    @functools.cached_property
     def _rows(self):
         """The row form padded into three arrays (rows, cols, coefs): for
         letter i and slot r, rows[i, r] is a row its matrix rewrites, and

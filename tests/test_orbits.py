@@ -20,7 +20,8 @@ from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
                              orbit_of, orbit_tables, orthogonal_pairs,
                              pair_action, simple_pair_action, vee_pair)
 from tworoots.roots import closure, positive_roots, simple_root, theta
-from tworoots.symsquare import canonical_basis, root_pair, simple_matrices
+from tworoots.symsquare import (CanonicalBasis, canonical_basis, root_pair,
+                                simple_matrices)
 
 
 def test_orthogonal_pairs_a3():
@@ -231,6 +232,35 @@ def test_cut_walk_checks_every_edge(monkeypatch):
     wrong = np.eye(len(basis), dtype=np.int64)[1]
     with pytest.raises(RuntimeError, match="inconsistent expansion"):
         _pair_layers(d, basis.elements[0].pair, wrong, 10)
+
+
+@pytest.mark.parametrize("tag", ["E8", "D8"])
+def test_a_finite_walk_fills_its_root_table_once(tag, monkeypatch):
+    """The table is seeded with every positive root before the walk, so
+    of its reflect calls only the first of each walk finds rows to fill."""
+    filled = []
+    fill = orbits._RootTable.reflect
+
+    def counted(self, idx):
+        filled.append(int((self.refl[idx, 0] < 0).sum()))
+        fill(self, idx)
+
+    monkeypatch.setattr(orbits._RootTable, "reflect", counted)
+    d = FINITE[tag]
+    tabs = orbit_tables.__wrapped__(d)
+    assert [x for x in filled if x] == [len(positive_roots(d))] * len(tabs)
+
+
+def test_a_walk_refuses_reflections_that_are_not_involutions(monkeypatch):
+    """Each edge is checked in one direction only, which needs every
+    action matrix to square to the identity; s_0 s_1 does not."""
+    d = y_diagram(1, 1, 2)
+    b = CanonicalBasis(d)
+    mats = b.action_matrices_np()
+    b._action_np = (mats[0] @ mats[1],) + mats[1:]
+    monkeypatch.setattr(orbits, "canonical_basis", lambda _: b)
+    with pytest.raises(RuntimeError, match="square to the identity"):
+        _pair_layers(d, b.elements[0].pair, np.eye(len(b))[0])
 
 
 @pytest.mark.parametrize("tag", sorted(FINITE))
@@ -491,7 +521,8 @@ def test_d5_strictness_witness():
 
 def test_cold_walk_climb_and_radical_do_not_import_numpy_ma():
     """np.unique and np.isin import numpy.ma on first use, about 27 ms in
-    a cold process; the walk, the climb and the radical use neither."""
+    a cold process; the walk, the climb, the radical and the root
+    enumeration use neither."""
     code = "\n".join([
         "import sys",
         "from tworoots import forms",
@@ -504,6 +535,8 @@ def test_cold_walk_climb_and_radical_do_not_import_numpy_ma():
         "basis = canonical_basis(d)",
         "mats = [basis.elements[k].matrix for k in t.basis_members]",
         "assert forms.radical_basis(forms.gram(d, mats)) == ()",
+        "from tworoots.roots import positive_roots",
+        "assert len(positive_roots(y_diagram(4, 4, 4), 25)) == 25684",
         "assert 'numpy.ma' not in sys.modules",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")

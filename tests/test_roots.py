@@ -1,13 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from tworoots.diagram import path_diagram, y_diagram
-from tworoots.roots import (bform, closure, delta, elementary_roots,
-                            epsilon_coords, eta, height, is_positive, is_root,
-                            negate, paper_labels, positive_roots, reflect,
-                            root_from_labels, simple_reflect, simple_root,
-                            theta)
+from tworoots.roots import (_packed_keys, bform, closure, delta,
+                            elementary_roots, epsilon_coords, eta, height,
+                            is_positive, is_root, negate, paper_labels,
+                            positive_roots, reflect, root_from_labels,
+                            simple_reflect, simple_root, theta)
 
 
 def test_simple_root_and_height():
@@ -118,16 +119,38 @@ def test_roots_sorted_by_height():
 @pytest.mark.parametrize("d,bound", [
     (y_diagram(2, 2, 2), 12), (y_diagram(2, 2, 3), 30),
     (y_diagram(3, 3, 3), 20), (y_diagram(1, 2, 6), 40),
-    (y_diagram(1, 2, 4), 7),
-], ids=["Y222", "Y223", "Y333", "Y126", "E8"])
+    (y_diagram(1, 2, 4), 7), (y_diagram(1, 2, 5), 40),
+    (y_diagram(4, 4, 4), 12), (y_diagram(1, 1, 29), None),
+], ids=["Y222", "Y223", "Y333", "Y126", "E8", "Y125", "Y444", "D32"])
 def test_tree_walk_equals_the_reflection_closure(d, bound):
     walk = closure((simple_root(d, i) for i in range(d.n)),
                    lambda r: (simple_reflect(d, i, r) for i in range(d.n)),
-                   prune=lambda r: not is_positive(r) or height(r) > bound)
+                   prune=lambda r: not is_positive(r) or (
+                       bound is not None and height(r) > bound))
     rs = positive_roots(d, bound)
     assert rs == tuple(sorted(walk, key=lambda r: (height(r), r)))
     assert len(set(rs)) == len(rs)
     assert all(type(x) is int for r in rs for x in r)
+
+
+@pytest.mark.parametrize("top, width", [(1, 70), (2, 47), (2 ** 20, 14),
+                                        (2 ** 62, 10)])
+def test_packed_keys_sort_rows_lexicographically(top, width):
+    """Rows that share their leading columns and differ in the last 8,
+    past the first word: a word holds 63 fields of 1 bit, 31 of 2 bits,
+    3 of 21 bits and 1 of 63 bits."""
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, top, size=(300, width), endpoint=True)
+    rows[:, :-8] = rows[:3, :-8][rng.integers(0, 3, size=len(rows))]
+    rows[0, 0] = top
+    want = rows[np.lexsort(rows.T[::-1])]
+    assert (rows[np.lexsort(_packed_keys(rows)[::-1])] == want).all()
+
+
+def test_y444_roots_to_height_25():
+    rs = positive_roots(y_diagram(4, 4, 4), 25)
+    assert len(rs) == 25684
+    assert list(rs) == sorted(rs, key=lambda r: (height(r), r))
 
 
 def test_tree_walk_takes_steps_of_more_than_one_height():

@@ -205,6 +205,25 @@ def test_reflect_rows_pads_reflections_that_change_unequal_rows():
     assert (b.reflect_rows(c, letters) == want).all()
 
 
+@pytest.mark.parametrize("swap", ["none", "s0s1", "-s0", "s0+e"])
+@pytest.mark.parametrize("d", [path_diagram(5), y_diagram(1, 1, 2),
+                               y_diagram(1, 2, 4)], ids=repr)
+def test_involution_check_is_the_dense_square(d, swap):
+    """_involutive, read off the row form, agrees with squaring each dense
+    matrix: s_0 s_1 and s_0 with one more entry in a row it rewrites are
+    no involutions, -s_0 is one."""
+    b = CanonicalBasis(d)
+    mats = b.action_matrices_np()
+    eye = np.eye(len(b), dtype=np.int64)
+    first = {"none": mats[0], "s0s1": mats[0] @ mats[1], "-s0": -mats[0],
+             "s0+e": mats[0].copy()}[swap]
+    if swap == "s0+e":
+        first[np.flatnonzero((mats[0] != eye).any(axis=1))[0], 0] += 1
+    b._action_np = (first,) + mats[1:]
+    assert b._involutive == all((m @ m == eye).all() for m in b._action_np)
+    assert b._involutive == (swap in ("none", "-s0"))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_empty_basis_has_empty_action_matrices(n):
     b = canonical_basis(path_diagram(n))
