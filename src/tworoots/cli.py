@@ -154,7 +154,8 @@ def cmd_highest(args) -> int:
             "height": sum(basis.expand_pair(a, b))}
            for a, b in closed_form_highest(d)]
     emit(args, d, {"highest": out},
-         ["%s (height %d)" % (fmt_pair(r["pair"]), r["height"]) for r in out])
+         ["%s (height %d)" % (fmt_pair(r["pair"]), r["height"]) for r in out]
+         or ["no 2-roots, so no highest 2-roots"])
     return 0
 
 
@@ -230,7 +231,8 @@ def cmd_kernel(args) -> int:
                                                  state_cap=args.max_order))]
     emit(args, d, {"group_order": order, "kernels": out},
          ["orbit %d: kernel order %d (group order %d)"
-          % (r["orbit"], r["kernel_order"], order) for r in out])
+          % (r["orbit"], r["kernel_order"], order) for r in out]
+         or ["no orbits (group order %d)" % order])
     return 0
 
 

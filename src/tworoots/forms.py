@@ -226,20 +226,25 @@ def _weyl_walk(d: Diagram) -> np.ndarray:
     return group
 
 
-def _kernel(d: Diagram, group: np.ndarray, members) -> np.ndarray:
-    """Indices into the group of the elements w with w(a) v w(b) = a v b
-    for every basis member a v b of the summand with these indices, one
-    of CanonicalBasis.summands: the elements acting trivially on it, as
-    those members span it.  As a and b are independent norm-2 roots, that
-    holds exactly when (w(a), w(b)) is (a, b) or (b, a) up to one common
-    sign.  Each member is checked only against the elements that fixed
-    the members before it, in two stages: first on w(a) alone, which is
-    column i of w as a basis pair starts with a simple root alpha_i, then
-    on w(b) for the elements left.  w(b) is a sum of columns of w in
-    int16: each entry is at most 127 height(b) in size."""
+@functools.cache
+def _kernel(d: Diagram, members: tuple[int, ...]) -> np.ndarray:
+    """Indices into the walk of W (_weyl_walk) of the elements w with
+    w(a) v w(b) = a v b for every basis member a v b of the summand with
+    these indices, one of CanonicalBasis.summands: the elements acting
+    trivially on it, as those members span it.  Computed once per summand
+    and handed out read-only to kernel_orders and kernel_intersection,
+    which each refuse a group above their cap before calling it.  As a and
+    b are independent norm-2 roots, w(a) v w(b) = a v b holds exactly when
+    (w(a), w(b)) is (a, b) or (b, a) up to one common sign.  Each member is
+    checked only against the elements that fixed the members before it, in
+    two stages: first on w(a) alone, which is column i of w as a basis
+    pair starts with a simple root alpha_i, then on w(b) for the elements
+    left.  w(b) is a sum of columns of w in int16: each entry is at most
+    127 height(b) in size."""
     basis = canonical_basis(d)
-    if tuple(members) not in basis.summands():
+    if members not in basis.summands():
         raise RuntimeError("summand is not invariant")
+    group = _weyl_walk(d)
     keep = np.arange(len(group))
     for k in members:
         a, b = basis.elements[k].pair  # positive: heights are sums
@@ -262,6 +267,7 @@ def _kernel(d: Diagram, group: np.ndarray, members) -> np.ndarray:
             wb += group[keep, :, j].T * pair[1, j]
         # w(b) must be b, a, -b, -a as w(a) is a, b, -a, -b
         keep = keep[np.logical_and.reduce(wb == ends[which ^ 1].T)]
+    keep.flags.writeable = False
     return keep
 
 
@@ -275,7 +281,7 @@ def kernel_orders(d: Diagram, tables, group_order: int,
     if len(group) != group_order:
         raise RuntimeError("the Weyl group has order %d, not %d"
                            % (len(group), group_order))
-    return [len(_kernel(d, group, t.basis_members)) for t in tables]
+    return [len(_kernel(d, t.basis_members)) for t in tables]
 
 
 def action_kernel_order(d: Diagram, table, group_order: int,
@@ -286,16 +292,21 @@ def action_kernel_order(d: Diagram, table, group_order: int,
 
 
 def kernel_intersection(d: Diagram, state_cap: int = STATE_CAP) -> dict:
-    """Walks the Weyl group once, collects for each summand of the
-    canonical basis the elements acting trivially on it, and intersects
-    those kernels.  Reports the group order, the per-summand kernel
-    orders, the intersection order, and whether the intersection is
-    exactly the center (the identity, plus minus one when present)."""
+    """Walks the Weyl group once, takes for each summand of the canonical
+    basis the elements acting trivially on it (_kernel, shared with
+    kernel_orders), and intersects those kernels as boolean masks over the
+    group: the elements left alive by every kernel, in index order.
+    Reports the group order, the per-summand kernel orders, the
+    intersection order, and whether the intersection is exactly the
+    center (the identity, plus minus one when present)."""
     group = _weyl_group(d, state_cap)
-    kernels = [_kernel(d, group, s) for s in canonical_basis(d).summands()]
-    inter = np.arange(len(group))
+    kernels = [_kernel(d, s) for s in canonical_basis(d).summands()]
+    alive = np.ones(len(group), dtype=bool)
     for k in kernels:
-        inter = inter[np.isin(inter, k)]
+        hit = np.zeros(len(group), dtype=bool)
+        hit[k] = True
+        alive &= hit
+    inter = np.flatnonzero(alive)
     # the identity is first; -1, when in W, is the longest element, last
     center = [0] + [len(group) - 1] * bool((group[-1] == -np.eye(d.n)).all())
     return {

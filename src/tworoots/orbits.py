@@ -5,10 +5,11 @@ roots.  Reflections act on the pair componentwise followed by sign
 normalization, which matches the action on the symmetric square up to the
 overall sign that never shows up on positive representatives.
 
-An orbit is walked breadth first over the pair graph, one layer of pairs
-at a time as numpy arrays, from a canonical basis element (orbit tables)
-or from any pair (orbit_of, cut at a coordinate height).  The walk keeps
-a table of positive roots, each with the indices of its simple
+Orbits are walked breadth first over the pair graph, one layer of pairs at
+a time as numpy arrays: all of a diagram's orbits in one walk from the
+least element of every summand of the canonical basis (orbit tables), or
+one orbit from any pair (orbit_of, cut at a coordinate height).  The walk
+keeps a table of positive roots, each with the indices of its simple
 reflections: in finite type it is seeded with every positive root and
 filled once before the walk, on a cut walk it grows by the roots each
 layer meets.  A pair is one int64 key of its two root indices, so a layer
@@ -16,9 +17,8 @@ is reflected by one gather and deduplicated by one sort of single keys
 (see _pair_layers for why int64 is exact).  Every pair carries its exact
 expansion over the canonical basis along every edge, each edge checked
 once, in the direction first met: the simple reflections act on the
-coordinates by involutions, so the reverse edge holds when the forward
-one does.  Membership, heights, and the coordinatewise order come for
-free.
+coordinates by involutions, so the reverse edge holds when the forward one
+does.  Membership, heights, and the coordinatewise order come for free.
 """
 
 from __future__ import annotations
@@ -157,10 +157,12 @@ class _RootTable:
         self.refl[idx] = rows
 
 
-def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
-    """The orbit of a canonical pair under the simple reflections, sorted
-    as by vee_pair, and the members' expansions over the canonical basis
-    as the rows of an int64 array, carried from the start's coords.
+def _pair_layers(d: Diagram, pairs, coords, height_bound=None):
+    """The union of the orbits of the given start pairs under the simple
+    reflections, the members' expansions over the canonical basis as the
+    rows of an int64 array, carried from the starts' coords (row s for
+    pairs[s]), and for each member the index s of the start it was reached
+    from.  Members are sorted by that index, then as by vee_pair.
 
     The walk runs on indices into a _RootTable.  In finite type the table
     is seeded before the walk with every positive root, their simple
@@ -172,25 +174,31 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
     first), so hi fits the low 32 bits, lo << 32 < 2**63, and the order
     of the keys is that of (lo, hi).
 
-    Breadth first, one layer of keys (F,) and coordinates (F, K) at a
-    time, with no visited set: reflections are involutions, so the next
-    layer is the neighbours of this one minus it and the one before.  Each
-    layer is reflected by every simple root at once with one gather from
-    the table, at the (pair, root) edges that move the pair; the
-    coordinates of an edge are its parent's with the reflection's few
-    changed rows rewritten (CanonicalBasis.reflect_rows).  Each edge is
-    checked once, in the direction first met: an edge into the last layer
-    (one searchsorted in its sorted keys) is the reverse of an edge
-    checked one layer earlier, and is dropped before reflect_rows.  That
-    is sound because every matrix of action_matrices_np squares to the
-    identity, which the walk checks first (RuntimeError otherwise): the
-    reverse edge would send the pair's coordinates back to its parent's.
-    One stable argsort of the keys of this layer and its new edges
-    deduplicates, and each edge must carry the coordinates first found for
-    its pair.  A pair of coordinate height above the bound is dropped and
-    not walked from; the start never is.  At the end each pair takes
+    Breadth first from all the starts at once, one layer of sorted keys
+    (F,) and coordinates (F, K) at a time, with no visited set.  The first
+    layer is the starts, sorted by key; two equal starts raise
+    RuntimeError.  Layer k holds the pairs at distance k from the set of
+    starts, and a neighbour of such a pair is at distance k - 1, k or
+    k + 1, as reflections are involutions: so the next layer is the
+    neighbours of this one minus it and the one before, just as from a
+    single start.  Each layer is reflected by every simple root at once
+    with one gather from the table, at the (pair, root) edges that move
+    the pair; the coordinates of an edge are its parent's with the
+    reflection's few changed rows rewritten (CanonicalBasis.reflect_rows).
+    Each edge is checked once, in the direction first met: an edge into
+    the last layer (one searchsorted in its sorted keys) is the reverse of
+    an edge checked one layer earlier, and is dropped before reflect_rows.
+    That is sound because every matrix of action_matrices_np squares to
+    the identity, which the walk checks first (RuntimeError otherwise):
+    the reverse edge would send the pair's coordinates back to its
+    parent's.  One stable argsort of the keys of this layer and its new
+    edges deduplicates, and each edge must carry the coordinates first
+    found for its pair.  A pair of coordinate height above the bound is
+    dropped and not walked from; a start never is.  A pair carries the
+    index of the start of its first edge.  At the end each pair takes
     root_pair's order from a rank of the interned roots by (height, root),
-    and the members are sorted by one lexsort of their pair_coords_np.
+    and the members are sorted by one lexsort of their pair_coords_np,
+    then stably by start.
 
     int64 is exact: a module matrix column has at most two nonzero entries,
     each +-1, so a step at most doubles the sum of absolute coordinates,
@@ -209,10 +217,15 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
         roots.reflect(roots.intern(np.array(positive_roots(d),
                                             dtype=np.int64)))
     shift, low = _KEY_SHIFT, (1 << _KEY_SHIFT) - 1
-    lo, hi = sorted(roots.intern(np.array(pair, dtype=np.int64)).tolist())
-    k = np.array([lo << shift | hi], dtype=np.int64)
-    c = np.array([coords], dtype=np.int64)
-    last_k, out = k[:0], [(k, c)]
+    ends = roots.intern(np.array(pairs, dtype=np.int64).reshape(-1, d.n))
+    lo, hi = np.sort(ends.reshape(-1, 2), axis=1).T
+    k = lo << shift | hi
+    # src[r]: the start that pair r was reached from
+    src = np.argsort(k).astype(np.int32)
+    k, c = k[src], np.array(coords, dtype=np.int64)[src]
+    if (k[1:] == k[:-1]).any():
+        raise RuntimeError("two starts are the same 2-root")
+    last_k, out = k[:0], [(k, c, src)]
     while len(k):
         lo, hi = k >> shift, k & low
         if grows:
@@ -232,6 +245,7 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
         f, i, new_k = f[~back], i[~back], new_k[~back]
         all_k = np.concatenate([k, new_k])
         all_c = np.concatenate([c, basis.reflect_rows(c[f], i)])
+        all_src = np.concatenate([src, src[f]])
         order = np.argsort(all_k, kind="stable")
         sorted_k = all_k[order]
         first = np.ones(len(order), dtype=bool)
@@ -242,61 +256,79 @@ def _pair_layers(d: Diagram, pair: Pair, coords, height_bound=None):
                 != all_c[heads[np.cumsum(first)[again] - 1]]).any():
             raise RuntimeError("inconsistent expansion along orbit")
         heads = heads[heads >= len(k)]
-        last_k, k, c = k, all_k[heads], all_c[heads]
+        last_k, k, c, src = k, all_k[heads], all_c[heads], all_src[heads]
         del all_c  # free the edges before the next layer reflects its own
         if height_bound is not None:
             keep = c.sum(axis=1) <= height_bound
-            k, c = k[keep], c[keep]
-        out.append((k, c))
-    k, c = (np.concatenate(x) for x in zip(*out))
+            k, c, src = k[keep], c[keep], src[keep]
+        out.append((k, c, src))
+    k, c, src = (np.concatenate(x) for x in zip(*out))
     del out  # free the layers before the final sort's stacks
     vec = roots.vec
     rank = np.empty(len(vec), dtype=np.int64)
     rank[np.lexsort(np.vstack([vec.T[::-1], vec.sum(axis=1)]))] = \
         np.arange(len(vec))
-    lo, hi = k >> shift, k & low
-    swap = rank[lo] > rank[hi]
-    a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    a, b = k >> shift, k & low
+    swap = rank[a] > rank[b]
+    a[swap], b[swap] = b[swap], a[swap]
     # an entry a_i b_j + a_j b_i of pair_coords_np is below 2**15 when no
     # root entry passes 127, so the sort keys can be int16
     narrow = vec.astype(np.int16) if vec.max(initial=0) <= 127 else vec
     order = np.lexsort(pair_coords_np(narrow[np.stack([a, b], 1)]).T[::-1])
+    order = order[np.argsort(src[order], kind="stable")]
+    src = src[order]
     tuples = list(map(tuple, vec.tolist()))
     members = tuple((tuples[x], tuples[y])
                     for x, y in zip(a[order].tolist(), b[order].tolist()))
-    return members, c[order]
+    return members, c[order], src
 
 
 @functools.cache
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     """Partition of the positive 2-roots into orbits, finite types only:
-    one layered walk (_pair_layers) per CanonicalBasis.summands entry, in
-    that order, from its least element's unit coordinates.  No member may
-    have a negative coordinate, the members with unit coordinates must be
-    exactly the summand's elements, and the one of greatest coordinate
-    height, the orbit's top, must be unique."""
+    one layered walk (_pair_layers) for the whole diagram, from the least
+    element of each CanonicalBasis.summands entry with its unit
+    coordinates, its sorted members then split by the start they were
+    reached from, each orbit a view of the walk's expansions.  Every
+    member's coordinates must have their support inside its start's
+    summand, so that summand holds it.  No member may have a negative
+    coordinate, the members with unit coordinates must be exactly the
+    summand's elements, and the one of greatest coordinate height, the
+    orbit's top, must be unique."""
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
+    summands = basis.summands()
+    if not summands:
+        return ()
+    least = [s[0] for s in summands]
+    members, c, src = _pair_layers(
+        d, [basis.elements[j].pair for j in least],
+        np.eye(len(basis), dtype=np.int64)[least])
+    cuts = np.searchsorted(src, np.arange(len(summands) + 1))
     tables = []
-    for oid, summand in enumerate(basis.summands(), start=1):
-        j = summand[0]
-        members, c = _pair_layers(d, basis.elements[j].pair,
-                                  np.eye(len(basis))[j])
-        if (c < 0).any():
+    for oid, summand in enumerate(summands, start=1):
+        ex = c[cuts[oid - 1]:cuts[oid]]  # a view: no copy of the walk
+        outside = np.ones(len(basis), dtype=bool)
+        outside[list(summand)] = False
+        if ex[:, outside].any():
+            raise RuntimeError("orbit %d has a coordinate outside its "
+                               "summand" % oid)
+        if (ex < 0).any():
             raise RuntimeError("orbit %d has a negative coordinate" % oid)
-        found = sorted(c[c.sum(axis=1) == 1].argmax(axis=1).tolist())
+        found = sorted(ex[ex.sum(axis=1) == 1].argmax(axis=1).tolist())
         if found != list(summand):
             raise RuntimeError("orbit %d meets the basis in %s, not in its "
                                "summand" % (oid, found))
-        heights = c.sum(axis=1)
+        heights = ex.sum(axis=1)
         top = np.flatnonzero(heights == heights.max())
         if len(top) != 1:
             raise RuntimeError("orbit %d has %d members of greatest height"
                                % (oid, len(top)))
-        c.flags.writeable = False
-        tables.append(OrbitTable(oid, members, summand, members[top[0]],
-                                 int(heights[top[0]]), c))
+        ex.flags.writeable = False
+        orbit = members[cuts[oid - 1]:cuts[oid]]
+        tables.append(OrbitTable(oid, orbit, summand, orbit[top[0]],
+                                 int(heights[top[0]]), ex))
     return tuple(tables)
 
 
@@ -310,7 +342,7 @@ def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:
     if max(height_bound, sum(start)) > 2 ** 61:
         raise ValueError("orbit heights past 2**61 are not supported: bound "
                          "%d, start %d" % (height_bound, sum(start)))
-    return _pair_layers(d, p, start, height_bound)[0]
+    return _pair_layers(d, [p], [start], height_bound)[0]
 
 
 # --- the height-based order and its covers ---------------------------------

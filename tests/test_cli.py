@@ -84,6 +84,21 @@ def test_orbits_of_a_path_without_2_roots(capsys, n):
     assert out == "total 0 positive 2-roots\n"
 
 
+@pytest.mark.parametrize("command, n, want", [
+    ("kernel", "1", "no orbits (group order 2)\n"),
+    ("kernel", "2", "no orbits (group order 6)\n"),
+    ("highest", "1", "no 2-roots, so no highest 2-roots\n"),
+    ("highest", "2", "no 2-roots, so no highest 2-roots\n"),
+])
+def test_paths_without_2_roots_answer_in_one_line(capsys, command, n, want):
+    code, out, _ = run(capsys, command, "--path", n)
+    assert (code, out) == (0, want)
+    code, out, _ = run(capsys, command, "--path", n, "--json")
+    assert code == 0
+    assert json.loads(out)["kernels" if command == "kernel" else
+                           "highest"] == []
+
+
 def test_highest_heights(capsys):
     code, out, _ = run(capsys, "highest", "--y", "1", "2", "2")
     assert code == 0

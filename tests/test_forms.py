@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -11,11 +12,11 @@ from hypothesis import given, seed, settings, strategies as st
 import tworoots
 from tworoots import linalg
 from tworoots.diagram import path_diagram, weyl_order, y_diagram
-from tworoots.forms import (_weyl_group, _weyl_walk, action_kernel_order,
-                            affine_radical_witness,
+from tworoots.forms import (_kernel, _weyl_group, _weyl_walk,
+                            action_kernel_order, affine_radical_witness,
                             bprime, btilde, c_apply, decompose_s2v, gram,
-                            kernel_intersection, norm2_witness, radical_basis,
-                            virasoro)
+                            kernel_intersection, kernel_orders,
+                            norm2_witness, radical_basis, virasoro)
 from tworoots.orbits import orbit_tables
 from tworoots.roots import closure, positive_roots, simple_root
 from tworoots.symsquare import (apply_word, canonical_basis, m_functional,
@@ -245,6 +246,32 @@ def test_kernel_queries_walk_the_group_once():
     orders = [action_kernel_order(d, t, 1920) for t in orbit_tables(d)]
     assert list(report["kernel_orders"]) == orders
     assert _weyl_walk.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("d,orders,inter", [
+    (y_diagram(1, 1, 1), (8, 8, 8), 2),
+    (y_diagram(1, 1, 2), (1, 16), 1),
+    (y_diagram(1, 1, 3), (2, 32), 2),
+    (y_diagram(1, 2, 2), (1,), 1),
+], ids=["D4", "D5", "D6", "E6"])
+def test_kernel_jobs_share_one_kernel_per_summand(d, orders, inter):
+    """kernel_orders and kernel_intersection read one cached, read-only
+    kernel per summand, and the mask intersection is the sorted
+    intersection of those kernels."""
+    tworoots.clear_caches()
+    summands = canonical_basis(d).summands()
+    assert kernel_orders(d, orbit_tables(d), weyl_order(d)) == list(orders)
+    rep = kernel_intersection(d)
+    assert _kernel.cache_info().misses == len(summands)
+    assert rep["kernel_orders"] == orders
+    assert rep["intersection_order"] == inter and rep["is_center"]
+    kernels = [_kernel(d, s) for s in summands]
+    assert not any(k.flags.writeable for k in kernels)
+    with pytest.raises(ValueError):
+        kernels[0][0] = 1
+    # the center: the identity, first, and -1, last, when W holds it
+    oracle = functools.reduce(np.intersect1d, kernels)
+    assert oracle.tolist() == [0, weyl_order(d) - 1][:inter]
 
 
 def test_kernel_state_cap():

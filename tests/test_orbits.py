@@ -2,7 +2,6 @@ import importlib
 import os
 import pkgutil
 import random
-import signal
 import subprocess
 import sys
 from itertools import permutations
@@ -127,26 +126,13 @@ def _closure_orbit(d, start, bound=None):
     return members, {p: basis.expand_pair(*p) for p in members}
 
 
-@pytest.fixture
-def time_limit():
-    """Fails a walk that never ends: the layered walk has no visited set,
-    so a faulty deduplication loops instead of returning."""
-    def stop(signum, frame):
-        raise TimeoutError("the walk did not end within 60 s")
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
-
-
 FINITE = {"A%d" % n: path_diagram(n) for n in range(4, 9)}
 FINITE.update({"D%d" % n: y_diagram(1, 1, n - 3) for n in range(4, 9)})
 FINITE.update({"E%d" % n: y_diagram(1, 2, n - 4) for n in range(6, 9)})
 
 
 @pytest.mark.parametrize("tag", sorted(FINITE))
-def test_layered_pair_walk_equals_the_reflection_closure(tag, time_limit):
+def test_layered_pair_walk_equals_the_reflection_closure(tag):
     d = FINITE[tag]
     basis = canonical_basis(d)
     want = []
@@ -173,28 +159,26 @@ def test_orbit_table_coords_are_built_on_first_access():
 @pytest.mark.parametrize("arms, bound", [((2, 2, 3), 12), ((1, 2, 6), 14),
                                          ((3, 3, 3), 10)],
                          ids=["Y223-12", "Y126-14", "Y333-10"])
-def test_layered_orbit_of_equals_the_reflection_closure(arms, bound,
-                                                        time_limit):
+def test_layered_orbit_of_equals_the_reflection_closure(arms, bound):
     d = y_diagram(*arms)
     start = canonical_basis(d).elements[0].pair
     assert orbit_of(d, start, bound) == _closure_orbit(d, start, bound)[0]
 
 
 @pytest.mark.parametrize("tag", ["A4", "D4", "D5", "E6"])
-def test_layered_pair_walk_checks_every_edge(tag, time_limit):
+def test_layered_pair_walk_checks_every_edge(tag):
     """Start coordinates that are not the start's expansion disagree
     along two paths to the same pair."""
     d = FINITE[tag]
     basis = canonical_basis(d)
     wrong = np.eye(len(basis), dtype=np.int64)[1]
     with pytest.raises(RuntimeError, match="inconsistent expansion"):
-        _pair_layers(d, basis.elements[0].pair, wrong)
+        _pair_layers(d, [basis.elements[0].pair], [wrong])
 
 
 @pytest.mark.parametrize("arms, bound", [((2, 2, 3), 20), ((4, 4, 4), 8)],
                          ids=["Y223-20", "Y444-8"])
-def test_cut_walks_with_a_growing_root_table(arms, bound, time_limit,
-                                             monkeypatch):
+def test_cut_walks_with_a_growing_root_table(arms, bound, monkeypatch):
     """On these cut walks the root table takes new roots on every layer
     but the last, and the walk still equals the reflection closure."""
     sizes = []
@@ -231,13 +215,14 @@ def test_cut_walk_checks_every_edge(monkeypatch):
     basis = canonical_basis(d)
     wrong = np.eye(len(basis), dtype=np.int64)[1]
     with pytest.raises(RuntimeError, match="inconsistent expansion"):
-        _pair_layers(d, basis.elements[0].pair, wrong, 10)
+        _pair_layers(d, [basis.elements[0].pair], [wrong], 10)
 
 
 @pytest.mark.parametrize("tag", ["E8", "D8"])
 def test_a_finite_walk_fills_its_root_table_once(tag, monkeypatch):
-    """The table is seeded with every positive root before the walk, so
-    of its reflect calls only the first of each walk finds rows to fill."""
+    """The table is seeded with every positive root before the one walk
+    of the diagram, so of its reflect calls only the first finds rows to
+    fill."""
     filled = []
     fill = orbits._RootTable.reflect
 
@@ -247,8 +232,38 @@ def test_a_finite_walk_fills_its_root_table_once(tag, monkeypatch):
 
     monkeypatch.setattr(orbits._RootTable, "reflect", counted)
     d = FINITE[tag]
-    tabs = orbit_tables.__wrapped__(d)
-    assert [x for x in filled if x] == [len(positive_roots(d))] * len(tabs)
+    orbit_tables.__wrapped__(d)
+    assert [x for x in filled if x] == [len(positive_roots(d))]
+
+
+@pytest.mark.parametrize("tag", ["D4", "D5", "D6", "D7", "D8"])
+def test_one_walk_from_every_summand_equals_one_walk_each(tag):
+    """The walk from the least element of every summand at once holds,
+    orbit by orbit, the members and coordinates of the walk from each
+    start alone."""
+    d = FINITE[tag]
+    basis = canonical_basis(d)
+    least = [s[0] for s in basis.summands()]
+    assert len(least) == (3 if tag == "D4" else 2)
+    eye = np.eye(len(basis), dtype=np.int64)
+    members, c, src = _pair_layers(
+        d, [basis.elements[j].pair for j in least], eye[least])
+    assert src.tolist() == sorted(src.tolist())
+    cuts = src.searchsorted(range(len(least) + 1))
+    for s, j in enumerate(least):
+        alone, alone_c, _ = _pair_layers(d, [basis.elements[j].pair],
+                                         eye[[j]])
+        assert members[cuts[s]:cuts[s + 1]] == alone
+        assert (c[cuts[s]:cuts[s + 1]] == alone_c).all()
+
+
+def test_a_walk_refuses_two_equal_starts():
+    d = y_diagram(1, 1, 1)
+    basis = canonical_basis(d)
+    a, b = basis.elements[0].pair
+    eye = np.eye(len(basis), dtype=np.int64)
+    with pytest.raises(RuntimeError, match="two starts"):
+        _pair_layers(d, [(a, b), (b, a)], eye[[0, 0]])
 
 
 def test_a_walk_refuses_reflections_that_are_not_involutions(monkeypatch):
@@ -260,7 +275,7 @@ def test_a_walk_refuses_reflections_that_are_not_involutions(monkeypatch):
     b._action_np = (mats[0] @ mats[1],) + mats[1:]
     monkeypatch.setattr(orbits, "canonical_basis", lambda _: b)
     with pytest.raises(RuntimeError, match="square to the identity"):
-        _pair_layers(d, b.elements[0].pair, np.eye(len(b))[0])
+        _pair_layers(d, [b.elements[0].pair], np.eye(len(b))[:1])
 
 
 @pytest.mark.parametrize("tag", sorted(FINITE))
@@ -278,7 +293,8 @@ def test_a_walk_refuses_root_indices_past_the_key_half(monkeypatch):
     basis = canonical_basis(d)
     monkeypatch.setattr(orbits, "_KEY_SHIFT", 3)
     with pytest.raises(RuntimeError, match="more than 2\\*\\*2 roots"):
-        _pair_layers(d, basis.elements[0].pair, np.eye(len(basis))[0])
+        _pair_layers(d, [basis.elements[0].pair],
+                     np.eye(len(basis))[:1])
 
 
 def test_orbit_of_refuses_heights_past_int64():
@@ -452,6 +468,23 @@ def test_orbit_tables_check_the_walk_against_the_summands(monkeypatch):
         orbit_tables.cache_clear()
 
 
+def test_orbit_tables_refuse_a_coordinate_outside_the_summand(
+        monkeypatch):
+    """One orbit's summand cut in two: the walk from both halves meets
+    members whose coordinates lie in both."""
+    d = y_diagram(1, 1, 1)
+    parts = canonical_basis(d).summands()
+    split = (parts[0][:1], parts[0][1:]) + parts[1:]
+    monkeypatch.setattr(type(canonical_basis(d)), "summands",
+                        lambda self: split)
+    orbit_tables.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="outside its summand"):
+            orbit_tables(d)
+    finally:
+        orbit_tables.cache_clear()
+
+
 def test_orbit_tables_refuse_a_negative_coordinate(monkeypatch):
     """One coordinate of a height-2 member turned negative: the member is
     no unit vector and the top stays unique, so only the sign check sees
@@ -459,11 +492,11 @@ def test_orbit_tables_refuse_a_negative_coordinate(monkeypatch):
     walk = orbits._pair_layers
 
     def negated(*args):
-        members, c = walk(*args)
+        members, c, src = walk(*args)
         c = c.copy()
         r = np.flatnonzero(c.sum(axis=1) == 2)[0]
         c[r, np.flatnonzero(c[r])[0]] *= -1
-        return members, c
+        return members, c, src
 
     monkeypatch.setattr(orbits, "_pair_layers", negated)
     orbit_tables.cache_clear()
@@ -520,9 +553,10 @@ def test_d5_strictness_witness():
 
 
 def test_cold_walk_climb_and_radical_do_not_import_numpy_ma():
-    """np.unique and np.isin import numpy.ma on first use, about 27 ms in
-    a cold process; the walk, the climb, the radical and the root
-    enumeration use neither."""
+    """np.unique, and np.isin on its sorting path, import numpy.ma on
+    first use, 9-17 ms in a cold process (five runs, numpy 2.4.6); the
+    walk, the climb, the radical, the root enumeration and the kernel
+    jobs use neither."""
     code = "\n".join([
         "import sys",
         "from tworoots import forms",
@@ -537,6 +571,9 @@ def test_cold_walk_climb_and_radical_do_not_import_numpy_ma():
         "assert forms.radical_basis(forms.gram(d, mats)) == ()",
         "from tworoots.roots import positive_roots",
         "assert len(positive_roots(y_diagram(4, 4, 4), 25)) == 25684",
+        "d5 = y_diagram(1, 1, 2)",
+        "assert forms.kernel_orders(d5, orbit_tables(d5), 1920) == [1, 16]",
+        "assert forms.kernel_intersection(d5)['intersection_order'] == 1",
         "assert 'numpy.ma' not in sys.modules",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")
