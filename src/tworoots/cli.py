@@ -15,9 +15,9 @@ import json
 import sys
 
 from .diagram import (Diagram, TypeClass, classify, diagram_to_json,
-                      path_diagram, weyl_order, y_diagram)
-from .forms import (STATE_CAP, affine_radical_witness, decompose_s2v,
-                    kernel_orders, norm2_witness)
+                      path_diagram, y_diagram)
+from .forms import (STATE_CAP, affine_radical_witness, capped_weyl_order,
+                    decompose_s2v, kernel_orders, norm2_witness)
 from .orbits import closed_form_highest, orbit_tables
 from .roots import paper_labels, positive_roots, simple_root
 from .skein import render_skein
@@ -220,7 +220,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_kernel(args) -> int:
     d = get_diagram(args)
-    order = weyl_order(d)
+    order = capped_weyl_order(d, args.max_order)  # before any orbit table
     tables = orbit_tables(d)
     if args.orbit is not None:
         tables = [t for t in tables if t.id == args.orbit]
@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute radical dimensions mod this prime")
 
     p = add("kernel", cmd_kernel, "kernel of the group action on an orbit "
-                                  "summand (practical for rank <= 7)")
+                                  "summand (walks the stabiliser of the "
+                                  "highest root, |W|/|roots| elements, and "
+                                  "filters four of its cosets)")
     p.add_argument("--orbit", type=int, default=None, help="orbit id")
     p.add_argument("--max-order", type=int, default=STATE_CAP,
                    help="abort if the Weyl group exceeds this order")

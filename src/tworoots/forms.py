@@ -12,11 +12,12 @@ from fractions import Fraction as Q
 import numpy as np
 
 from . import linalg
-from .diagram import (Diagram, TypeClass, cartan, classify, neighbors,
-                      weyl_order, y_diagram)
-from .roots import delta, simple_root
+from .diagram import (Diagram, TypeClass, cartan, classify, closure,
+                      neighbors, parabolic_restrict, weyl_order, y_diagram)
+from .roots import (bform, delta, positive_roots, simple_reflect,
+                    simple_root)
 from .symsquare import (SymMatrix, canonical_basis, reflection_matrix,
-                        sign_coherent, standard_coords, vee)
+                        sign_coherent, simple_matrices, standard_coords, vee)
 
 
 def _as_int(x):
@@ -147,41 +148,69 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
     return report
 
 
-# The default cap on the order of a Weyl group walked element by element.
+# The default cap on the order of a Weyl group whose kernels are computed.
 STATE_CAP = 10 ** 6
 
 
-def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
-    """The elements of W as a read-only int8 stack of matrices on
-    coefficient columns, by length from the identity (see _weyl_walk).  A
-    group larger than the cap is refused before the walk or the cache is
-    touched."""
+def capped_weyl_order(d: Diagram, state_cap: int) -> int:
+    """weyl_order(d), refused with RuntimeError when it is above the cap:
+    the one check every kernel job and the walk of W make first."""
     order = weyl_order(d)
     if order > state_cap:
         raise RuntimeError("the Weyl group has order %d, above the state "
                            "cap %d" % (order, state_cap))
+    return order
+
+
+def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
+    """The elements of W as a read-only int8 stack of matrices on
+    coefficient columns, by length from the identity (see _weyl_walk): the
+    oracle the kernels are checked against.  A group larger than the cap
+    is refused before the walk or the cache is touched."""
+    capped_weyl_order(d, state_cap)
     return _weyl_walk(d)
 
 
+def _parabolic_order(d: Diagram, letters) -> int:
+    """Order of the subgroup generated by the simple reflections in
+    letters: the product of the Weyl group orders of the components of
+    the subdiagram on them."""
+    adj, left, order = neighbors(d), set(letters), 1
+    while left:
+        part = list(closure([min(left)],
+                            lambda j: (k for k in adj[j] if k in left)))
+        left -= set(part)
+        order *= weyl_order(parabolic_restrict(d, part)[0])
+    return order
+
+
 @functools.cache
-def _weyl_walk(d: Diagram) -> np.ndarray:
-    """A tree walk of W, written straight into one preallocated int8
-    stack.  Column j of w is the root w(alpha_j), whose sign is that of
-    its height, and each w other than 1 has the parent w s_i, one
-    shorter, for the least i with w(alpha_i) < 0.  So w s_i is a child of
-    w when its column i is negative and its columns before i are
-    positive, and each element is reached once: layer by layer, and
+def _weyl_walk(d: Diagram, letters: tuple[int, ...] | None = None
+               ) -> np.ndarray:
+    """A tree walk of the subgroup of W generated by the simple
+    reflections in letters (all of W when None), written straight into
+    one preallocated int8 stack.  Column j of w is the root w(alpha_j),
+    whose sign is that of its height, and each w other than 1 has the
+    parent w s_i, one shorter, for the least letter i with w(alpha_i) < 0
+    (a right descent of w lies among its letters).  So w s_i is a child of
+    w when its column i is negative and its columns of the letters before
+    i are positive, and each element is reached once: layer by layer, and
     within a layer by letter, then by parent.  The child w s_i differs
-    from w in few columns: column i is negated and each neighbour j of i
-    gets column j plus column i.  The column heights of a layer are
-    carried in int16 and updated the same way.  Entries are root
-    coefficients (at most 6, on E8); a parent with an entry past 63, whose
-    children could leave int8, is refused, and so is a rank whose heights
-    could leave int16."""
-    order, n, adj = weyl_order(d), d.n, neighbors(d)
+    from w in few columns: column i is negated and each neighbour j of i,
+    a letter or not, gets column j plus column i.  The column heights of a
+    layer are carried in int16 and updated the same way.  Entries are
+    root coefficients (at most 6, on E8); a parent with an entry past 63,
+    whose children could leave int8, is refused, and so is a rank whose
+    heights could leave int16.  The walk must find _parabolic_order
+    elements."""
+    n, adj = d.n, neighbors(d)
+    letters = tuple(range(n)) if letters is None else letters
+    order = _parabolic_order(d, letters)
     if 126 * n >= 2 ** 15:
         raise RuntimeError("rank %d is past the int16 heights" % n)
-    lower = [(k, i) for i in range(n) for k in adj[i] if k < i]
+    slot = {i: s for s, i in enumerate(letters)}
+    lower = [(slot[k], slot[i]) for i in letters for k in adj[i]
+             if k < i and k in slot]
     group = np.empty((order, n, n), dtype=np.int8)
     group[0] = np.eye(n, dtype=np.int8)
     heights = np.ones((n, 1), dtype=np.int16)  # [k, l]: of column k of l
@@ -191,29 +220,29 @@ def _weyl_walk(d: Diagram) -> np.ndarray:
         if layer.max() > 63 or layer.min() < -63:
             raise RuntimeError("a group element has an entry past 63, "
                                "whose children could leave int8")
-        # bad[i, l]: how many of the columns 0..i of (parent l) s_i are
-        # positive where they must be negative (i) or negative where they
-        # must be positive (k < i).  A column k < i not joined to i is the
-        # parent's; a joined one is the parent's column k plus column i.
-        neg = heights < 0
-        bad = neg.astype(np.int16)
-        for i in range(1, n):
-            bad[i] += bad[i - 1]
+        # bad[s, l]: how many of the letter columns up to i = letters[s]
+        # of (parent l) s_i are positive where they must be negative (i)
+        # or negative where they must be positive (k < i).  A column k < i
+        # not joined to i is the parent's; a joined one is the parent's
+        # column k plus column i.
+        lh = heights[list(letters)]
+        neg = lh < 0
+        bad = np.cumsum(neg, axis=0, dtype=np.int16)
         for k, i in lower:
             bad[i] -= neg[k]
-            bad[i] += heights[k] + heights[i] < 0
+            bad[i] += lh[k] + lh[i] < 0
         # by letter, then by parent
-        letters, parents = np.divmod(np.flatnonzero(bad == 0), end - start)
+        slots, parents = np.divmod(np.flatnonzero(bad == 0), end - start)
         if end + len(parents) > order:
             raise RuntimeError("walk found more than %d elements" % order)
         child = group[end:end + len(parents)]
         # parents are in range; mode "raise" would buffer a copy of child
         np.take(layer, parents, axis=0, out=child, mode="clip")
         heights = heights[:, parents]
-        cuts = np.searchsorted(letters, np.arange(n + 1))
-        for i, js in enumerate(adj):
-            w, h = child[cuts[i]:cuts[i + 1]], heights[:, cuts[i]:cuts[i + 1]]
-            for j in js:
+        cuts = np.searchsorted(slots, np.arange(len(letters) + 1))
+        for s, i in enumerate(letters):
+            w, h = child[cuts[s]:cuts[s + 1]], heights[:, cuts[s]:cuts[s + 1]]
+            for j in adj[i]:
                 w[:, :, j] += w[:, :, i]
                 h[j] += h[i]
             w[:, :, i] *= -1
@@ -226,61 +255,135 @@ def _weyl_walk(d: Diagram) -> np.ndarray:
     return group
 
 
+def _stabiliser(d: Diagram) -> np.ndarray:
+    """The stabiliser in W of the highest root theta, walked: the
+    parabolic subgroup W_J, J = {j : B(theta, alpha_j) = 0} (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, section 1.12).  W is
+    transitive on the roots of a connected simply laced diagram, so W_J
+    has |W| / |Phi| elements by orbit-stabiliser; any other count is
+    refused."""
+    top = positive_roots(d)[-1]
+    group = _weyl_walk(d, tuple(j for j in range(d.n)
+                                if bform(d, top, simple_root(d, j)) == 0))
+    if len(group) * 2 * len(positive_roots(d)) != weyl_order(d):
+        raise RuntimeError("the stabiliser of the highest root has %d "
+                           "elements, not |W| / |Phi|" % len(group))
+    return group
+
+
+def _ascent(d: Diagram, root) -> tuple[int, ...]:
+    """Letters l_1, ..., l_r with s_{l_r} ... s_{l_1}(root) = theta, the
+    highest root, for a positive root: theta is the one root with
+    B(root, alpha_j) >= 0 for every j, and s_j raises a root with
+    B(root, alpha_j) < 0, so taking the least such j climbs to theta."""
+    top, adj, word = positive_roots(d)[-1], neighbors(d), []
+    while root != top:
+        j = next(j for j in range(d.n)
+                 if 2 * root[j] < sum(root[k] for k in adj[j]))
+        root = simple_reflect(d, j, root)
+        word.append(j)
+    return tuple(word)
+
+
+def _fixing(d: Diagram, members: tuple[int, ...], stack: np.ndarray,
+            word=()) -> np.ndarray:
+    """The elements w = g h, for h in the stack and g = s_{word[0]} ...
+    s_{word[-1]}, with w(a) v w(b) = a v b for every basis member a v b
+    with these indices: the filter behind every kernel, as a new int8
+    stack.  As a and b are independent norm-2 roots, w(a) v w(b) = a v b
+    holds exactly when (w(a), w(b)) is (a, b) or (b, a) up to one common
+    sign, that is, when (h(a), h(b)) is that pair moved by g^-1, the
+    product over the reversed word (never an inverted matrix).  So the
+    stack is read as it is, and only the elements kept are multiplied by
+    g.  Each member is checked only against the elements that fixed the
+    members before it, in two stages: first on h(a) alone, which is
+    column i of h as a basis pair starts with a simple root alpha_i, then
+    on h(b) for the elements left.  Roots are compared by keys: with M
+    the largest coefficient of the highest root, which bounds every
+    root's coefficients in size, the key of x is place . x, its
+    coefficients read as digits of base 2M + 1, so two roots share a key
+    only when they are equal.  Every key and every partial sum is below
+    height(theta) (2M + 1)^n, which must be below 2**63."""
+    basis, adj = canonical_basis(d), neighbors(d)
+    pairs = np.array([basis.elements[k].pair for k in members],
+                     dtype=np.int64)
+    if (pairs[:, 0].sum(axis=1) != 1).any():
+        raise RuntimeError("a basis pair does not start with a simple root")
+    top = positive_roots(d)[-1]
+    base = 2 * max(top) + 1
+    if sum(top) * base ** d.n >= 2 ** 63:
+        raise RuntimeError("rank %d is past the int64 root keys" % d.n)
+    place = base ** np.arange(d.n, dtype=np.int64)
+    # The key of g^-1 x is (place g^-1) . x.  Right multiplication by s_i
+    # negates entry i of a row and adds it to its neighbours' entries, so
+    # place g^-1 = place s_{word[-1]} ... s_{word[0]} is built in place.
+    pulled = place.tolist()
+    for i in reversed(word):
+        for j in adj[i]:
+            pulled[j] += pulled[i]
+        pulled[i] = -pulled[i]
+    # the keys of a, b, -a, -b moved by g^-1, and of the partner each one
+    # asks of h(b)
+    ends = pairs @ np.array(pulled, dtype=np.int64)
+    ends = np.concatenate([ends, -ends], axis=1)
+    partners = ends[:, [1, 0, 3, 2]]
+    keep = np.arange(len(stack))
+    for (a, b), end, partner in zip(pairs, ends, partners):
+        hit = stack[keep, :, a.argmax()] @ place == end[:, None]
+        found = hit.any(axis=0)
+        keep, which = keep[found], hit.argmax(axis=0)[found]
+        keep = keep[stack[keep] @ b @ place == partner[which]]
+        if not len(keep):
+            return stack[keep]
+    # g in int64, exact as its columns are roots; only now, for the kept
+    reflections = np.array(simple_matrices(d), dtype=np.int64)
+    g = functools.reduce(np.matmul, reflections[list(word)],
+                         np.eye(d.n, dtype=np.int64))
+    return (g @ stack[keep]).astype(np.int8)
+
+
 @functools.cache
 def _kernel(d: Diagram, members: tuple[int, ...]) -> np.ndarray:
-    """Indices into the walk of W (_weyl_walk) of the elements w with
-    w(a) v w(b) = a v b for every basis member a v b of the summand with
-    these indices, one of CanonicalBasis.summands: the elements acting
-    trivially on it, as those members span it.  Computed once per summand
-    and handed out read-only to kernel_orders and kernel_intersection,
-    which each refuse a group above their cap before calling it.  As a and
-    b are independent norm-2 roots, w(a) v w(b) = a v b holds exactly when
-    (w(a), w(b)) is (a, b) or (b, a) up to one common sign.  Each member is
-    checked only against the elements that fixed the members before it, in
-    two stages: first on w(a) alone, which is column i of w as a basis
-    pair starts with a simple root alpha_i, then on w(b) for the elements
-    left.  w(b) is a sum of columns of w in int16: each entry is at most
-    127 height(b) in size."""
+    """The kernel K of W on the summand with these indices, one of
+    CanonicalBasis.summands: the elements fixing each basis member, as
+    those members span it, as a read-only int8 stack.  Computed once per
+    summand for kernel_orders and kernel_intersection, which each refuse a
+    group above their cap before calling it, from four cosets of the
+    stabiliser W_J of the highest root theta (_stabiliser), 4 |W| / |Phi|
+    candidates, and not from all of W.  K is normal, as the kernel of a
+    representation.  Let a v b be the first member, with a = alpha_i, and
+    E = {a, -a, b, -b}; every x in K has x(a) in E.  The walk up from a
+    (_ascent) gives u^-1 with u^-1(a) = theta, and for k in K,
+    u k u^-1 is in K, so k(theta) = u^-1 (u k u^-1)(a) lies in u^-1 E,
+    four roots.  The elements taking theta to a root gamma are the coset
+    g W_J of any g with g(theta) = gamma.  Four words give one g for each
+    root of u^-1 E: 1 for theta, u^-1 s_i u for -theta, u^-1 v for
+    u^-1(b), where v^-1 is the walk up from b, and u^-1 v u^-1 s_i u for
+    -u^-1(b).  _fixing then picks K out of each coset exactly."""
     basis = canonical_basis(d)
     if members not in basis.summands():
         raise RuntimeError("summand is not invariant")
-    group = _weyl_walk(d)
-    keep = np.arange(len(group))
-    for k in members:
-        a, b = basis.elements[k].pair  # positive: heights are sums
-        if sum(a) != 1:
-            raise RuntimeError("a basis pair does not start with a simple "
-                               "root")
-        if sum(b) * 127 >= 2 ** 15:
-            raise RuntimeError("a root's image may have an entry past int16")
-        pair = np.array((a, b), dtype=np.int16)
-        ends = np.concatenate([pair, -pair])
-        i = a.index(1)  # sliced, not gathered, while keep has every index
-        wa = group[:, :, i] if len(keep) == len(group) else group[keep, :, i]
-        wa = np.ascontiguousarray(wa).T.copy()  # read the stack in order
-        which = np.full(len(keep), -1, dtype=np.int8)
-        for t, root in enumerate(ends):
-            which[np.logical_and.reduce(wa == root[:, None])] = t
-        keep, which = keep[which >= 0], which[which >= 0]
-        wb = np.zeros((d.n, len(keep)), dtype=np.int16)
-        for j in np.flatnonzero(b):
-            wb += group[keep, :, j].T * pair[1, j]
-        # w(b) must be b, a, -b, -a as w(a) is a, b, -a, -b
-        keep = keep[np.logical_and.reduce(wb == ends[which ^ 1].T)]
-    keep.flags.writeable = False
-    return keep
+    a, b = basis.elements[members[0]].pair
+    up = _ascent(d, a)  # u^-1 = s_{up[-1]} ... s_{up[0]}
+    flip = up[::-1] + (a.index(1),) + up
+    to_b = up[::-1] + _ascent(d, b)
+    stabiliser = _stabiliser(d)
+    kernel = np.concatenate([_fixing(d, members, stabiliser, word)
+                             for word in ((), flip, to_b, to_b + flip)])
+    kernel.flags.writeable = False
+    return kernel
 
 
 def kernel_orders(d: Diagram, tables, group_order: int,
                   state_cap: int = STATE_CAP) -> list[int]:
     """Orders of the kernels of the Weyl group action on the given orbit
-    summands, from one walk of W in the reflection representation: the
-    elements that fix every basis 2-root of a summand.  The walk must find
-    group_order elements, and W may have at most state_cap of them."""
-    group = _weyl_group(d, state_cap)
-    if len(group) != group_order:
+    summands (_kernel): the elements that fix every basis 2-root of a
+    summand, filtered out of four cosets of the stabiliser of the highest
+    root.  W must have group_order elements, and at most state_cap."""
+    order = capped_weyl_order(d, state_cap)
+    if order != group_order:
         raise RuntimeError("the Weyl group has order %d, not %d"
-                           % (len(group), group_order))
+                           % (order, group_order))
     return [len(_kernel(d, t.basis_members)) for t in tables]
 
 
@@ -292,28 +395,30 @@ def action_kernel_order(d: Diagram, table, group_order: int,
 
 
 def kernel_intersection(d: Diagram, state_cap: int = STATE_CAP) -> dict:
-    """Walks the Weyl group once, takes for each summand of the canonical
-    basis the elements acting trivially on it (_kernel, shared with
-    kernel_orders), and intersects those kernels as boolean masks over the
-    group: the elements left alive by every kernel, in index order.
+    """Takes for each summand of the canonical basis the elements acting
+    trivially on it (_kernel, shared with kernel_orders) and intersects
+    those kernels as sets of matrices.  With no summand (A1, A2) the
+    intersection is all of W, which the simple reflections generate.
     Reports the group order, the per-summand kernel orders, the
     intersection order, and whether the intersection is exactly the
-    center (the identity, plus minus one when present)."""
-    group = _weyl_group(d, state_cap)
+    center: whether every element is the identity or minus it, as -1,
+    when in W, acts trivially on every summand."""
+    order = capped_weyl_order(d, state_cap)
     kernels = [_kernel(d, s) for s in canonical_basis(d).summands()]
-    alive = np.ones(len(group), dtype=bool)
-    for k in kernels:
-        hit = np.zeros(len(group), dtype=bool)
-        hit[k] = True
-        alive &= hit
-    inter = np.flatnonzero(alive)
-    # the identity is first; -1, when in W, is the longest element, last
-    center = [0] + [len(group) - 1] * bool((group[-1] == -np.eye(d.n)).all())
+    if kernels:
+        inter = set.intersection(*({w.tobytes() for w in k}
+                                   for k in kernels))
+        size = len(inter)
+    else:
+        inter = {np.array(s, dtype=np.int8).tobytes()
+                 for s in simple_matrices(d)}
+        size = order
+    one = np.eye(d.n, dtype=np.int8)
     return {
-        "group_order": len(group),
+        "group_order": order,
         "kernel_orders": tuple(len(k) for k in kernels),
-        "intersection_order": len(inter),
-        "is_center": inter.tolist() == center,
+        "intersection_order": size,
+        "is_center": inter <= {one.tobytes(), (-one).tobytes()},
     }
 
 

@@ -18,9 +18,10 @@ import numpy as np
 from . import linalg
 from .diagram import (TypeClass, adjacent, classify, closure,
                       component_count, h_graph, path_diagram, y_diagram)
-from .forms import (_weyl_group, action_kernel_order, affine_radical_witness,
-                    bprime, btilde, c_apply, decompose_s2v, gram,
-                    kernel_orders, norm2_witness, radical_basis, virasoro)
+from .forms import (_fixing, _kernel, _weyl_group, action_kernel_order,
+                    affine_radical_witness, bprime, btilde, c_apply,
+                    decompose_s2v, gram, kernel_orders, norm2_witness,
+                    radical_basis, virasoro)
 from .orbits import (closed_form_highest, ht2_of_pair, monoidal_covers,
                      orbit_tables, orthogonal_pairs, pair_action,
                      highest_pair)
@@ -601,6 +602,17 @@ def suite_kernels(seed=0):
     yield _listed("kernels: the Weyl group tree walk has distinct elements "
                   "and equals the closure of the simple reflections on A4, "
                   "D4, D5", bad)
+
+    bad = []
+    for d in map(_family, ["A3", "A4", "A5", "D4", "D5", "D6", "E6"]):
+        group = _weyl_group(d, 51840)
+        for s in canonical_basis(d).summands():
+            if ({w.tobytes() for w in _kernel(d, s)}
+                    != {w.tobytes() for w in _fixing(d, s, group)}):
+                bad.append("%r %s" % (d, s))
+    yield _listed("kernels: the highest-root cosets give the kernels that "
+                  "filtering the whole walk of W gives on A3-A5, D4-D6 "
+                  "and E6", bad)
 
 
 # --- 8. algebraic identities -----------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import tworoots
 from tworoots import cli, forms, verify
 from tworoots.cli import build_parser, main
 from tworoots.diagram import y_diagram
@@ -244,19 +245,19 @@ def test_kernel_d7_small_orbit(capsys):
     assert "kernel order 64 (group order 322560)" in out
 
 
-def test_kernel_walks_the_group_once(capsys, monkeypatch):
-    walks = []
-
-    def counted(*args):
-        walks.append(args)
-        return weyl_group(*args)
-
-    weyl_group = forms._weyl_group
-    monkeypatch.setattr(forms, "_weyl_group", counted)
+def test_kernel_walks_the_group_once(capsys):
+    # The one walk is of the stabiliser of the highest root; the whole
+    # group is never walked.
+    tworoots.clear_caches()
     code, out, _ = run(capsys, "kernel", "--y", "1", "1", "2")
     assert code == 0
     assert len(out.splitlines()) == 2  # D5 has two orbits
-    assert len(walks) == 1
+    d, before = y_diagram(1, 1, 2), forms._weyl_walk.cache_info()
+    assert before.misses == 1
+    assert len(forms._stabiliser(d)) == 48  # |W(D5)| / 40 roots, cached
+    assert forms._weyl_walk.cache_info().hits == before.hits + 1
+    assert len(forms._weyl_walk(d)) == 1920  # not cached: a new walk
+    assert forms._weyl_walk.cache_info().misses == 2
 
 
 def test_kernel_unknown_orbit(capsys):
@@ -359,6 +360,21 @@ def test_kernel_cap_names_the_order_and_the_cap(capsys):
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "192" in err and "state cap 10" in err
+
+
+def test_kernel_refuses_over_the_cap_before_any_orbit_table(capsys,
+                                                          monkeypatch):
+    # D32: the cap check comes first, so no orbit table is built and the
+    # user gets the cap message, not an allocation error.
+    def fail(d):
+        raise AssertionError("orbit_tables called")
+
+    monkeypatch.setattr(cli, "orbit_tables", fail)
+    code, out, err = run(capsys, "kernel", "--y", "1", "1", "29")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "state cap" in err
 
 
 def test_kernel_refuses_e7_before_walking(capsys):

@@ -12,11 +12,12 @@ from hypothesis import given, seed, settings, strategies as st
 import tworoots
 from tworoots import linalg
 from tworoots.diagram import path_diagram, weyl_order, y_diagram
-from tworoots.forms import (_kernel, _weyl_group, _weyl_walk,
-                            action_kernel_order, affine_radical_witness,
-                            bprime, btilde, c_apply, decompose_s2v, gram,
-                            kernel_intersection, kernel_orders,
-                            norm2_witness, radical_basis, virasoro)
+from tworoots.forms import (_fixing, _kernel, _stabiliser, _weyl_group,
+                            _weyl_walk, action_kernel_order,
+                            affine_radical_witness, bprime, btilde, c_apply,
+                            decompose_s2v, gram, kernel_intersection,
+                            kernel_orders, norm2_witness, radical_basis,
+                            virasoro)
 from tworoots.orbits import orbit_tables
 from tworoots.roots import closure, positive_roots, simple_root
 from tworoots.symsquare import (apply_word, canonical_basis, m_functional,
@@ -240,12 +241,86 @@ def test_weyl_group_is_cached_read_only_and_still_capped():
 
 
 def test_kernel_queries_walk_the_group_once():
+    # The one walk is of the stabiliser of the highest root, cached; the
+    # whole group is never walked.
     tworoots.clear_caches()
     d = y_diagram(1, 1, 2)
     report = kernel_intersection(d)
     orders = [action_kernel_order(d, t, 1920) for t in orbit_tables(d)]
     assert list(report["kernel_orders"]) == orders
+    before = _weyl_walk.cache_info()
+    assert before.misses == 1
+    assert _stabiliser(d) is _stabiliser(d)
+    assert _weyl_walk.cache_info().hits == before.hits + 2
     assert _weyl_walk.cache_info().misses == 1
+    _weyl_walk(d)
+    assert _weyl_walk.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("d", [path_diagram(3), path_diagram(4),
+                               path_diagram(5), y_diagram(1, 1, 1),
+                               y_diagram(1, 1, 2), y_diagram(1, 2, 2)],
+                         ids=["A3", "A4", "A5", "D4", "D5", "E6"])
+def test_kernels_fix_every_member_by_brute_force(d):
+    """Against plain integer products over the whole walk of W, with no
+    keys and no cosets: w is in a kernel when w a (w b)^T + w b (w a)^T
+    equals a b^T + b a^T for every basis member a v b.  The kernels, the
+    filter of one member (where the check on w(b) matters), and the
+    filter of the coset c W = W for a Coxeter element c, which is not an
+    involution, all agree with it."""
+    group = _weyl_walk(d).astype(np.int64)
+    basis = canonical_basis(d)
+
+    def fixing(members):
+        ok = np.ones(len(group), dtype=bool)
+        for k in members:
+            a, b = (np.array(r) for r in basis.elements[k].pair)
+            img = (group @ a)[:, :, None] * (group @ b)[:, None, :]
+            ok &= (img + img.transpose(0, 2, 1)
+                   == np.outer(a, b) + np.outer(b, a)).all(axis=(1, 2))
+        return {w.astype(np.int8).tobytes() for w in group[ok]}
+
+    coxeter = tuple(range(d.n))
+    c = functools.reduce(np.matmul, (np.array(m) for m in
+                                     simple_matrices(d)))
+    assert not (c @ c == np.eye(d.n)).all()
+    for s in basis.summands():
+        assert {w.tobytes() for w in _kernel(d, s)} == fixing(s)
+        assert {w.tobytes() for w in _fixing(d, s[:1], _weyl_walk(d))} \
+            == fixing(s[:1])
+        assert {w.tobytes()
+                for w in _fixing(d, s, _weyl_walk(d), coxeter)} == fixing(s)
+
+
+@pytest.mark.parametrize("d", [path_diagram(n) for n in range(3, 8)]
+                         + [y_diagram(1, 1, c) for c in range(1, 6)]
+                         + [y_diagram(1, 2, 2), y_diagram(1, 2, 3)],
+                         ids=["A%d" % n for n in range(3, 8)]
+                         + ["D%d" % n for n in range(4, 9)] + ["E6", "E7"])
+def test_stabiliser_walk_has_w_over_phi_elements_fixing_theta(d):
+    group = _stabiliser(d)
+    assert group.dtype == np.int8 and not group.flags.writeable
+    assert len(group) * 2 * len(positive_roots(d)) == weyl_order(d)
+    assert len({w.tobytes() for w in group}) == len(group)
+    top = np.array(positive_roots(d)[-1])
+    assert (group.astype(np.int64) @ top == top).all()
+    assert (group[0] == np.eye(d.n)).all()
+
+
+@pytest.mark.parametrize("d,orders,inter", [
+    (y_diagram(1, 2, 3), (2,), 2),
+    (y_diagram(1, 1, 4), (1, 64), 1),
+    (y_diagram(1, 1, 5), (2, 128), 2),
+], ids=["E7", "D7", "D8"])
+def test_kernels_past_the_default_cap(d, orders, inter):
+    # W(E7) and W(D8) have 2,903,040 and 5,160,960 elements; the kernels
+    # come from four cosets of 23,040 and 46,080.
+    order = weyl_order(d)
+    assert tuple(kernel_orders(d, orbit_tables(d), order,
+                               state_cap=order)) == orders
+    rep = kernel_intersection(d, state_cap=order)
+    assert rep["kernel_orders"] == orders
+    assert rep["intersection_order"] == inter and rep["is_center"]
 
 
 @pytest.mark.parametrize("d,orders,inter", [
@@ -256,8 +331,8 @@ def test_kernel_queries_walk_the_group_once():
 ], ids=["D4", "D5", "D6", "E6"])
 def test_kernel_jobs_share_one_kernel_per_summand(d, orders, inter):
     """kernel_orders and kernel_intersection read one cached, read-only
-    kernel per summand, and the mask intersection is the sorted
-    intersection of those kernels."""
+    kernel stack per summand, each equal as a set to the filter of the
+    whole walk of W, and their intersection is the center."""
     tworoots.clear_caches()
     summands = canonical_basis(d).summands()
     assert kernel_orders(d, orbit_tables(d), weyl_order(d)) == list(orders)
@@ -266,12 +341,20 @@ def test_kernel_jobs_share_one_kernel_per_summand(d, orders, inter):
     assert rep["kernel_orders"] == orders
     assert rep["intersection_order"] == inter and rep["is_center"]
     kernels = [_kernel(d, s) for s in summands]
+    assert all(k.dtype == np.int8 for k in kernels)
     assert not any(k.flags.writeable for k in kernels)
     with pytest.raises(ValueError):
-        kernels[0][0] = 1
-    # the center: the identity, first, and -1, last, when W holds it
-    oracle = functools.reduce(np.intersect1d, kernels)
-    assert oracle.tolist() == [0, weyl_order(d) - 1][:inter]
+        kernels[0][0, 0, 0] = 1
+    for s, k in zip(summands, kernels):
+        elements = {w.tobytes() for w in k}
+        assert len(elements) == len(k)
+        assert elements == {w.tobytes()
+                            for w in _fixing(d, s, _weyl_walk(d))}
+    # the center: the identity, and -1 when W holds it
+    one = np.eye(d.n, dtype=np.int8)
+    common = functools.reduce(set.intersection,
+                              ({w.tobytes() for w in k} for k in kernels))
+    assert common == set([one.tobytes(), (-one).tobytes()][:inter])
 
 
 def test_kernel_state_cap():
