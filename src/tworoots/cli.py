@@ -220,15 +220,16 @@ def cmd_decompose(args) -> int:
 
 def cmd_kernel(args) -> int:
     d = get_diagram(args)
-    order = capped_weyl_order(d, args.max_order)  # before any orbit table
-    tables = orbit_tables(d)
+    order = capped_weyl_order(d, args.max_order)
+    # orbit k is summand k of the canonical basis: no orbit table is built
+    summands = dict(enumerate(canonical_basis(d).summands(), start=1))
     if args.orbit is not None:
-        tables = [t for t in tables if t.id == args.orbit]
-        if not tables:
+        if args.orbit not in summands:
             raise ValueError("no orbit with id %d" % args.orbit)
-    out = [{"orbit": t.id, "kernel_order": k}
-           for t, k in zip(tables, kernel_orders(d, tables, order,
-                                                 state_cap=args.max_order))]
+        summands = {args.orbit: summands[args.orbit]}
+    out = [{"orbit": k, "kernel_order": n}
+           for k, n in zip(summands, kernel_orders(
+               d, summands.values(), order, state_cap=args.max_order))]
     emit(args, d, {"group_order": order, "kernels": out},
          ["orbit %d: kernel order %d (group order %d)"
           % (r["orbit"], r["kernel_order"], order) for r in out]
@@ -318,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute radical dimensions mod this prime")
 
     p = add("kernel", cmd_kernel, "kernel of the group action on an orbit "
-                                  "summand (walks the stabiliser of the "
-                                  "highest root, |W|/|roots| elements, and "
-                                  "filters four of its cosets)")
+                                  "summand (counted by a backtrack over the "
+                                  "images of the simple roots)")
     p.add_argument("--orbit", type=int, default=None, help="orbit id")
     p.add_argument("--max-order", type=int, default=STATE_CAP,
                    help="abort if the Weyl group exceeds this order")

@@ -7,17 +7,17 @@ subdiagram."""
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction as Q
 
 import numpy as np
 
 from . import linalg
-from .diagram import (Diagram, TypeClass, cartan, classify, closure,
-                      neighbors, parabolic_restrict, weyl_order, y_diagram)
-from .roots import (bform, delta, positive_roots, simple_reflect,
-                    simple_root)
+from .diagram import (Diagram, TypeClass, cartan, classify, neighbors,
+                      weyl_order, y_diagram)
+from .roots import delta, negate, positive_roots, simple_root
 from .symsquare import (SymMatrix, canonical_basis, reflection_matrix,
-                        sign_coherent, simple_matrices, standard_coords, vee)
+                        sign_coherent, standard_coords, vee)
 
 
 def _as_int(x):
@@ -163,54 +163,31 @@ def capped_weyl_order(d: Diagram, state_cap: int) -> int:
 
 
 def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
-    """The elements of W as a read-only int8 stack of matrices on
-    coefficient columns, by length from the identity (see _weyl_walk): the
-    oracle the kernels are checked against.  A group larger than the cap
-    is refused before the walk or the cache is touched."""
+    """The walk of W (_weyl_walk), the kernels' oracle; a group larger
+    than the cap is refused before the walk or the cache is touched."""
     capped_weyl_order(d, state_cap)
     return _weyl_walk(d)
 
 
-def _parabolic_order(d: Diagram, letters) -> int:
-    """Order of the subgroup generated by the simple reflections in
-    letters: the product of the Weyl group orders of the components of
-    the subdiagram on them."""
-    adj, left, order = neighbors(d), set(letters), 1
-    while left:
-        part = list(closure([min(left)],
-                            lambda j: (k for k in adj[j] if k in left)))
-        left -= set(part)
-        order *= weyl_order(parabolic_restrict(d, part)[0])
-    return order
-
-
 @functools.cache
-def _weyl_walk(d: Diagram, letters: tuple[int, ...] | None = None
-               ) -> np.ndarray:
-    """A tree walk of the subgroup of W generated by the simple
-    reflections in letters (all of W when None), written straight into
-    one preallocated int8 stack.  Column j of w is the root w(alpha_j),
-    whose sign is that of its height, and each w other than 1 has the
-    parent w s_i, one shorter, for the least letter i with w(alpha_i) < 0
-    (a right descent of w lies among its letters).  So w s_i is a child of
-    w when its column i is negative and its columns of the letters before
-    i are positive, and each element is reached once: layer by layer, and
-    within a layer by letter, then by parent.  The child w s_i differs
-    from w in few columns: column i is negated and each neighbour j of i,
-    a letter or not, gets column j plus column i.  The column heights of a
-    layer are carried in int16 and updated the same way.  Entries are
-    root coefficients (at most 6, on E8); a parent with an entry past 63,
-    whose children could leave int8, is refused, and so is a rank whose
-    heights could leave int16.  The walk must find _parabolic_order
-    elements."""
-    n, adj = d.n, neighbors(d)
-    letters = tuple(range(n)) if letters is None else letters
-    order = _parabolic_order(d, letters)
+def _weyl_walk(d: Diagram) -> np.ndarray:
+    """The elements of W as one read-only int8 stack of matrices on
+    coefficient columns, by length from the identity, in a tree walk.
+    Column j of w is the root w(alpha_j), whose sign is that of its
+    height, and each w other than 1 has the parent w s_i, one shorter,
+    for the least i with w(alpha_i) < 0.  So w s_i is a child of w when
+    its column i is negative and its columns before i are positive, and
+    each element is reached once: layer by layer, and within a layer by
+    letter, then by parent.  The child w s_i differs from w in few
+    columns: column i is negated and each neighbour j of i gets column j
+    plus column i.  The column heights of a layer are carried in int16
+    and updated the same way.  Entries are root coefficients (at most 6,
+    on E8); a parent with an entry past 63, whose children could leave
+    int8, is refused, and so is a rank whose heights could leave int16."""
+    order, n, adj = weyl_order(d), d.n, neighbors(d)
     if 126 * n >= 2 ** 15:
         raise RuntimeError("rank %d is past the int16 heights" % n)
-    slot = {i: s for s, i in enumerate(letters)}
-    lower = [(slot[k], slot[i]) for i in letters for k in adj[i]
-             if k < i and k in slot]
+    lower = [(k, i) for i in range(n) for k in adj[i] if k < i]
     group = np.empty((order, n, n), dtype=np.int8)
     group[0] = np.eye(n, dtype=np.int8)
     heights = np.ones((n, 1), dtype=np.int16)  # [k, l]: of column k of l
@@ -220,29 +197,27 @@ def _weyl_walk(d: Diagram, letters: tuple[int, ...] | None = None
         if layer.max() > 63 or layer.min() < -63:
             raise RuntimeError("a group element has an entry past 63, "
                                "whose children could leave int8")
-        # bad[s, l]: how many of the letter columns up to i = letters[s]
-        # of (parent l) s_i are positive where they must be negative (i)
-        # or negative where they must be positive (k < i).  A column k < i
-        # not joined to i is the parent's; a joined one is the parent's
-        # column k plus column i.
-        lh = heights[list(letters)]
-        neg = lh < 0
+        # bad[i, l]: how many of the columns 0..i of (parent l) s_i are
+        # positive where they must be negative (i) or negative where they
+        # must be positive (k < i).  A column k < i not joined to i is the
+        # parent's; a joined one is the parent's column k plus column i.
+        neg = heights < 0
         bad = np.cumsum(neg, axis=0, dtype=np.int16)
         for k, i in lower:
             bad[i] -= neg[k]
-            bad[i] += lh[k] + lh[i] < 0
+            bad[i] += heights[k] + heights[i] < 0
         # by letter, then by parent
-        slots, parents = np.divmod(np.flatnonzero(bad == 0), end - start)
+        letters, parents = np.divmod(np.flatnonzero(bad == 0), end - start)
         if end + len(parents) > order:
             raise RuntimeError("walk found more than %d elements" % order)
         child = group[end:end + len(parents)]
         # parents are in range; mode "raise" would buffer a copy of child
         np.take(layer, parents, axis=0, out=child, mode="clip")
         heights = heights[:, parents]
-        cuts = np.searchsorted(slots, np.arange(len(letters) + 1))
-        for s, i in enumerate(letters):
-            w, h = child[cuts[s]:cuts[s + 1]], heights[:, cuts[s]:cuts[s + 1]]
-            for j in adj[i]:
+        cuts = np.searchsorted(letters, np.arange(n + 1))
+        for i, js in enumerate(adj):
+            w, h = child[cuts[i]:cuts[i + 1]], heights[:, cuts[i]:cuts[i + 1]]
+            for j in js:
                 w[:, :, j] += w[:, :, i]
                 h[j] += h[i]
             w[:, :, i] *= -1
@@ -255,136 +230,139 @@ def _weyl_walk(d: Diagram, letters: tuple[int, ...] | None = None
     return group
 
 
-def _stabiliser(d: Diagram) -> np.ndarray:
-    """The stabiliser in W of the highest root theta, walked: the
-    parabolic subgroup W_J, J = {j : B(theta, alpha_j) = 0} (Humphreys,
-    Reflection Groups and Coxeter Groups, 1990, section 1.12).  W is
-    transitive on the roots of a connected simply laced diagram, so W_J
-    has |W| / |Phi| elements by orbit-stabiliser; any other count is
-    refused."""
-    top = positive_roots(d)[-1]
-    group = _weyl_walk(d, tuple(j for j in range(d.n)
-                                if bform(d, top, simple_root(d, j)) == 0))
-    if len(group) * 2 * len(positive_roots(d)) != weyl_order(d):
-        raise RuntimeError("the stabiliser of the highest root has %d "
-                           "elements, not |W| / |Phi|" % len(group))
-    return group
-
-
-def _ascent(d: Diagram, root) -> tuple[int, ...]:
-    """Letters l_1, ..., l_r with s_{l_r} ... s_{l_1}(root) = theta, the
-    highest root, for a positive root: theta is the one root with
-    B(root, alpha_j) >= 0 for every j, and s_j raises a root with
-    B(root, alpha_j) < 0, so taking the least such j climbs to theta."""
-    top, adj, word = positive_roots(d)[-1], neighbors(d), []
-    while root != top:
-        j = next(j for j in range(d.n)
-                 if 2 * root[j] < sum(root[k] for k in adj[j]))
-        root = simple_reflect(d, j, root)
-        word.append(j)
-    return tuple(word)
-
-
-def _fixing(d: Diagram, members: tuple[int, ...], stack: np.ndarray,
-            word=()) -> np.ndarray:
-    """The elements w = g h, for h in the stack and g = s_{word[0]} ...
-    s_{word[-1]}, with w(a) v w(b) = a v b for every basis member a v b
-    with these indices: the filter behind every kernel, as a new int8
-    stack.  As a and b are independent norm-2 roots, w(a) v w(b) = a v b
-    holds exactly when (w(a), w(b)) is (a, b) or (b, a) up to one common
-    sign, that is, when (h(a), h(b)) is that pair moved by g^-1, the
-    product over the reversed word (never an inverted matrix).  So the
-    stack is read as it is, and only the elements kept are multiplied by
-    g.  Each member is checked only against the elements that fixed the
-    members before it, in two stages: first on h(a) alone, which is
-    column i of h as a basis pair starts with a simple root alpha_i, then
-    on h(b) for the elements left.  Roots are compared by keys: with M
-    the largest coefficient of the highest root, which bounds every
-    root's coefficients in size, the key of x is place . x, its
-    coefficients read as digits of base 2M + 1, so two roots share a key
-    only when they are equal.  Every key and every partial sum is below
-    height(theta) (2M + 1)^n, which must be below 2**63."""
-    basis, adj = canonical_basis(d), neighbors(d)
-    pairs = np.array([basis.elements[k].pair for k in members],
-                     dtype=np.int64)
-    if (pairs[:, 0].sum(axis=1) != 1).any():
-        raise RuntimeError("a basis pair does not start with a simple root")
-    top = positive_roots(d)[-1]
-    base = 2 * max(top) + 1
-    if sum(top) * base ** d.n >= 2 ** 63:
-        raise RuntimeError("rank %d is past the int64 root keys" % d.n)
-    place = base ** np.arange(d.n, dtype=np.int64)
-    # The key of g^-1 x is (place g^-1) . x.  Right multiplication by s_i
-    # negates entry i of a row and adds it to its neighbours' entries, so
-    # place g^-1 = place s_{word[-1]} ... s_{word[0]} is built in place.
-    pulled = place.tolist()
-    for i in reversed(word):
-        for j in adj[i]:
-            pulled[j] += pulled[i]
-        pulled[i] = -pulled[i]
-    # the keys of a, b, -a, -b moved by g^-1, and of the partner each one
-    # asks of h(b)
-    ends = pairs @ np.array(pulled, dtype=np.int64)
-    ends = np.concatenate([ends, -ends], axis=1)
-    partners = ends[:, [1, 0, 3, 2]]
-    keep = np.arange(len(stack))
-    for (a, b), end, partner in zip(pairs, ends, partners):
-        hit = stack[keep, :, a.argmax()] @ place == end[:, None]
-        found = hit.any(axis=0)
-        keep, which = keep[found], hit.argmax(axis=0)[found]
-        keep = keep[stack[keep] @ b @ place == partner[which]]
-        if not len(keep):
-            return stack[keep]
-    # g in int64, exact as its columns are roots; only now, for the kept
-    reflections = np.array(simple_matrices(d), dtype=np.int64)
-    g = functools.reduce(np.matmul, reflections[list(word)],
-                         np.eye(d.n, dtype=np.int64))
-    return (g @ stack[keep]).astype(np.int8)
+def _fixing(d: Diagram, members: tuple[int, ...],
+            stack: np.ndarray) -> np.ndarray:
+    """The elements w of the stack with w(a) v w(b) = a v b for every
+    basis member a v b with these indices, by plain integer products: the
+    oracle for _kernel_order.  As a and b are independent norm-2 roots,
+    (w(a), w(b)) must be (a, b) or (b, a) up to one common sign."""
+    group = stack.astype(np.int64)
+    keep = np.ones(len(group), dtype=bool)
+    for k in members:
+        a, b = map(np.array, canonical_basis(d).elements[k].pair)
+        wa, wb = group @ a, group @ b
+        keep &= np.logical_or.reduce([
+            (wa == x).all(axis=1) & (wb == y).all(axis=1)
+            for x, y in ((a, b), (b, a), (-a, -b), (-b, -a))])
+    return stack[keep]
 
 
 @functools.cache
-def _kernel(d: Diagram, members: tuple[int, ...]) -> np.ndarray:
-    """The kernel K of W on the summand with these indices, one of
-    CanonicalBasis.summands: the elements fixing each basis member, as
-    those members span it, as a read-only int8 stack.  Computed once per
-    summand for kernel_orders and kernel_intersection, which each refuse a
-    group above their cap before calling it, from four cosets of the
-    stabiliser W_J of the highest root theta (_stabiliser), 4 |W| / |Phi|
-    candidates, and not from all of W.  K is normal, as the kernel of a
-    representation.  Let a v b be the first member, with a = alpha_i, and
-    E = {a, -a, b, -b}; every x in K has x(a) in E.  The walk up from a
-    (_ascent) gives u^-1 with u^-1(a) = theta, and for k in K,
-    u k u^-1 is in K, so k(theta) = u^-1 (u k u^-1)(a) lies in u^-1 E,
-    four roots.  The elements taking theta to a root gamma are the coset
-    g W_J of any g with g(theta) = gamma.  Four words give one g for each
-    root of u^-1 E: 1 for theta, u^-1 s_i u for -theta, u^-1 v for
-    u^-1(b), where v^-1 is the walk up from b, and u^-1 v u^-1 s_i u for
-    -u^-1(b).  _fixing then picks K out of each coset exactly."""
-    basis = canonical_basis(d)
-    if members not in basis.summands():
-        raise RuntimeError("summand is not invariant")
-    a, b = basis.elements[members[0]].pair
-    up = _ascent(d, a)  # u^-1 = s_{up[-1]} ... s_{up[0]}
-    flip = up[::-1] + (a.index(1),) + up
-    to_b = up[::-1] + _ascent(d, b)
-    stabiliser = _stabiliser(d)
-    kernel = np.concatenate([_fixing(d, members, stabiliser, word)
-                             for word in ((), flip, to_b, to_b + flip)])
-    kernel.flags.writeable = False
-    return kernel
+def _root_gram(d: Diagram):
+    """The roots, positive then negative, as an int64 stack, the index of
+    each root by its tuple of Python ints, and the root Gram table
+    B(Phi_r, Phi_s) in int8 (entries -2 to 2), built once per diagram."""
+    pos = np.array(positive_roots(d), dtype=np.int64)
+    form = (pos @ np.array(cartan(d), dtype=np.int64) @ pos.T).astype(np.int8)
+    roots = np.concatenate([pos, -pos])
+    index = {r: k for k, r in enumerate(map(tuple, roots.tolist()))}
+    return roots, index, np.block([[form, -form], [-form, form]])
+
+
+def _in_weyl(d: Diagram, columns) -> bool:
+    """Whether the root lattice isometry w with these columns w(alpha_j),
+    in Python ints, lies in W.  The isometries are W times the diagram's
+    automorphisms g, and for w = u g, u in W, a negative column i makes
+    w s_i = (u s_{g(i)}) g shorter in u: negate column i and add it to
+    its neighbours'.  The descent ends at g, the identity when w is in W."""
+    adj, cols = neighbors(d), [list(c) for c in columns]
+    heights = [sum(c) for c in cols]
+    while min(heights) < 0:
+        i = heights.index(min(heights))
+        for j in adj[i]:
+            cols[j] = [x + y for x, y in zip(cols[j], cols[i])]
+            heights[j] += heights[i]
+        cols[i] = [-x for x in cols[i]]
+        heights[i] = -heights[i]
+    return all(c[j] == 1 and heights[j] == 1 for j, c in enumerate(cols))
+
+
+@functools.cache
+def _kernel_order(d: Diagram, members: tuple[int, ...]) -> int:
+    """The number of w in W with w(a) v w(b) = a v b, that is, with
+    (w(a), w(b)) equal to (a, b) or (b, a) up to one common sign, for every
+    basis member a v b with these indices.  A backtrack with the simple
+    roots as the base (Sims 1970; Seress, Permutation Group Algorithms,
+    2003, ch. 4 and 9): w is the tuple of roots w(alpha_j), with
+    B(w(alpha_j), w(alpha_k)) = C[j][k], chosen a letter at a time, first
+    the letters i of the members' a = alpha_i, whose images lie in
+    {+-a, +-b}, then each letter joined to one already chosen.
+    Candidates are rows of _root_gram's table.  A member is checked once
+    w(b) is known: the norm-2 vector w(b) is the root y asked for exactly
+    when B(w(b), y) = 2, a sum of table entries, as the form is positive
+    definite.  At level t the earlier letters are fixed to their own
+    roots; the candidates with a completion, found depth first (the
+    letter's own root has 1), are the orbit of its root under that
+    stabiliser, and |K| is the product of the orbit sizes.  Membership in
+    W is tested only at a leaf (_in_weyl), which rejects the diagram's
+    automorphisms.  With no members the count is |W|."""
+    n, adj, basis = d.n, neighbors(d), canonical_basis(d)
+    roots, index, table = _root_gram(d)
+    allowed, checks = {}, []
+    for k in members:
+        a, b = basis.elements[k].pair
+        if sum(a) != 1:
+            raise RuntimeError("a basis pair does not start with a simple "
+                               "root")
+        ends = [index[r] for r in (a, b, negate(a), negate(b))]
+        i = a.index(1)
+        allowed[i] = [e for e in allowed.get(i, ends) if e in ends]
+        checks.append((i, b, dict(zip(ends, ends[1::-1] + ends[:1:-1]))))
+    order, joined = sorted(allowed) or [0], {}  # joined: a neighbour before
+    while len(order) < n:
+        j, k = min((j, k) for k in order for j in adj[k] if j not in order)
+        order.append(j)
+        joined[j] = k
+    level = {j: t for t, j in enumerate(order)}
+    want = np.array(cartan(d), dtype=np.int8)[np.ix_(order, order)]
+    # due[t]: the members whose a and b are known from level t on
+    due = [[] for _ in range(n)]
+    for i, b, partner in checks:
+        at = [j for j in range(n) if b[j]]
+        due[max(level[j] for j in at + [i])].append(
+            (level[i], [level[j] for j in at], np.array(b)[at], partner))
+
+    def candidates(img):
+        t, j = len(img), order[len(img)]
+        if j in allowed:
+            cand = np.array(allowed[j])
+        elif j in joined:
+            cand = np.flatnonzero(table[img[level[joined[j]]]] == -1)
+        else:
+            cand = np.arange(len(roots))
+        cand = cand[(table[cand[:, None], img] == want[t, :t]).all(axis=1)]
+        return [g for g in cand.tolist() if fixes(img + [g])]
+
+    def fixes(img):  # w(b) is a's partner for each member due last level
+        return all(table[partner[img[a]], [img[s] for s in at]] @ c == 2
+                   for a, at, c, partner in due[len(img) - 1])
+
+    def completes(img):
+        if len(img) == n:
+            return _in_weyl(d, roots[[img[level[j]] for j in range(n)]]
+                            .tolist())
+        return any(completes(img + [g]) for g in candidates(img))
+
+    fixed = [index[simple_root(d, j)] for j in order]
+    return math.prod(sum(g == fixed[t] or completes(fixed[:t] + [g])
+                         for g in candidates(fixed[:t])) for t in range(n))
 
 
 def kernel_orders(d: Diagram, tables, group_order: int,
                   state_cap: int = STATE_CAP) -> list[int]:
     """Orders of the kernels of the Weyl group action on the given orbit
-    summands (_kernel): the elements that fix every basis 2-root of a
-    summand, filtered out of four cosets of the stabiliser of the highest
-    root.  W must have group_order elements, and at most state_cap."""
+    summands, each an orbit table or its basis_members, one of
+    CanonicalBasis.summands: the elements that fix every basis 2-root of
+    a summand, counted by _kernel_order once per summand.  W must have
+    group_order elements, and at most state_cap."""
     order = capped_weyl_order(d, state_cap)
     if order != group_order:
         raise RuntimeError("the Weyl group has order %d, not %d"
                            % (order, group_order))
-    return [len(_kernel(d, t.basis_members)) for t in tables]
+    members = [getattr(t, "basis_members", t) for t in tables]
+    if any(m not in canonical_basis(d).summands() for m in members):
+        raise RuntimeError("summand is not invariant")
+    return [_kernel_order(d, m) for m in members]
 
 
 def action_kernel_order(d: Diagram, table, group_order: int,
@@ -395,30 +373,21 @@ def action_kernel_order(d: Diagram, table, group_order: int,
 
 
 def kernel_intersection(d: Diagram, state_cap: int = STATE_CAP) -> dict:
-    """Takes for each summand of the canonical basis the elements acting
-    trivially on it (_kernel, shared with kernel_orders) and intersects
-    those kernels as sets of matrices.  With no summand (A1, A2) the
-    intersection is all of W, which the simple reflections generate.
-    Reports the group order, the per-summand kernel orders, the
-    intersection order, and whether the intersection is exactly the
-    center: whether every element is the identity or minus it, as -1,
-    when in W, acts trivially on every summand."""
+    """The group order, the kernel order on each summand of the canonical
+    basis, and the order of the intersection of those kernels: the same
+    search (_kernel_order) with every summand's members at once, which
+    with no summand (A1, A2) counts all of W.  The intersection is exactly
+    the center when it has order 1, or order 2 and -1 lies in W (it then
+    acts trivially on every summand)."""
     order = capped_weyl_order(d, state_cap)
-    kernels = [_kernel(d, s) for s in canonical_basis(d).summands()]
-    if kernels:
-        inter = set.intersection(*({w.tobytes() for w in k}
-                                   for k in kernels))
-        size = len(inter)
-    else:
-        inter = {np.array(s, dtype=np.int8).tobytes()
-                 for s in simple_matrices(d)}
-        size = order
-    one = np.eye(d.n, dtype=np.int8)
+    summands = canonical_basis(d).summands()
+    size = _kernel_order(d, sum(summands, ()))
+    minus = [negate(simple_root(d, j)) for j in range(d.n)]
     return {
         "group_order": order,
-        "kernel_orders": tuple(len(k) for k in kernels),
+        "kernel_orders": tuple(_kernel_order(d, s) for s in summands),
         "intersection_order": size,
-        "is_center": inter <= {one.tobytes(), (-one).tobytes()},
+        "is_center": size == 1 or size == 2 and _in_weyl(d, minus),
     }
 
 

@@ -17,11 +17,12 @@ import numpy as np
 
 from . import linalg
 from .diagram import (TypeClass, adjacent, classify, closure,
-                      component_count, h_graph, path_diagram, y_diagram)
-from .forms import (_fixing, _kernel, _weyl_group, action_kernel_order,
+                      component_count, h_graph, path_diagram, weyl_order,
+                      y_diagram)
+from .forms import (_fixing, _weyl_group, action_kernel_order,
                     affine_radical_witness, bprime, btilde, c_apply,
-                    decompose_s2v, gram, kernel_orders, norm2_witness,
-                    radical_basis, virasoro)
+                    decompose_s2v, gram, kernel_intersection, kernel_orders,
+                    norm2_witness, radical_basis, virasoro)
 from .orbits import (closed_form_highest, ht2_of_pair, monoidal_covers,
                      orbit_tables, orthogonal_pairs, pair_action,
                      highest_pair)
@@ -64,6 +65,11 @@ def _family(tag):
     if kind == "D":
         return y_diagram(1, 1, n - 3)
     return y_diagram(1, 2, n - 4)
+
+
+# The finite diagrams of the certified routes' and the kernels' checks
+_LADDER = (["A%d" % n for n in range(4, 13)]
+           + ["D%d" % n for n in range(4, 17)] + ["E6", "E7", "E8"])
 
 
 # --- 1. classification and canonical bases ---------------------------------
@@ -543,10 +549,7 @@ def suite_forms(seed=0):
     # lifted from mod 2^31-1, and the radicals that linalg.nullspace
     # certifies zero by their rank mod 2^31-1.
     bad = []
-    tags = (["A%d" % n for n in range(4, 13)]
-            + ["D%d" % n for n in range(4, 17)] + ["E6", "E7", "E8"])
-    diagrams = [_family(tag) for tag in tags] + forks
-    for d in diagrams:
+    for d in [_family(tag) for tag in _LADDER] + forks:
         basis = canonical_basis(d)
         solve, den = linalg.rref_solve(basis._coords.T)
         if classify(d) is TypeClass.FINITE:
@@ -605,14 +608,38 @@ def suite_kernels(seed=0):
 
     bad = []
     for d in map(_family, ["A3", "A4", "A5", "D4", "D5", "D6", "E6"]):
-        group = _weyl_group(d, 51840)
-        for s in canonical_basis(d).summands():
-            if ({w.tobytes() for w in _kernel(d, s)}
-                    != {w.tobytes() for w in _fixing(d, s, group)}):
-                bad.append("%r %s" % (d, s))
-    yield _listed("kernels: the highest-root cosets give the kernels that "
-                  "filtering the whole walk of W gives on A3-A5, D4-D6 "
-                  "and E6", bad)
+        group, summands = _weyl_group(d, 51840), canonical_basis(d).summands()
+        inter = _fixing(d, sum(summands, ()), group)
+        one = np.eye(d.n, dtype=np.int8)
+        walked = {"group_order": len(group),
+                  "kernel_orders": tuple(len(_fixing(d, s, group))
+                                         for s in summands),
+                  "intersection_order": len(inter),
+                  "is_center": {w.tobytes() for w in inter}
+                  <= {one.tobytes(), (-one).tobytes()}}
+        if kernel_intersection(d) != walked:
+            bad.append(repr(d))
+    yield _listed("kernels: the search's kernel orders, intersection "
+                  "orders and centers equal the filter of the whole walk "
+                  "of W on A3-A5, D4-D6 and E6", bad)
+
+    # A_n acts faithfully; on D_n the sign changes act trivially on the
+    # small orbit, and the center alone on the large one.  The center has
+    # order 2 where -1 is in W: D_n for even n, E7, E8.
+    bad = []
+    for tag in _LADDER:
+        d, n = _family(tag), int(tag[1:])
+        z = 2 if tag in ("E7", "E8") or tag[0] == "D" and n % 2 == 0 else 1
+        want = {"A": [1], "D": [z, 2 ** (n - 1)] if n > 4 else [8] * 3,
+                "E": [z]}[tag[0]]
+        rep = kernel_intersection(d, state_cap=weyl_order(d))
+        if (sorted(rep["kernel_orders"]), rep["intersection_order"],
+                rep["is_center"]) != (want, z, True):
+            bad.append(tag)
+    yield _listed("kernels: the kernel orders take their closed forms on "
+                  "A4-A12, D4-D16 and E6-E8 (A_n 1; D4 8, 8, 8; D_n 2 or 1 "
+                  "and 2^(n-1); E6 1, E7 2, E8 2), and they meet in the "
+                  "center", bad)
 
 
 # --- 8. algebraic identities -----------------------------------------------

@@ -245,19 +245,25 @@ def test_kernel_d7_small_orbit(capsys):
     assert "kernel order 64 (group order 322560)" in out
 
 
-def test_kernel_walks_the_group_once(capsys):
-    # The one walk is of the stabiliser of the highest root; the whole
-    # group is never walked.
+def test_kernel_walks_no_group(capsys):
+    # The kernels are counted by the backtrack; W is never walked.
     tworoots.clear_caches()
     code, out, _ = run(capsys, "kernel", "--y", "1", "1", "2")
     assert code == 0
     assert len(out.splitlines()) == 2  # D5 has two orbits
-    d, before = y_diagram(1, 1, 2), forms._weyl_walk.cache_info()
-    assert before.misses == 1
-    assert len(forms._stabiliser(d)) == 48  # |W(D5)| / 40 roots, cached
-    assert forms._weyl_walk.cache_info().hits == before.hits + 1
-    assert len(forms._weyl_walk(d)) == 1920  # not cached: a new walk
-    assert forms._weyl_walk.cache_info().misses == 2
+    assert forms._weyl_walk.cache_info().misses == 0
+
+
+def test_kernel_d16_builds_no_orbit_table(capsys):
+    # |W(D16)| = 2**15 16!; orbit k is summand k of the canonical basis.
+    tworoots.clear_caches()
+    code, out, _ = run(capsys, "kernel", "--y", "1", "1", "13",
+                       "--max-order", "685597979049984000")
+    assert code == 0
+    assert out.splitlines() == [
+        "orbit 1: kernel order 2 (group order 685597979049984000)",
+        "orbit 2: kernel order 32768 (group order 685597979049984000)"]
+    assert cli.orbit_tables.cache_info().misses == 0
 
 
 def test_kernel_unknown_orbit(capsys):

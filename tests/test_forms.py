@@ -1,5 +1,5 @@
 import dataclasses
-import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +12,7 @@ from hypothesis import given, seed, settings, strategies as st
 import tworoots
 from tworoots import linalg
 from tworoots.diagram import path_diagram, weyl_order, y_diagram
-from tworoots.forms import (_fixing, _kernel, _stabiliser, _weyl_group,
+from tworoots.forms import (_fixing, _in_weyl, _kernel_order, _weyl_group,
                             _weyl_walk, action_kernel_order,
                             affine_radical_witness, bprime, btilde, c_apply,
                             decompose_s2v, gram, kernel_intersection,
@@ -240,21 +240,35 @@ def test_weyl_group_is_cached_read_only_and_still_capped():
         _weyl_group(d, 191)
 
 
-def test_kernel_queries_walk_the_group_once():
-    # The one walk is of the stabiliser of the highest root, cached; the
-    # whole group is never walked.
+def test_kernel_queries_walk_no_group():
+    # The kernels are counted by the backtrack; W is never walked.
     tworoots.clear_caches()
     d = y_diagram(1, 1, 2)
     report = kernel_intersection(d)
     orders = [action_kernel_order(d, t, 1920) for t in orbit_tables(d)]
     assert list(report["kernel_orders"]) == orders
-    before = _weyl_walk.cache_info()
-    assert before.misses == 1
-    assert _stabiliser(d) is _stabiliser(d)
-    assert _weyl_walk.cache_info().hits == before.hits + 2
-    assert _weyl_walk.cache_info().misses == 1
-    _weyl_walk(d)
-    assert _weyl_walk.cache_info().misses == 2
+    assert _weyl_walk.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("d,minus_one", [
+    (path_diagram(3), False), (y_diagram(1, 1, 1), True),
+    (y_diagram(1, 1, 2), False), (y_diagram(1, 2, 2), False),
+], ids=["A3", "D4", "D5", "E6"])
+def test_in_weyl_rejects_the_diagram_automorphisms(d, minus_one):
+    """The leaf test of the kernel search: every sampled element w of the
+    walk of W is in W, and w g is not for each nontrivial automorphism g
+    of the diagram (A3's and E6's reversal, D5's flip, D4's triality);
+    -1 is in W on D4 only."""
+    edges = {frozenset(e) for e in d.edges}
+    autos = [p for p in itertools.permutations(range(d.n))
+             if {frozenset((p[a], p[b])) for a, b in d.edges} == edges]
+    assert len(autos) == (6 if d.n == 4 and d.kind == "Y" else 2)
+    group = _weyl_walk(d)
+    for w in group[::max(1, len(group) // 200)].astype(np.int64):
+        for p in autos:
+            assert _in_weyl(d, w.T[list(p)].tolist()) \
+                == (p == tuple(range(d.n)))
+    assert _in_weyl(d, (-np.eye(d.n, dtype=np.int64)).tolist()) == minus_one
 
 
 @pytest.mark.parametrize("d", [path_diagram(3), path_diagram(4),
@@ -262,12 +276,11 @@ def test_kernel_queries_walk_the_group_once():
                                y_diagram(1, 1, 2), y_diagram(1, 2, 2)],
                          ids=["A3", "A4", "A5", "D4", "D5", "E6"])
 def test_kernels_fix_every_member_by_brute_force(d):
-    """Against plain integer products over the whole walk of W, with no
-    keys and no cosets: w is in a kernel when w a (w b)^T + w b (w a)^T
-    equals a b^T + b a^T for every basis member a v b.  The kernels, the
-    filter of one member (where the check on w(b) matters), and the
-    filter of the coset c W = W for a Coxeter element c, which is not an
-    involution, all agree with it."""
+    """Against plain integer products over the whole walk of W: w is in a
+    kernel when w a (w b)^T + w b (w a)^T equals a b^T + b a^T for every
+    basis member a v b.  The filter _fixing and the counts of the search,
+    for each summand and for its first member alone (where the check on
+    w(b) matters), all agree with it."""
     group = _weyl_walk(d).astype(np.int64)
     basis = canonical_basis(d)
 
@@ -280,41 +293,24 @@ def test_kernels_fix_every_member_by_brute_force(d):
                    == np.outer(a, b) + np.outer(b, a)).all(axis=(1, 2))
         return {w.astype(np.int8).tobytes() for w in group[ok]}
 
-    coxeter = tuple(range(d.n))
-    c = functools.reduce(np.matmul, (np.array(m) for m in
-                                     simple_matrices(d)))
-    assert not (c @ c == np.eye(d.n)).all()
     for s in basis.summands():
-        assert {w.tobytes() for w in _kernel(d, s)} == fixing(s)
-        assert {w.tobytes() for w in _fixing(d, s[:1], _weyl_walk(d))} \
-            == fixing(s[:1])
-        assert {w.tobytes()
-                for w in _fixing(d, s, _weyl_walk(d), coxeter)} == fixing(s)
-
-
-@pytest.mark.parametrize("d", [path_diagram(n) for n in range(3, 8)]
-                         + [y_diagram(1, 1, c) for c in range(1, 6)]
-                         + [y_diagram(1, 2, 2), y_diagram(1, 2, 3)],
-                         ids=["A%d" % n for n in range(3, 8)]
-                         + ["D%d" % n for n in range(4, 9)] + ["E6", "E7"])
-def test_stabiliser_walk_has_w_over_phi_elements_fixing_theta(d):
-    group = _stabiliser(d)
-    assert group.dtype == np.int8 and not group.flags.writeable
-    assert len(group) * 2 * len(positive_roots(d)) == weyl_order(d)
-    assert len({w.tobytes() for w in group}) == len(group)
-    top = np.array(positive_roots(d)[-1])
-    assert (group.astype(np.int64) @ top == top).all()
-    assert (group[0] == np.eye(d.n)).all()
+        for members in (s, s[:1]):
+            assert _kernel_order(d, members) == len(fixing(members))
+            assert {w.tobytes() for w in _fixing(d, members, _weyl_walk(d))} \
+                == fixing(members)
 
 
 @pytest.mark.parametrize("d,orders,inter", [
     (y_diagram(1, 2, 3), (2,), 2),
+    (y_diagram(1, 2, 4), (2,), 2),
     (y_diagram(1, 1, 4), (1, 64), 1),
     (y_diagram(1, 1, 5), (2, 128), 2),
-], ids=["E7", "D7", "D8"])
+    (y_diagram(1, 1, 9), (2, 2048), 2),
+    (y_diagram(1, 1, 13), (2, 32768), 2),
+], ids=["E7", "E8", "D7", "D8", "D12", "D16"])
 def test_kernels_past_the_default_cap(d, orders, inter):
-    # W(E7) and W(D8) have 2,903,040 and 5,160,960 elements; the kernels
-    # come from four cosets of 23,040 and 46,080.
+    # W(E7) and W(D8) have 2,903,040 and 5,160,960 elements, W(D16) about
+    # 6.9 * 10**17: the search never lists them.
     order = weyl_order(d)
     assert tuple(kernel_orders(d, orbit_tables(d), order,
                                state_cap=order)) == orders
@@ -330,31 +326,26 @@ def test_kernels_past_the_default_cap(d, orders, inter):
     (y_diagram(1, 2, 2), (1,), 1),
 ], ids=["D4", "D5", "D6", "E6"])
 def test_kernel_jobs_share_one_kernel_per_summand(d, orders, inter):
-    """kernel_orders and kernel_intersection read one cached, read-only
-    kernel stack per summand, each equal as a set to the filter of the
-    whole walk of W, and their intersection is the center."""
+    """kernel_orders and kernel_intersection read one cached search per
+    summand, plus one with every summand's members for the intersection
+    (the same search when there is one summand).  The orders and the
+    intersection equal the filter of the whole walk of W, and the
+    intersection is the center."""
     tworoots.clear_caches()
     summands = canonical_basis(d).summands()
     assert kernel_orders(d, orbit_tables(d), weyl_order(d)) == list(orders)
     rep = kernel_intersection(d)
-    assert _kernel.cache_info().misses == len(summands)
+    assert _kernel_order.cache_info().misses \
+        == len(summands) + (len(summands) > 1)
     assert rep["kernel_orders"] == orders
     assert rep["intersection_order"] == inter and rep["is_center"]
-    kernels = [_kernel(d, s) for s in summands]
-    assert all(k.dtype == np.int8 for k in kernels)
-    assert not any(k.flags.writeable for k in kernels)
-    with pytest.raises(ValueError):
-        kernels[0][0, 0, 0] = 1
-    for s, k in zip(summands, kernels):
-        elements = {w.tobytes() for w in k}
-        assert len(elements) == len(k)
-        assert elements == {w.tobytes()
-                            for w in _fixing(d, s, _weyl_walk(d))}
+    group = _weyl_walk(d)
+    assert orders == tuple(len(_fixing(d, s, group)) for s in summands)
     # the center: the identity, and -1 when W holds it
     one = np.eye(d.n, dtype=np.int8)
-    common = functools.reduce(set.intersection,
-                              ({w.tobytes() for w in k} for k in kernels))
-    assert common == set([one.tobytes(), (-one).tobytes()][:inter])
+    common = _fixing(d, sum(summands, ()), group)
+    assert {w.tobytes() for w in common} \
+        == set([one.tobytes(), (-one).tobytes()][:inter])
 
 
 def test_kernel_state_cap():
