@@ -188,8 +188,8 @@ def _pair_layers(d: Diagram, pairs, coords, height_bound=None):
     Each edge is checked once, in the direction first met: an edge into
     the last layer (one searchsorted in its sorted keys) is the reverse of
     an edge checked one layer earlier, and is dropped before reflect_rows.
-    That is sound because every matrix of action_matrices_np squares to
-    the identity, which the walk checks first (RuntimeError otherwise):
+    That is sound because every reflection's matrix over the basis squares
+    to the identity, which the walk checks first (RuntimeError otherwise):
     the reverse edge would send the pair's coordinates back to its
     parent's.  One stable argsort of the keys of this layer and its new
     edges deduplicates, and each edge must carry the coordinates first
@@ -304,7 +304,7 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     least = [s[0] for s in summands]
     members, c, src = _pair_layers(
         d, [basis.elements[j].pair for j in least],
-        np.eye(len(basis), dtype=np.int64)[least])
+        np.equal.outer(least, np.arange(len(basis))).astype(np.int64))
     cuts = np.searchsorted(src, np.arange(len(summands) + 1))
     tables = []
     for oid, summand in enumerate(summands, start=1):

@@ -1,6 +1,6 @@
 """Symmetric squares of root-lattice elements.
 
-An element of the symmetric square it stored as a symmetric n x n matrix S
+An element of the symmetric square is stored as a symmetric n x n matrix S
 whose (i, j) entry is the coefficient of alpha_i (x) alpha_j.  The product
 a v b of two vectors has matrix a b^T + b a^T, reflections act by congruence
 R S R^T, and the distinguished codimension-one submodule is the kernel of
@@ -17,10 +17,10 @@ int64 when every entry of the input is at most a cap, (2**63 - 1) over the
 largest row sum of |entries| of the two matrices, so that no sum can
 overflow; past the cap, and on Fractions, it falls back to the exact
 object-dtype solve, and both routes give the same tuples.  Each simple
-reflection acts on the basis by one integer matrix, and the matrices and
-columns of words are products of these; stacks of coordinates are
-reflected through the few rows where such a matrix differs from the
-identity.
+reflection s_i negates the elements containing alpha_i and adds to some
+others one partner alpha_i v gamma, read off their pairs by the form; the
+basis keeps only these rows, where its matrix differs from the identity,
+and acts on words, coordinate stacks and summands through them.
 """
 
 from __future__ import annotations
@@ -250,44 +250,58 @@ class CanonicalBasis:
     # -- simple reflection action -----------------------------------------
 
     @functools.cached_property
-    def _action_np(self):
-        pairs, own, k = self._pairs, self._coords, len(self.elements)
-        index = {row.tobytes(): j for j, row in enumerate(own)}
+    def _row_form(self):
+        """Per simple reflection s_i, the rows where its matrix over the
+        basis differs from the identity and a copy of those rows, read off
+        the pairs once per basis.  For x = B(a, alpha_i), y = B(b, alpha_i),
+        s_i(a v b) = a v b + alpha_i v gamma with gamma = x y alpha_i -
+        y a - x b: the rows are the elements containing alpha_i, negated,
+        and each other element with gamma != 0 puts +1 in the one row whose
+        other root equals gamma; no match or two raise RuntimeError."""
+        pairs, k = self._pairs, len(self.elements)
         form = pairs @ np.array(cartan(self.diagram), dtype=np.int64)
-        mats = []
+        simple = pairs.sum(axis=2) == 1  # positive roots of height 1
+        out = []
         for i in range(self.diagram.n):
-            image = pairs.copy()
-            image[:, :, i] -= form[:, :, i]  # r - B(r, alpha_i) alpha_i
-            image = pair_coords_np(image)
-            fixed = (image == own).all(axis=1)
-            negated = (image == -own).all(axis=1)
-            m = np.zeros((k, k), dtype=np.int64)
-            np.fill_diagonal(m, np.where(negated, -1, 1))
-            for j in np.flatnonzero(~(fixed | negated)):
-                partner = index.get((image[j] - own[j]).tobytes())
-                if partner is None:
-                    raise RuntimeError(
-                        "reflection image left the basis lattice")
-                m[partner, j] = 1
-            m.flags.writeable = False
-            mats.append(m)
+            x, y = form[:, 0, i], form[:, 1, i]
+            own = simple & (pairs[:, :, i] == 1)  # the slot holding alpha_i
+            rows = np.flatnonzero(own.any(axis=1))
+            other = pairs[rows, own[rows, 0].astype(np.intp)]  # beside it
+            gamma = -y[:, None] * pairs[:, 0] - x[:, None] * pairs[:, 1]
+            gamma[:, i] += x * y
+            moved = np.flatnonzero(~own.any(axis=1) & gamma.any(axis=1))
+            hit = (gamma[moved, None] == other).all(axis=2)
+            if (hit.sum(axis=1) != 1).any():
+                raise RuntimeError("reflection image left the basis lattice")
+            sub = np.zeros((len(rows), k), dtype=np.int64)
+            sub[np.arange(len(rows)), rows] = -1
+            sub[np.nonzero(hit)[1], moved] = 1
+            out.append((rows, sub))
+        return tuple(out)
+
+    @functools.cached_property
+    def _action_np(self):
+        mats = np.stack([np.eye(len(self), dtype=np.int64)] * self.diagram.n)
+        for m, (rows, sub) in zip(mats, self._row_form):
+            m[rows] = sub
+        mats.flags.writeable = False
         return tuple(mats)
 
     def action_matrices_np(self):
         """One integer matrix per simple reflection: column j expands s_i
-        of element j over the basis.  As s_i(a v b) = s_i a v s_i b, each
-        element is fixed, negated, or sent to itself plus one partner,
-        which is looked up by the bytes of its standard coordinates.  Built
-        on first use, one reflection of the whole stack of basis pairs at a
-        time, and shared read-only."""
+        of element j over the basis.  The identity with the row form's
+        rows written in, built on first use for the checks and shared
+        read-only; the library itself reads only the row form."""
         return self._action_np
 
     @functools.cached_property
     def _summands(self):
-        joined = (np.stack(self.action_matrices_np()) != 0).any(axis=0)
+        joined = np.zeros((len(self), len(self)), dtype=bool)
+        for rows, sub in self._row_form:
+            joined[rows] |= sub != 0
         joined |= joined.T
         out = []
-        for j in range(len(self.elements)):
+        for j in range(len(self)):
             if all(j not in s for s in out):
                 out.append(tuple(sorted(closure(
                     [j], lambda k: np.flatnonzero(joined[k]).tolist()))))
@@ -296,28 +310,16 @@ class CanonicalBasis:
     def summands(self) -> tuple[tuple[int, ...], ...]:
         """The connected components, as sorted index tuples in the order of
         their least elements, of the graph joining elements j and k when
-        some matrix of action_matrices_np has a nonzero (k, j) entry.  Each
-        is closed under every reflection, so it spans a W-invariant
-        summand; in finite type it is the set of basis elements in one
-        orbit, which orbit_tables checks.  O(K^2), once per basis: every
-        call returns the same tuple."""
+        some row of the row form has a nonzero (k, j) entry.  Each is
+        closed under every reflection, so it spans a W-invariant summand;
+        in finite type it is the set of basis elements in one orbit, which
+        orbit_tables checks.  One K x K boolean adjacency, once per basis:
+        every call returns the same tuple."""
         return self._summands
 
     @functools.cached_property
-    def _row_form(self):
-        """Per simple reflection, the rows where its matrix differs from
-        the identity and a contiguous copy of those rows: one compare of
-        each matrix with the identity, once per basis."""
-        eye = np.eye(len(self.elements), dtype=np.int64)
-        form = []
-        for m in self.action_matrices_np():
-            rows = np.flatnonzero((m != eye).any(axis=1))
-            form.append((rows, m[rows]))
-        return tuple(form)
-
-    @functools.cached_property
     def _involutive(self) -> bool:
-        """Whether every matrix of action_matrices_np squares to the
+        """Whether every simple reflection's matrix squares to the
         identity, read off the row form once per basis.  A matrix is
         A = I + E with E zero outside the rows R that A rewrites, so A^2
         is the identity outside R and A^2 - I is E[R] + sub[:, R] @ E[R]
@@ -365,10 +367,9 @@ class CanonicalBasis:
         matrix differs from the identity in a few rows only, each with a
         few nonzero entries: just those entries of c are rewritten, from
         (column, coefficient) slots all gathered out of c before any
-        write.  The slots are padded out of the row form of
-        action_matrices_np, built once per basis; padding repeats rows and
-        adds zero coefficients, so every write is one that the matrix
-        product makes too."""
+        write.  The slots are padded out of the row form, built once per
+        basis; padding repeats rows and adds zero coefficients, so every
+        write is one that the matrix product makes too."""
         rows, cols, coefs = self._rows
         h = np.arange(len(c))[:, None]
         slots = c[h[:, None], cols[letters]]
@@ -416,19 +417,18 @@ class CanonicalBasis:
 
     def star_map(self, i: int, j: int) -> dict[int, int]:
         """For adjacent vertices, the bijection sending alpha_i v beta to
-        s_i s_j of it, which lands on an alpha_j element: column k of the
-        product of the two action matrices must be a unit vector."""
+        s_i s_j of it, which lands on an alpha_j element: its column
+        word_column((i, j), k) must be a unit vector."""
         if not adjacent(self.diagram, i, j):
             raise ValueError("star maps need adjacent vertices")
-        mats = self.action_matrices_np()
-        image, targets = mats[i] @ mats[j], self.wrt(j)
+        targets = self.wrt(j)
         out = {}
         for k in self.wrt(i):
-            t = int(image[:, k].argmax())
-            if (np.count_nonzero(image[:, k]) != 1 or image[t, k] != 1
-                    or t not in targets):
+            col = self.word_column((i, j), k)
+            hit = [t for t, x in enumerate(col) if x]
+            if len(hit) != 1 or col[hit[0]] != 1 or hit[0] not in targets:
                 raise RuntimeError("star map left the expected vertex class")
-            out[k] = t
+            out[k] = hit[0]
         return out
 
 

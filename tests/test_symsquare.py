@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -159,7 +160,8 @@ def _mat_mul(a, b):
 @pytest.mark.parametrize("d", [path_diagram(4), y_diagram(2, 2, 2),
                                y_diagram(2, 2, 3), y_diagram(1, 2, 4),
                                y_diagram(1, 1, 5), y_diagram(1, 2, 6),
-                               y_diagram(4, 4, 4)])
+                               y_diagram(4, 4, 4), path_diagram(8),
+                               y_diagram(1, 1, 9)])
 def test_action_matrix_columns_match_conjugation(d):
     b = canonical_basis(d)
     for i, act in enumerate(b.action_matrices_np()):
@@ -191,6 +193,13 @@ def test_reflect_rows_equals_the_matrix_product(tag):
     assert (b.reflect_rows(c[:0], letters[:0]) == c[:0]).all()
 
 
+def _row_form_of(m):
+    """A dense action matrix as one entry of the row form: the rows where
+    it differs from the identity, and those rows."""
+    rows = np.flatnonzero((m != np.eye(len(m), dtype=np.int64)).any(axis=1))
+    return rows, m[rows]
+
+
 def test_reflect_rows_pads_reflections_that_change_unequal_rows():
     """Every simple reflection changes equally many rows, so the padding
     only shows with other matrices: a product of two and the identity."""
@@ -198,6 +207,7 @@ def test_reflect_rows_pads_reflections_that_change_unequal_rows():
     mats = b.action_matrices_np()
     b._action_np = (mats[0] @ mats[1], np.eye(len(b), dtype=np.int64),
                     mats[2])
+    b._row_form = tuple(map(_row_form_of, b._action_np))
     rng = np.random.default_rng(5)
     c = rng.integers(-99, 99, size=(30, len(b)), dtype=np.int64)
     letters = rng.integers(0, 3, size=len(c))
@@ -220,6 +230,7 @@ def test_involution_check_is_the_dense_square(d, swap):
     if swap == "s0+e":
         first[np.flatnonzero((mats[0] != eye).any(axis=1))[0], 0] += 1
     b._action_np = (first,) + mats[1:]
+    b._row_form = (_row_form_of(first),) + b._row_form[1:]
     assert b._involutive == all((m @ m == eye).all() for m in b._action_np)
     assert b._involutive == (swap in ("none", "-s0"))
 
@@ -254,6 +265,31 @@ def test_summands_are_the_components_of_the_action(d, sizes):
         outside = np.setdiff1d(np.arange(len(b)), s)
         assert not any(m[np.ix_(outside, s)].any()
                        for m in b.action_matrices_np())
+
+
+def test_d48_action_is_read_without_dense_matrices():
+    """On D48 (K = 1175) the summands and the slot table come from the row
+    form in a few MiB, and no query builds the K x K action matrices,
+    which would take n K^2 int64 entries (about 530 MB)."""
+    d = y_diagram(1, 1, 45)
+    b = CanonicalBasis(d)
+    assert len(b) == 1175
+    tracemalloc.start()
+    try:
+        parts = b.summands()
+        b._rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in parts] == [1128, 47]
+    assert peak < 64 * 2 ** 20
+    assert b._involutive
+    unit = tuple(int(t == 7) for t in range(len(b)))
+    assert b.word_column([0, 0], 7) == unit
+    j = next(j for j in range(d.n) if adjacent(d, 0, j))
+    f = b.star_map(0, j)
+    assert len(set(f.values())) == len(f) == len(b.wrt(0))
+    assert "_action_np" not in vars(b)
 
 
 def test_word_matrix_is_multiplicative():
@@ -404,7 +440,7 @@ def test_wrt_refuses_a_vertex_out_of_range(i):
 def test_star_map_refuses_an_image_off_the_vertex_class():
     b = CanonicalBasis(y_diagram(1, 1, 1))
     mats = b.action_matrices_np()
-    b._action_np = (-mats[0],) + mats[1:]
+    b._row_form = (_row_form_of(-mats[0]),) + b._row_form[1:]
     with pytest.raises(RuntimeError, match="expected vertex class"):
         b.star_map(0, 1)
 
