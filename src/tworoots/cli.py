@@ -15,9 +15,9 @@ import json
 import sys
 
 from .diagram import (Diagram, TypeClass, classify, diagram_to_json,
-                      path_diagram, y_diagram)
-from .forms import (STATE_CAP, affine_radical_witness, capped_weyl_order,
-                    decompose_s2v, kernel_orders, norm2_witness)
+                      path_diagram, weyl_order, y_diagram)
+from .forms import (affine_radical_witness, decompose_s2v, kernel_orders,
+                    norm2_witness)
 from .orbits import closed_form_highest, orbit_tables
 from .roots import paper_labels, positive_roots, simple_root
 from .skein import render_skein
@@ -220,16 +220,15 @@ def cmd_decompose(args) -> int:
 
 def cmd_kernel(args) -> int:
     d = get_diagram(args)
-    order = capped_weyl_order(d, args.max_order)
+    order = weyl_order(d)  # refuses affine and indefinite forks first
     # orbit k is summand k of the canonical basis: no orbit table is built
     summands = dict(enumerate(canonical_basis(d).summands(), start=1))
     if args.orbit is not None:
         if args.orbit not in summands:
             raise ValueError("no orbit with id %d" % args.orbit)
         summands = {args.orbit: summands[args.orbit]}
-    out = [{"orbit": k, "kernel_order": n}
-           for k, n in zip(summands, kernel_orders(
-               d, summands.values(), order, state_cap=args.max_order))]
+    orders = kernel_orders(d, summands.values(), order)
+    out = [{"orbit": k, "kernel_order": n} for k, n in zip(summands, orders)]
     emit(args, d, {"group_order": order, "kernels": out},
          ["orbit %d: kernel order %d (group order %d)"
           % (r["orbit"], r["kernel_order"], order) for r in out]
@@ -322,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "summand (counted by a backtrack over the "
                                   "images of the simple roots)")
     p.add_argument("--orbit", type=int, default=None, help="orbit id")
-    p.add_argument("--max-order", type=int, default=STATE_CAP,
-                   help="abort if the Weyl group exceeds this order")
 
     p = add("skein", cmd_skein, "arc picture of a 2-root and its expansion")
     p.add_argument("--components", required=True, metavar="A;B")

@@ -148,27 +148,6 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
     return report
 
 
-# The default cap on the order of a Weyl group whose kernels are computed.
-STATE_CAP = 10 ** 6
-
-
-def capped_weyl_order(d: Diagram, state_cap: int) -> int:
-    """weyl_order(d), refused with RuntimeError when it is above the cap:
-    the one check every kernel job and the walk of W make first."""
-    order = weyl_order(d)
-    if order > state_cap:
-        raise RuntimeError("the Weyl group has order %d, above the state "
-                           "cap %d" % (order, state_cap))
-    return order
-
-
-def _weyl_group(d: Diagram, state_cap: int) -> np.ndarray:
-    """The walk of W (_weyl_walk), the kernels' oracle; a group larger
-    than the cap is refused before the walk or the cache is touched."""
-    capped_weyl_order(d, state_cap)
-    return _weyl_walk(d)
-
-
 @functools.cache
 def _weyl_walk(d: Diagram) -> np.ndarray:
     """The elements of W as one read-only int8 stack of matrices on
@@ -348,14 +327,13 @@ def _kernel_order(d: Diagram, members: tuple[int, ...]) -> int:
                          for g in candidates(fixed[:t])) for t in range(n))
 
 
-def kernel_orders(d: Diagram, tables, group_order: int,
-                  state_cap: int = STATE_CAP) -> list[int]:
+def kernel_orders(d: Diagram, tables, group_order: int) -> list[int]:
     """Orders of the kernels of the Weyl group action on the given orbit
     summands, each an orbit table or its basis_members, one of
     CanonicalBasis.summands: the elements that fix every basis 2-root of
     a summand, counted by _kernel_order once per summand.  W must have
-    group_order elements, and at most state_cap."""
-    order = capped_weyl_order(d, state_cap)
+    group_order elements."""
+    order = weyl_order(d)
     if order != group_order:
         raise RuntimeError("the Weyl group has order %d, not %d"
                            % (order, group_order))
@@ -365,21 +343,20 @@ def kernel_orders(d: Diagram, tables, group_order: int,
     return [_kernel_order(d, m) for m in members]
 
 
-def action_kernel_order(d: Diagram, table, group_order: int,
-                        state_cap: int = STATE_CAP) -> int:
+def action_kernel_order(d: Diagram, table, group_order: int) -> int:
     """Order of the kernel of the Weyl group action on one orbit summand;
     see kernel_orders."""
-    return kernel_orders(d, [table], group_order, state_cap)[0]
+    return kernel_orders(d, [table], group_order)[0]
 
 
-def kernel_intersection(d: Diagram, state_cap: int = STATE_CAP) -> dict:
+def kernel_intersection(d: Diagram) -> dict:
     """The group order, the kernel order on each summand of the canonical
     basis, and the order of the intersection of those kernels: the same
     search (_kernel_order) with every summand's members at once, which
     with no summand (A1, A2) counts all of W.  The intersection is exactly
     the center when it has order 1, or order 2 and -1 lies in W (it then
     acts trivially on every summand)."""
-    order = capped_weyl_order(d, state_cap)
+    order = weyl_order(d)
     summands = canonical_basis(d).summands()
     size = _kernel_order(d, sum(summands, ()))
     minus = [negate(simple_root(d, j)) for j in range(d.n)]

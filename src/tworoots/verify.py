@@ -17,9 +17,8 @@ import numpy as np
 
 from . import linalg
 from .diagram import (TypeClass, adjacent, classify, closure,
-                      component_count, h_graph, path_diagram, weyl_order,
-                      y_diagram)
-from .forms import (_fixing, _weyl_group, action_kernel_order,
+                      component_count, h_graph, path_diagram, y_diagram)
+from .forms import (_fixing, _weyl_walk, action_kernel_order,
                     affine_radical_witness, bprime, btilde, c_apply,
                     decompose_s2v, gram, kernel_intersection, kernel_orders,
                     norm2_witness, radical_basis, virasoro)
@@ -599,7 +598,7 @@ def suite_kernels(seed=0):
         walk = {g.tobytes() for g in closure(
             [np.eye(d.n, dtype=np.int64)], lambda g: (g @ r for r in gens),
             key=np.ndarray.tobytes)}
-        ws = [w.tobytes() for w in _weyl_group(d, 1920).astype(np.int64)]
+        ws = [w.tobytes() for w in _weyl_walk(d).astype(np.int64)]
         if len(set(ws)) != len(ws) or set(ws) != walk:
             bad.append(repr(d))
     yield _listed("kernels: the Weyl group tree walk has distinct elements "
@@ -608,7 +607,7 @@ def suite_kernels(seed=0):
 
     bad = []
     for d in map(_family, ["A3", "A4", "A5", "D4", "D5", "D6", "E6"]):
-        group, summands = _weyl_group(d, 51840), canonical_basis(d).summands()
+        group, summands = _weyl_walk(d), canonical_basis(d).summands()
         inter = _fixing(d, sum(summands, ()), group)
         one = np.eye(d.n, dtype=np.int8)
         walked = {"group_order": len(group),
@@ -632,7 +631,7 @@ def suite_kernels(seed=0):
         z = 2 if tag in ("E7", "E8") or tag[0] == "D" and n % 2 == 0 else 1
         want = {"A": [1], "D": [z, 2 ** (n - 1)] if n > 4 else [8] * 3,
                 "E": [z]}[tag[0]]
-        rep = kernel_intersection(d, state_cap=weyl_order(d))
+        rep = kernel_intersection(d)
         if (sorted(rep["kernel_orders"]), rep["intersection_order"],
                 rep["is_center"]) != (want, z, True):
             bad.append(tag)

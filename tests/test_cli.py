@@ -204,7 +204,11 @@ def test_basis_with_path_labels(capsys):
      "--prime is not supported for affine diagrams"),
     (["expand", "--path", "3", "--components", "1,1,0"],
      "expected two coefficient vectors separated by ';'"),
-], ids=["affine-prime", "one-vector"])
+    (["kernel", "--y", "2", "2", "2"],
+     "group order is only defined for finite diagrams"),
+    (["kernel", "--y", "2", "2", "3"],
+     "group order is only defined for finite diagrams"),
+], ids=["affine-prime", "one-vector", "kernel-affine", "kernel-indefinite"])
 def test_refusals_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
@@ -257,8 +261,7 @@ def test_kernel_walks_no_group(capsys):
 def test_kernel_d16_builds_no_orbit_table(capsys):
     # |W(D16)| = 2**15 16!; orbit k is summand k of the canonical basis.
     tworoots.clear_caches()
-    code, out, _ = run(capsys, "kernel", "--y", "1", "1", "13",
-                       "--max-order", "685597979049984000")
+    code, out, _ = run(capsys, "kernel", "--y", "1", "1", "13")
     assert code == 0
     assert out.splitlines() == [
         "orbit 1: kernel order 2 (group order 685597979049984000)",
@@ -272,9 +275,12 @@ def test_kernel_unknown_orbit(capsys):
     assert "no orbit" in err
 
 
-def test_kernel_has_no_group_order_override():
+@pytest.mark.parametrize("flag", [["--group-order", "384"],
+                                  ["--max-order", "5"]],
+                         ids=["group-order", "max-order"])
+def test_kernel_has_no_group_order_override(flag):
     with pytest.raises(SystemExit) as e:
-        main(["kernel", "--y", "1", "1", "1", "--group-order", "384"])
+        main(["kernel", "--y", "1", "1", "1", *flag])
     assert e.value.code == 2
 
 
@@ -352,43 +358,17 @@ def test_roots_rejects_height_bound_below_one(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_kernel_order_cap(capsys):
-    code, _, err = run(capsys, "kernel", "--y", "1", "1", "1",
-                       "--max-order", "3")
-    assert code == 2
-    assert "state cap" in err
-
-
-def test_kernel_cap_names_the_order_and_the_cap(capsys):
-    code, out, err = run(capsys, "kernel", "--y", "1", "1", "1",
-                         "--max-order", "10")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "192" in err and "state cap 10" in err
-
-
-def test_kernel_refuses_over_the_cap_before_any_orbit_table(capsys,
-                                                          monkeypatch):
-    # D32: the cap check comes first, so no orbit table is built and the
-    # user gets the cap message, not an allocation error.
-    def fail(d):
-        raise AssertionError("orbit_tables called")
-
-    monkeypatch.setattr(cli, "orbit_tables", fail)
-    code, out, err = run(capsys, "kernel", "--y", "1", "1", "29")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "state cap" in err
-
-
-def test_kernel_refuses_e7_before_walking(capsys):
-    # |W(E7)| = 2,903,040 is above the default cap of 10**6.
-    code, out, err = run(capsys, "kernel", "--y", "1", "2", "3")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "state cap" in err
+@pytest.mark.parametrize("arms, want", [
+    (("1", "2", "3"), ["orbit 1: kernel order 2 (group order 2903040)"]),
+    (("1", "2", "4"), ["orbit 1: kernel order 2 (group order 696729600)"]),
+    (("1", "1", "5"), ["orbit 1: kernel order 2 (group order 5160960)",
+                       "orbit 2: kernel order 128 (group order 5160960)"]),
+], ids=["E7", "E8", "D8"])
+def test_kernel_answers_large_groups_by_default(capsys, arms, want):
+    # The search never lists W, so the default call answers whatever its
+    # order.
+    code, out, err = run(capsys, "kernel", "--y", *arms)
+    assert (code, out.splitlines(), err) == (0, want, "")
 
 
 def test_verify_seed_is_deterministic(capsys):

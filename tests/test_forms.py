@@ -12,8 +12,8 @@ from hypothesis import given, seed, settings, strategies as st
 import tworoots
 from tworoots import linalg
 from tworoots.diagram import path_diagram, weyl_order, y_diagram
-from tworoots.forms import (_fixing, _in_weyl, _kernel_order, _weyl_group,
-                            _weyl_walk, action_kernel_order,
+from tworoots.forms import (_fixing, _in_weyl, _kernel_order, _weyl_walk,
+                            action_kernel_order,
                             affine_radical_witness, bprime, btilde, c_apply,
                             decompose_s2v, gram, kernel_intersection,
                             kernel_orders, norm2_witness, radical_basis,
@@ -195,7 +195,7 @@ def test_affine_radical_witness_reports_the_rank_of_its_family(arms):
 @pytest.mark.parametrize("d", [path_diagram(3), y_diagram(1, 1, 1),
                                y_diagram(1, 1, 2)], ids=["A3", "D4", "D5"])
 def test_weyl_group_equals_the_closure_of_the_simple_reflections(d):
-    group = _weyl_group(d, 10 ** 6)
+    group = _weyl_walk(d)
     assert group.dtype == np.int8
     assert (group[0] == np.eye(d.n)).all()
     elements = {w.astype(np.int64).tobytes() for w in group}
@@ -212,7 +212,7 @@ def test_weyl_group_equals_the_closure_of_the_simple_reflections(d):
 def test_weyl_group_entries_are_bounded_by_the_highest_root(d):
     # Every entry is a coefficient of some root w(alpha_j), and the highest
     # root has the largest coefficients.
-    group = _weyl_group(d, 10 ** 6)
+    group = _weyl_walk(d)
     assert np.abs(group).max() == max(positive_roots(d)[-1])
 
 
@@ -221,7 +221,7 @@ def test_weyl_group_entries_are_bounded_by_the_highest_root(d):
 def test_weyl_group_is_closed_under_the_simple_reflections(d):
     # The walk builds each child by rewriting a few columns; the oracle
     # multiplies whole matrices.
-    group = _weyl_group(d, 10 ** 6).astype(np.int64)
+    group = _weyl_walk(d).astype(np.int64)
     elements = {w.tobytes() for w in group}
     assert len(group) == len(elements) == weyl_order(d)
     for r in simple_matrices(d):
@@ -229,15 +229,12 @@ def test_weyl_group_is_closed_under_the_simple_reflections(d):
         assert {w.tobytes() for w in moved} == elements
 
 
-def test_weyl_group_is_cached_read_only_and_still_capped():
+def test_weyl_group_is_cached_and_read_only():
     d = y_diagram(1, 1, 1)
-    group = _weyl_group(d, 10 ** 6)
-    assert _weyl_group(d, 192) is group
+    group = _weyl_walk(d)
+    assert _weyl_walk(d) is group
     with pytest.raises(ValueError):
         group[0, 0, 0] = 2
-    with pytest.raises(RuntimeError,
-                       match="order 192, above the state cap 191"):
-        _weyl_group(d, 191)
 
 
 def test_kernel_queries_walk_no_group():
@@ -308,13 +305,11 @@ def test_kernels_fix_every_member_by_brute_force(d):
     (y_diagram(1, 1, 9), (2, 2048), 2),
     (y_diagram(1, 1, 13), (2, 32768), 2),
 ], ids=["E7", "E8", "D7", "D8", "D12", "D16"])
-def test_kernels_past_the_default_cap(d, orders, inter):
+def test_kernels_of_groups_too_large_to_list(d, orders, inter):
     # W(E7) and W(D8) have 2,903,040 and 5,160,960 elements, W(D16) about
     # 6.9 * 10**17: the search never lists them.
-    order = weyl_order(d)
-    assert tuple(kernel_orders(d, orbit_tables(d), order,
-                               state_cap=order)) == orders
-    rep = kernel_intersection(d, state_cap=order)
+    assert tuple(kernel_orders(d, orbit_tables(d), weyl_order(d))) == orders
+    rep = kernel_intersection(d)
     assert rep["kernel_orders"] == orders
     assert rep["intersection_order"] == inter and rep["is_center"]
 
@@ -348,26 +343,11 @@ def test_kernel_jobs_share_one_kernel_per_summand(d, orders, inter):
         == set([one.tobytes(), (-one).tobytes()][:inter])
 
 
-def test_kernel_state_cap():
-    d = y_diagram(1, 1, 1)
-    t = orbit_tables(d)[0]
-    with pytest.raises(RuntimeError):
-        action_kernel_order(d, t, 192, state_cap=3)
-
-
 def test_kernel_divisibility_guard():
     d = y_diagram(1, 1, 1)
     t = orbit_tables(d)[0]
     with pytest.raises(RuntimeError):
         action_kernel_order(d, t, 7)
-
-
-def test_kernel_refuses_a_weyl_group_above_the_cap():
-    # D5's small orbit has an image group of order 120, but W has 1920.
-    d = y_diagram(1, 1, 2)
-    small = min(orbit_tables(d), key=lambda t: t.size)
-    with pytest.raises(RuntimeError, match="state cap"):
-        action_kernel_order(d, small, 1920, state_cap=1000)
 
 
 @pytest.mark.parametrize("d,order", [(y_diagram(1, 1, 1), 192),
