@@ -14,11 +14,10 @@ reflections: in finite type it is seeded with every positive root and
 filled once before the walk, on a cut walk it grows by the roots each
 layer meets.  A pair is one int64 key of its two root indices, so a layer
 is reflected by one gather and deduplicated by one sort of single keys
-(see _pair_layers for why int64 is exact).  Every pair carries its exact
-expansion over the canonical basis along every edge, each edge checked
-once, in the direction first met: the simple reflections act on the
-coordinates by involutions, so the reverse edge holds when the forward one
-does.  Membership, heights, and the coordinatewise order come for free.
+(see _pair_layers for why int64 is exact).  Only keys walk: after the
+walk one batch solve of the members' standard coordinates expands each
+over the canonical basis once, which gives membership, heights and the
+coordinatewise order.
 """
 
 from __future__ import annotations
@@ -111,34 +110,42 @@ _KEY_SHIFT = 32
 
 
 class _RootTable:
-    """The positive roots of one walk, interned in the order given: row k
-    of vec is root k, and row k of refl, once filled, holds the indices of
-    its n sign-normalised simple reflections (-1 until then)."""
+    """The positive roots of one walk: row k of vec is root k, row k of
+    refl, once filled, the indices of its n sign-normalised reflections
+    (-1 until then), and keys, sorted, each root's n int64 entries as one
+    void scalar, with at[j] the index of the root of keys[j]."""
 
     def __init__(self, d: Diagram):
         self.a = np.array(cartan(d), dtype=np.int64)
-        self.index: dict[bytes, int] = {}
         self.vec = np.zeros((0, d.n), dtype=np.int64)
         self.refl = self.vec.copy()
+        self.keys = self.vec.view(np.dtype((np.void, 8 * d.n))).ravel()
+        self.at = np.zeros(0, dtype=np.int64)
 
     def intern(self, roots: np.ndarray) -> np.ndarray:
         """The indices of the rows of the int64 stack roots, new roots
-        appended.  Raises RuntimeError rather than hand out an index of
-        2**(_KEY_SHIFT - 1) or more, which a key could not hold."""
-        out, new = [], []
-        for r in roots:
-            k = self.index.setdefault(r.tobytes(), len(self.index))
-            if k == len(self.vec) + len(new):
-                new.append(r)
-            out.append(k)
-        if len(self.index) > 1 << (_KEY_SHIFT - 1):
+        appended in the order of their keys: one searchsorted of the rows'
+        keys in the sorted keys, and one np.unique of the rest.  Raises
+        RuntimeError rather than hand out an index of 2**(_KEY_SHIFT - 1)
+        or more, which a key could not hold."""
+        keys = np.ascontiguousarray(roots, dtype=np.int64).view(
+            self.keys.dtype).ravel()
+        out = np.empty(len(keys), dtype=np.int64)
+        old, at = _found(self.keys, keys)
+        out[old] = self.at[at[old]]
+        new, inverse = np.unique(keys[~old], return_inverse=True)
+        out[~old] = len(self.vec) + inverse
+        if len(self.vec) + len(new) > 1 << (_KEY_SHIFT - 1):
             raise RuntimeError("the walk met more than 2**%d roots"
                                % (_KEY_SHIFT - 1))
-        if new:
-            self.vec = np.concatenate([self.vec, new])
-            self.refl = np.concatenate(
-                [self.refl, np.full((len(new), self.a.shape[0]), -1)])
-        return np.array(out, dtype=np.int64)
+        at = np.searchsorted(self.keys, new)
+        self.keys = np.insert(self.keys, at, new)
+        self.at = np.insert(self.at, at, len(self.vec) + np.arange(len(new)))
+        self.vec = np.concatenate(
+            [self.vec, new.view(np.int64).reshape(-1, self.a.shape[0])])
+        self.refl = np.concatenate(
+            [self.refl, np.full((len(new), self.a.shape[0]), -1)])
+        return out
 
     def reflect(self, idx: np.ndarray) -> None:
         """Fill the reflection rows of the roots idx that lack one, as one
@@ -157,60 +164,50 @@ class _RootTable:
         self.refl[idx] = rows
 
 
-def _pair_layers(d: Diagram, pairs, coords, height_bound=None):
+def _found(keys, x):
+    """(hit, at): at = np.searchsorted(keys, x), hit[h] = x[h] in keys."""
+    at = np.searchsorted(keys, x)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == x[hit]
+    return hit, at
+
+
+def _pair_layers(d: Diagram, pairs, height_bound=None):
     """The union of the orbits of the given start pairs under the simple
     reflections, the members' expansions over the canonical basis as the
-    rows of an int64 array, carried from the starts' coords (row s for
-    pairs[s]), and for each member the index s of the start it was reached
-    from.  Members are sorted by that index, then as by vee_pair.
+    rows of an int64 array, and for each member the index s of the start
+    pairs[s] it was reached from; sorted by s, then as by vee_pair.
 
     The walk runs on indices into a _RootTable.  In finite type the table
-    is seeded before the walk with every positive root, their simple
-    reflections filled in one numpy batch, as every orbit meets every
-    root; on a cut walk it interns each root the first time a layer holds
-    it and fills in its n simple reflections in one batch per layer.  A
-    2-root is the one int64 key lo << 32 | hi of its root indices
-    lo < hi; an index stays below 2**31 (the table raises RuntimeError
-    first), so hi fits the low 32 bits, lo << 32 < 2**63, and the order
-    of the keys is that of (lo, hi).
+    is seeded with every positive root and their simple reflections in one
+    numpy batch, as every orbit meets every root; on a cut walk it interns
+    each root a layer first holds and fills in its reflections per layer.
 
-    Breadth first from all the starts at once, one layer of sorted keys
-    (F,) and coordinates (F, K) at a time, with no visited set.  The first
-    layer is the starts, sorted by key; two equal starts raise
-    RuntimeError.  Layer k holds the pairs at distance k from the set of
-    starts, and a neighbour of such a pair is at distance k - 1, k or
-    k + 1, as reflections are involutions: so the next layer is the
-    neighbours of this one minus it and the one before, just as from a
-    single start.  Each layer is reflected by every simple root at once
-    with one gather from the table, at the (pair, root) edges that move
-    the pair; the coordinates of an edge are its parent's with the
-    reflection's few changed rows rewritten (CanonicalBasis.reflect_rows).
-    Each edge is checked once, in the direction first met: an edge into
-    the last layer (one searchsorted in its sorted keys) is the reverse of
-    an edge checked one layer earlier, and is dropped before reflect_rows.
-    That is sound because every reflection's matrix over the basis squares
-    to the identity, which the walk checks first (RuntimeError otherwise):
-    the reverse edge would send the pair's coordinates back to its
-    parent's.  One stable argsort of the keys of this layer and its new
-    edges deduplicates, and each edge must carry the coordinates first
-    found for its pair.  A pair of coordinate height above the bound is
-    dropped and not walked from; a start never is.  A pair carries the
-    index of the start of its first edge.  At the end each pair takes
-    root_pair's order from a rank of the interned roots by (height, root),
-    and the members are sorted by one lexsort of their pair_coords_np,
+    Only keys walk, breadth first from all the starts at once, one sorted
+    layer at a time, with no visited set.  The first layer is the starts;
+    two equal starts raise RuntimeError.  Layer k holds the pairs at
+    distance k from the starts, and a neighbour of such a pair is at
+    distance k - 1, k or k + 1, as reflections are involutions: so the
+    next layer is the neighbours of this one minus it and the one before.
+    Each layer is reflected by every simple root with one gather from the
+    table, at the (pair, root) edges that move the pair; np.unique of the
+    edges' keys deduplicates, each new pair keeping the start of its first
+    edge, and a searchsorted in each of the two layers drops the pairs
+    already met.  On a cut walk a new pair above the bound in coordinate
+    height is dropped and not walked from; a start never is.  At the end
+    the pairs take root_pair's order from a rank of the interned roots by
+    (height, root) and are sorted by one lexsort of their pair_coords_np,
     then stably by start.
 
-    int64 is exact: a module matrix column has at most two nonzero entries,
-    each +-1, so a step at most doubles the sum of absolute coordinates,
-    which for a positive 2-root is its height (column sign-coherence): at
-    most the top one in finite types, at most the bound or the start's
-    (both <= 2**61, see orbit_of) on a cut walk.  A rewritten row sums
-    distinct coordinates with coefficients +-1, so its partial sums stay
-    within the parent's sum of absolute coordinates as well."""
+    Exactness: a 2-root is the int64 key lo << 32 | hi of its root indices
+    lo < hi; an index stays below 2**31 (the table raises RuntimeError
+    first), so hi fits the low 32 bits, lo << 32 < 2**63, and the keys
+    sort as (lo, hi).  Coordinates are solved for, never carried: a cut
+    walk's heights (CanonicalBasis.heights_within) and, in the sorted
+    order, every member's expansion (CanonicalBasis.expand_stack) come from
+    standard coordinates, exact in float64 or int64 and refused past that,
+    and the expansions are checked to lie on the basis lattice."""
     basis = canonical_basis(d)
-    if not basis._involutive:
-        raise RuntimeError("a simple reflection's matrix does not square "
-                           "to the identity")
     roots = _RootTable(d)
     grows = classify(d) is not TypeClass.FINITE
     if not grows:
@@ -222,10 +219,10 @@ def _pair_layers(d: Diagram, pairs, coords, height_bound=None):
     k = lo << shift | hi
     # src[r]: the start that pair r was reached from
     src = np.argsort(k).astype(np.int32)
-    k, c = k[src], np.array(coords, dtype=np.int64)[src]
+    k = k[src]
     if (k[1:] == k[:-1]).any():
         raise RuntimeError("two starts are the same 2-root")
-    last_k, out = k[:0], [(k, c, src)]
+    last_k, out = k[:0], [(k, src)]
     while len(k):
         lo, hi = k >> shift, k & low
         if grows:
@@ -237,32 +234,16 @@ def _pair_layers(d: Diagram, pairs, coords, height_bound=None):
         u, v = roots.refl[lo], roots.refl[hi]
         f, i = np.nonzero((u != lo[:, None]) | (v != hi[:, None]))
         u, v = u[f, i], v[f, i]
-        new_k = np.minimum(u, v) << shift | np.maximum(u, v)
-        # an edge into the last layer reverses one checked a layer ago
-        at = np.searchsorted(last_k, new_k)
-        back = at < len(last_k)
-        back[back] = last_k[at[back]] == new_k[back]
-        f, i, new_k = f[~back], i[~back], new_k[~back]
-        all_k = np.concatenate([k, new_k])
-        all_c = np.concatenate([c, basis.reflect_rows(c[f], i)])
-        all_src = np.concatenate([src, src[f]])
-        order = np.argsort(all_k, kind="stable")
-        sorted_k = all_k[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_k[1:] != sorted_k[:-1]
-        heads = order[first]
-        again = ~first
-        if (all_c[order[again]]
-                != all_c[heads[np.cumsum(first)[again] - 1]]).any():
-            raise RuntimeError("inconsistent expansion along orbit")
-        heads = heads[heads >= len(k)]
-        last_k, k, c, src = k, all_k[heads], all_c[heads], all_src[heads]
-        del all_c  # free the edges before the next layer reflects its own
+        new_k, first = np.unique(np.minimum(u, v) << shift | np.maximum(u, v),
+                                 return_index=True)
+        new = ~(_found(k, new_k)[0] | _found(last_k, new_k)[0])
+        last_k, k, src = k, new_k[new], src[f[first[new]]]
         if height_bound is not None:
-            keep = c.sum(axis=1) <= height_bound
-            k, c, src = k[keep], c[keep], src[keep]
-        out.append((k, c, src))
-    k, c, src = (np.concatenate(x) for x in zip(*out))
+            ends = roots.vec[np.stack([k >> shift, k & low], axis=1)]
+            keep = basis.heights_within(pair_coords_np(ends), height_bound)
+            k, src = k[keep], src[keep]
+        out.append((k, src))
+    k, src = (np.concatenate(x) for x in zip(*out))
     del out  # free the layers before the final sort's stacks
     vec = roots.vec
     rank = np.empty(len(vec), dtype=np.int64)
@@ -272,29 +253,29 @@ def _pair_layers(d: Diagram, pairs, coords, height_bound=None):
     swap = rank[a] > rank[b]
     a[swap], b[swap] = b[swap], a[swap]
     # an entry a_i b_j + a_j b_i of pair_coords_np is below 2**15 when no
-    # root entry passes 127, so the sort keys can be int16
+    # root entry passes 127, so the stack can be int16
     narrow = vec.astype(np.int16) if vec.max(initial=0) <= 127 else vec
-    order = np.lexsort(pair_coords_np(narrow[np.stack([a, b], 1)]).T[::-1])
+    coords = pair_coords_np(narrow[np.stack([a, b], 1)])
+    order = np.lexsort(coords.T[::-1])
     order = order[np.argsort(src[order], kind="stable")]
     src = src[order]
     tuples = list(map(tuple, vec.tolist()))
     members = tuple((tuples[x], tuples[y])
                     for x, y in zip(a[order].tolist(), b[order].tolist()))
-    return members, c[order], src
+    return members, basis.expand_stack(coords, order), src
 
 
 @functools.cache
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     """Partition of the positive 2-roots into orbits, finite types only:
     one layered walk (_pair_layers) for the whole diagram, from the least
-    element of each CanonicalBasis.summands entry with its unit
-    coordinates, its sorted members then split by the start they were
-    reached from, each orbit a view of the walk's expansions.  Every
-    member's coordinates must have their support inside its start's
-    summand, so that summand holds it.  No member may have a negative
-    coordinate, the members with unit coordinates must be exactly the
-    summand's elements, and the one of greatest coordinate height, the
-    orbit's top, must be unique."""
+    element of each CanonicalBasis.summands entry, its sorted members then
+    split by the start they were reached from, each orbit a view of the
+    walk's expansions.  Every member's coordinates must have their support
+    inside its start's summand, so that summand holds it.  No member may
+    have a negative coordinate, the members with unit coordinates must be
+    exactly the summand's elements, and the one of greatest coordinate
+    height, the orbit's top, must be unique."""
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
@@ -303,8 +284,7 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
         return ()
     least = [s[0] for s in summands]
     members, c, src = _pair_layers(
-        d, [basis.elements[j].pair for j in least],
-        np.equal.outer(least, np.arange(len(basis))).astype(np.int64))
+        d, [basis.elements[j].pair for j in least])
     cuts = np.searchsorted(src, np.arange(len(summands) + 1))
     tables = []
     for oid, summand in enumerate(summands, start=1):
@@ -336,13 +316,13 @@ def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:
     """Orbit members of coordinate height at most the bound; works in any
     type and truncates the walk at the bound.  The start must be a pair of
     orthogonal roots, and the bound and the start's height at most 2**61,
-    which keeps the int64 walk exact."""
+    so that every member's expansion fits int64."""
     p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
-    start = [int(x) for x in canonical_basis(d).expand_pair(*p)]
-    if max(height_bound, sum(start)) > 2 ** 61:
+    start = sum(canonical_basis(d).expand_pair(*p))
+    if max(height_bound, start) > 2 ** 61:
         raise ValueError("orbit heights past 2**61 are not supported: bound "
-                         "%d, start %d" % (height_bound, sum(start)))
-    return _pair_layers(d, [p], [start], height_bound)[0]
+                         "%d, start %d" % (height_bound, start))
+    return _pair_layers(d, [p], height_bound)[0]
 
 
 # --- the height-based order and its covers ---------------------------------
@@ -377,8 +357,8 @@ def highest_pair(d: Diagram, p: Pair, rng=None) -> Pair:
     expansion coordinates, until none applies.  The scan order is fixed
     unless an rng is supplied to shuffle it.  Each step computes, for
     every simple root at once, just the rows of the coordinates that its
-    reflection rewrites (the padded slots of CanonicalBasis.reflect_rows;
-    a padded row repeats one of them), and moves the pair by the first
+    reflection rewrites (the padded slots of CanonicalBasis._rows; a
+    padded row repeats one of them), and moves the pair by the first
     rising reflection in the scan order; a reflection that fixes the pair
     sends c to +-c, which never rises.  p must be two orthogonal roots;
     anything else raises ValueError."""

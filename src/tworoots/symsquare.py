@@ -20,7 +20,8 @@ object-dtype solve, and both routes give the same tuples.  Each simple
 reflection s_i negates the elements containing alpha_i and adds to some
 others one partner alpha_i v gamma, read off their pairs by the form; the
 basis keeps only these rows, where its matrix differs from the identity,
-and acts on words, coordinate stacks and summands through them.
+and acts on words and summands through them.  expand_stack solves a whole
+stack at once, in float64 or int64 by the same kind of bound.
 """
 
 from __future__ import annotations
@@ -120,6 +121,24 @@ def root_pair(a, b) -> tuple[Root, Root]:
 
 # --- canonical basis -------------------------------------------------------
 
+# expand_stack's rows per product, and the integers float64 holds exactly
+_STACK_ROWS, _FLOAT_EXACT = 512, 2**53
+
+
+def _product_dtype(norm: int, v):
+    """The dtype in which integer rows of L1 norm at most norm multiply
+    the integer stack v exactly: float64 when max |v| norm < 2**53, as
+    every partial sum is then an integer float64 holds (as in
+    linalg.lifted_solve), int64 below 2**63, and RuntimeError past that."""
+    big = max(int(v.max(initial=0)), -int(v.min(initial=0))) * norm
+    if big < _FLOAT_EXACT:
+        return np.float64
+    if big < 2**63:
+        return np.int64
+    raise RuntimeError("stack entries up to %d times row norms up to %d "
+                       "pass int64" % (big // norm, norm))
+
+
 @dataclass(frozen=True)
 class BasisElement:
     matrix: SymMatrix
@@ -167,7 +186,8 @@ class CanonicalBasis:
         # largest norm is 30 on E8, 50 on Y(4,4,4) and 124 on D20, where
         # _cap is about 7.4 * 10**16.)  _solve is int64, or Python ints
         # when a norm past int64 makes _cap 0.
-        self._cap = (2**63 - 1) // max(1, int(np.abs(solve).sum(axis=1).max()))
+        self._norm = max(1, int(np.abs(solve).sum(axis=1).max()))
+        self._cap = (2**63 - 1) // self._norm
         self._solve = solve.astype(np.int64 if self._cap else object)
 
     def __len__(self) -> int:
@@ -237,6 +257,36 @@ class CanonicalBasis:
         if bform(d, a, b) != 0:
             raise ValueError("the two roots are not orthogonal")
         return self.expand(vee(a, b))
+
+    def expand_stack(self, v, rows) -> np.ndarray:
+        """The expansions, as an (F, K) int64 array, of the rows v[rows] of
+        a 2-D integer stack of standard coordinates, such as pair_coords_np
+        makes: _solve multiplies _STACK_ROWS rows at a time, in the dtype
+        _product_dtype picks.  RuntimeError past its bounds, and for a row
+        on which a functional row does not vanish or whose coordinates do
+        not divide by _den."""
+        k, den = len(self), self._den
+        m = self._solve.T.astype(_product_dtype(self._norm, v))
+        out = np.empty((len(rows), k), dtype=np.int64)
+        for s in range(0, len(rows), _STACK_ROWS):
+            c = v[rows[s:s + _STACK_ROWS]].astype(m.dtype) @ m
+            if c[:, k:].any():
+                raise RuntimeError("a stacked element lies outside the span "
+                                   "of the canonical basis")
+            c = c[:, :k].astype(np.int64)
+            out[s:s + _STACK_ROWS] = q = c // den
+            if (q * den != c).any():
+                raise RuntimeError("a stacked element has coordinates that "
+                                   "are not integers")
+        return out
+
+    def heights_within(self, v, bound) -> np.ndarray:
+        """Whether each row of a 2-D integer stack of standard coordinates
+        has coordinate height at most bound, exactly: h @ v is _den times
+        the height for the column sums h of _solve's first K rows."""
+        h = self._solve[:len(self)].sum(axis=0)
+        dtype = _product_dtype(int(np.abs(h).sum()), v)
+        return v.astype(dtype) @ h.astype(dtype) <= bound * self._den
 
     def combine(self, coords) -> SymMatrix:
         """The matrix with these coordinates over the basis."""
@@ -318,29 +368,14 @@ class CanonicalBasis:
         return self._summands
 
     @functools.cached_property
-    def _involutive(self) -> bool:
-        """Whether every simple reflection's matrix squares to the
-        identity, read off the row form once per basis.  A matrix is
-        A = I + E with E zero outside the rows R that A rewrites, so A^2
-        is the identity outside R and A^2 - I is E[R] + sub[:, R] @ E[R]
-        on R, for sub = A[R]: no K x K product is made."""
-        for rows, sub in self._row_form:
-            e = sub.copy()
-            e[np.arange(len(rows)), rows] -= 1  # E[R] = sub - I[R]
-            if (e + sub[:, rows] @ e).any():
-                return False
-        return True
-
-    @functools.cached_property
     def _rows(self):
         """The row form padded into three arrays (rows, cols, coefs): for
         letter i and slot r, rows[i, r] is a row its matrix rewrites, and
         that row's entries are coefs[i, r] at columns cols[i, r].  Every
         letter gets the same number of slots and every slot the same
         width, by repeating rows and adding zero coefficients.  Read by
-        reflect_rows and by orbits.highest_pair, whose climb gathers all
-        letters at once from these arrays: through reflect_rows on a tiled
-        stack a climb took about 1.7 times as long on A8, D8, E8 and D16."""
+        orbits.highest_pair, whose climb gathers all letters at once from
+        these arrays."""
         form = self._row_form
         depth = max(len(rows) for rows, _ in form)
         width = max([1] + [int(np.count_nonzero(sub, axis=1).max())
@@ -360,21 +395,6 @@ class CanonicalBasis:
             cols[i, r, at] = c
             coefs[i, r, at] = padded[r, c]
         return rows, cols, coefs
-
-    def reflect_rows(self, c, letters):
-        """Rewrite row h of the integer stack c (H, K) in place as the
-        matrix of s_{letters[h]} times it, and return c.  Each reflection's
-        matrix differs from the identity in a few rows only, each with a
-        few nonzero entries: just those entries of c are rewritten, from
-        (column, coefficient) slots all gathered out of c before any
-        write.  The slots are padded out of the row form, built once per
-        basis; padding repeats rows and adds zero coefficients, so every
-        write is one that the matrix product makes too."""
-        rows, cols, coefs = self._rows
-        h = np.arange(len(c))[:, None]
-        slots = c[h[:, None], cols[letters]]
-        c[h, rows[letters]] = np.einsum("hrw,hrw->hr", slots, coefs[letters])
-        return c
 
     def _act(self, word, x):
         """x multiplied on the left by the matrix of s_{w[0]} ... s_{w[-1]},

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 import tworoots
-from tworoots import orbits
+from tworoots import orbits, symsquare
 from tworoots.diagram import neighbors, path_diagram, y_diagram
 from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
                              highest_pair, ht2_of_pair, monoidal_covers,
                              orbit_of, orbit_tables, orthogonal_pairs,
                              pair_action, simple_pair_action, vee_pair)
 from tworoots.roots import closure, positive_roots, simple_root, theta
-from tworoots.symsquare import (CanonicalBasis, canonical_basis, root_pair,
-                                simple_matrices)
+from tworoots.symsquare import canonical_basis, root_pair, simple_matrices
 
 
 def test_orthogonal_pairs_a3():
@@ -165,15 +164,75 @@ def test_layered_orbit_of_equals_the_reflection_closure(arms, bound):
     assert orbit_of(d, start, bound) == _closure_orbit(d, start, bound)[0]
 
 
-@pytest.mark.parametrize("tag", ["A4", "D4", "D5", "E6"])
-def test_layered_pair_walk_checks_every_edge(tag):
-    """Start coordinates that are not the start's expansion disagree
-    along two paths to the same pair."""
-    d = FINITE[tag]
+def _check_edges(d, members, ex, bound=None):
+    """For every member and letter i, the dense action matrix of s_i maps
+    the member's expansion to that of simple_pair_action(d, i, member), up
+    to a sign that is -1 exactly when alpha_i is one of the pair's roots.
+    An image outside the members must be above the bound, and the matrix
+    must still give its expand_pair."""
     basis = canonical_basis(d)
-    wrong = np.eye(len(basis), dtype=np.int64)[1]
-    with pytest.raises(RuntimeError, match="inconsistent expansion"):
-        _pair_layers(d, [basis.elements[0].pair], [wrong])
+    row = {p: r for r, p in enumerate(members)}
+    outside = 0
+    for i, m in enumerate(basis.action_matrices_np()):
+        alpha = simple_root(d, i)
+        got = ex @ m.T
+        for r, p in enumerate(members):
+            q = simple_pair_action(d, i, p)
+            image = -got[r] if alpha in p else got[r]
+            if q in row:
+                assert (image == ex[row[q]]).all()
+            else:
+                outside += 1
+                assert tuple(image.tolist()) == basis.expand_pair(*q)
+                assert bound is not None and image.sum() > bound
+    return outside
+
+
+@pytest.mark.parametrize("tag", sorted(FINITE))
+def test_table_expansions_agree_along_every_edge(tag):
+    """The property the walk once checked edge by edge, now that every
+    member is expanded on its own."""
+    d = FINITE[tag]
+    for t in orbit_tables(d):
+        assert _check_edges(d, t.members, t.expansions) == 0
+
+
+def test_cut_walk_expansions_agree_along_every_edge():
+    d = y_diagram(2, 2, 3)
+    members, ex, src = _pair_layers(d, [canonical_basis(d).elements[0].pair],
+                                    12)
+    assert (src == 0).all() and len(members) == len(ex) > 100
+    assert (ex.sum(axis=1) <= 12).all()
+    assert _check_edges(d, members, ex, 12) > 0
+
+
+@pytest.mark.parametrize("tag", ["E8", "D8", "Y223-12"])
+def test_float_and_int64_solves_give_the_same_expansions(tag, monkeypatch):
+    """A zero float64 bound forces every product of the walk (the final
+    expansions, and the heights of a cut walk) into int64."""
+    d = y_diagram(2, 2, 3) if tag == "Y223-12" else FINITE[tag]
+    basis = canonical_basis(d)
+    starts = [basis.elements[s[0]].pair for s in basis.summands()]
+    bound = 12 if tag == "Y223-12" else None
+    if bound:
+        starts = starts[:1]
+    routes = []
+    pick = symsquare._product_dtype
+
+    def recorded(norm, v):
+        routes.append(pick(norm, v))
+        return routes[-1]
+
+    monkeypatch.setattr(symsquare, "_product_dtype", recorded)
+    fast = _pair_layers(d, starts, bound)
+    assert set(routes) == {np.float64}
+    routes.clear()
+    monkeypatch.setattr(symsquare, "_FLOAT_EXACT", 0)
+    slow = _pair_layers(d, starts, bound)
+    assert set(routes) == {np.int64}
+    assert fast[0] == slow[0] and (fast[2] == slow[2]).all()
+    assert fast[1].dtype == slow[1].dtype == np.int64
+    assert (fast[1] == slow[1]).all()
 
 
 @pytest.mark.parametrize("arms, bound", [((2, 2, 3), 20), ((4, 4, 4), 8)],
@@ -194,28 +253,6 @@ def test_cut_walks_with_a_growing_root_table(arms, bound, monkeypatch):
     assert orbit_of(d, start, bound) == _closure_orbit(d, start, bound)[0]
     assert len(sizes) > 20
     assert all(a < b for a, b in zip(sizes, sizes[1:-1]))
-
-
-def test_cut_walk_checks_every_edge(monkeypatch):
-    """Wrong start coordinates disagree along two paths within a few
-    layers.  A cut walk that kept going would keep pairs by coordinates
-    that depend on the path, and could grow without end; it is stopped
-    after 30 layers (the walk with the right start takes 25)."""
-    layers = []
-    fill = orbits._RootTable.reflect
-
-    def counted(self, idx):
-        layers.append(len(idx))
-        if len(layers) > 30:
-            raise TimeoutError("the cut walk ran past 30 layers")
-        fill(self, idx)
-
-    monkeypatch.setattr(orbits._RootTable, "reflect", counted)
-    d = y_diagram(2, 2, 3)
-    basis = canonical_basis(d)
-    wrong = np.eye(len(basis), dtype=np.int64)[1]
-    with pytest.raises(RuntimeError, match="inconsistent expansion"):
-        _pair_layers(d, [basis.elements[0].pair], [wrong], 10)
 
 
 @pytest.mark.parametrize("tag", ["E8", "D8"])
@@ -245,14 +282,12 @@ def test_one_walk_from_every_summand_equals_one_walk_each(tag):
     basis = canonical_basis(d)
     least = [s[0] for s in basis.summands()]
     assert len(least) == (3 if tag == "D4" else 2)
-    eye = np.eye(len(basis), dtype=np.int64)
-    members, c, src = _pair_layers(
-        d, [basis.elements[j].pair for j in least], eye[least])
+    members, c, src = _pair_layers(d, [basis.elements[j].pair
+                                       for j in least])
     assert src.tolist() == sorted(src.tolist())
     cuts = src.searchsorted(range(len(least) + 1))
     for s, j in enumerate(least):
-        alone, alone_c, _ = _pair_layers(d, [basis.elements[j].pair],
-                                         eye[[j]])
+        alone, alone_c, _ = _pair_layers(d, [basis.elements[j].pair])
         assert members[cuts[s]:cuts[s + 1]] == alone
         assert (c[cuts[s]:cuts[s + 1]] == alone_c).all()
 
@@ -261,23 +296,8 @@ def test_a_walk_refuses_two_equal_starts():
     d = y_diagram(1, 1, 1)
     basis = canonical_basis(d)
     a, b = basis.elements[0].pair
-    eye = np.eye(len(basis), dtype=np.int64)
     with pytest.raises(RuntimeError, match="two starts"):
-        _pair_layers(d, [(a, b), (b, a)], eye[[0, 0]])
-
-
-def test_a_walk_refuses_reflections_that_are_not_involutions(monkeypatch):
-    """Each edge is checked in one direction only, which needs every
-    action matrix to square to the identity; s_0 s_1 does not."""
-    d = y_diagram(1, 1, 2)
-    b = CanonicalBasis(d)
-    mats = b.action_matrices_np()
-    first = mats[0] @ mats[1]
-    rows = np.flatnonzero((first != np.eye(len(b))).any(axis=1))
-    b._row_form = ((rows, first[rows]),) + b._row_form[1:]
-    monkeypatch.setattr(orbits, "canonical_basis", lambda _: b)
-    with pytest.raises(RuntimeError, match="square to the identity"):
-        _pair_layers(d, [b.elements[0].pair], np.eye(len(b))[:1])
+        _pair_layers(d, [(a, b), (b, a)])
 
 
 @pytest.mark.parametrize("tag", sorted(FINITE))
@@ -288,6 +308,23 @@ def test_table_members_are_canonical_pairs_of_ints(tag):
             assert all(type(x) is int for r in m for x in r)
 
 
+def test_root_table_interns_like_a_dict():
+    """Against a dict from root to index: repeats within and across
+    batches share one index, known roots keep theirs, and each new root
+    is appended once."""
+    d = y_diagram(4, 4, 4)
+    table, index = orbits._RootTable(d), {}
+    rng = np.random.default_rng(29)
+    pool = np.array(positive_roots(d, 12), dtype=np.int64)
+    for size in (0, 1, 40, 300, 300):
+        batch = pool[rng.integers(0, len(pool), size)]
+        got = table.intern(batch)
+        for r, k in zip(map(tuple, batch.tolist()), got.tolist()):
+            assert index.setdefault(r, k) == k
+        assert len(table.vec) == len(table.refl) == len(index)
+        assert (table.vec[got] == batch).all() and got.dtype == np.int64
+
+
 def test_a_walk_refuses_root_indices_past_the_key_half(monkeypatch):
     """With 3-bit key halves a walk may index 4 roots; D4's walk meets
     more and must stop rather than pack a larger index."""
@@ -295,8 +332,7 @@ def test_a_walk_refuses_root_indices_past_the_key_half(monkeypatch):
     basis = canonical_basis(d)
     monkeypatch.setattr(orbits, "_KEY_SHIFT", 3)
     with pytest.raises(RuntimeError, match="more than 2\\*\\*2 roots"):
-        _pair_layers(d, [basis.elements[0].pair],
-                     np.eye(len(basis))[:1])
+        _pair_layers(d, [basis.elements[0].pair])
 
 
 def test_orbit_of_refuses_heights_past_int64():
@@ -350,15 +386,16 @@ def test_highest_pair_climbs_to_the_table_top():
 
 def _full_rise_climb(d, p, rng):
     """The climb with the rise test on whole coordinate vectors: every
-    letter's reflection of n copies of c by reflect_rows, compared with c
-    in every entry.  Returns the letters taken and the top."""
+    letter's dense action matrix times c, compared with c in every entry.
+    Returns the letters taken and the top."""
     basis = canonical_basis(d)
+    mats = np.stack(basis.action_matrices_np())
     c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
-    letters, order, taken = np.arange(d.n), list(range(d.n)), []
+    order, taken = list(range(d.n)), []
     while True:
         if rng is not None:
             rng.shuffle(order)
-        up = basis.reflect_rows(np.tile(c, (d.n, 1)), letters)
+        up = mats @ c
         diff = up - c
         rises = diff.any(axis=1) & (diff >= 0).all(axis=1)
         i = next((i for i in order if rises[i]), None)

@@ -177,20 +177,35 @@ ROW_FORM.update({"Y222": y_diagram(2, 2, 2), "Y444": y_diagram(4, 4, 4),
                  "Y126": y_diagram(1, 2, 6)})
 
 
+def _reflect_rows(b, c, letters):
+    """Row h of the integer stack c (H, K) times the matrix of
+    s_{letters[h]}, read off the slot table _rows as orbits.highest_pair
+    reads it: each slot's (column, coefficient) entries gathered from c
+    and summed into the slot's row of a copy of c."""
+    rows, cols, coefs = b._rows
+    h = np.arange(len(c))[:, None]
+    out = c.copy()
+    out[h, rows[letters]] = np.einsum("hrw,hrw->hr", c[h[:, None],
+                                                       cols[letters]],
+                                      coefs[letters])
+    return out
+
+
 @pytest.mark.parametrize("tag", sorted(ROW_FORM))
 def test_reflect_rows_equals_the_matrix_product(tag):
+    """The slot table that the climb reads gives the dense product."""
     b = canonical_basis(ROW_FORM[tag])
     mats = b.action_matrices_np()
     rng = np.random.default_rng(17)
     c = rng.integers(-2 ** 40, 2 ** 40, size=(12, len(b)), dtype=np.int64)
     for i, m in enumerate(mats):
         letters = np.full(len(c), i)
-        assert (b.reflect_rows(c.copy(), letters) == c @ m.T).all()
+        assert (_reflect_rows(b, c, letters) == c @ m.T).all()
     letters = rng.integers(0, len(mats), size=len(c))
     want = np.stack([mats[i] @ row for i, row in zip(letters, c)])
-    got = b.reflect_rows(c, letters)
+    got = _reflect_rows(b, c, letters)
     assert got.dtype == np.int64 and (got == want).all()
-    assert (b.reflect_rows(c[:0], letters[:0]) == c[:0]).all()
+    assert (_reflect_rows(b, c[:0], letters[:0]) == c[:0]).all()
 
 
 def _row_form_of(m):
@@ -212,27 +227,29 @@ def test_reflect_rows_pads_reflections_that_change_unequal_rows():
     c = rng.integers(-99, 99, size=(30, len(b)), dtype=np.int64)
     letters = rng.integers(0, 3, size=len(c))
     want = np.stack([b._action_np[i] @ row for i, row in zip(letters, c)])
-    assert (b.reflect_rows(c, letters) == want).all()
+    assert (_reflect_rows(b, c, letters) == want).all()
 
 
 @pytest.mark.parametrize("swap", ["none", "s0s1", "-s0", "s0+e"])
 @pytest.mark.parametrize("d", [path_diagram(5), y_diagram(1, 1, 2),
                                y_diagram(1, 2, 4)], ids=repr)
 def test_involution_check_is_the_dense_square(d, swap):
-    """_involutive, read off the row form, agrees with squaring each dense
-    matrix: s_0 s_1 and s_0 with one more entry in a row it rewrites are
-    no involutions, -s_0 is one."""
+    """Every dense action matrix squares to the identity.  They are the
+    identity with the row form written in, so a row form whose first
+    entry is s_0 s_1, or s_0 with one more entry in a row it rewrites,
+    gives a first matrix that is no involution; -s_0 is one."""
+    mats = canonical_basis(d).action_matrices_np()
+    eye = np.eye(len(mats[0]), dtype=np.int64)
+    assert all((m @ m == eye).all() for m in mats)
     b = CanonicalBasis(d)
-    mats = b.action_matrices_np()
-    eye = np.eye(len(b), dtype=np.int64)
     first = {"none": mats[0], "s0s1": mats[0] @ mats[1], "-s0": -mats[0],
              "s0+e": mats[0].copy()}[swap]
     if swap == "s0+e":
         first[np.flatnonzero((mats[0] != eye).any(axis=1))[0], 0] += 1
-    b._action_np = (first,) + mats[1:]
     b._row_form = (_row_form_of(first),) + b._row_form[1:]
-    assert b._involutive == all((m @ m == eye).all() for m in b._action_np)
-    assert b._involutive == (swap in ("none", "-s0"))
+    got = b.action_matrices_np()
+    assert all((g == m).all() for g, m in zip(got, (first,) + mats[1:]))
+    assert (got[0] @ got[0] == eye).all() == (swap in ("none", "-s0"))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -283,7 +300,6 @@ def test_d48_action_is_read_without_dense_matrices():
         tracemalloc.stop()
     assert [len(s) for s in parts] == [1128, 47]
     assert peak < 64 * 2 ** 20
-    assert b._involutive
     unit = tuple(int(t == 7) for t in range(len(b)))
     assert b.word_column([0, 0], 7) == unit
     j = next(j for j in range(d.n) if adjacent(d, 0, j))
@@ -390,15 +406,34 @@ def test_word_column_takes_60_letters_and_refuses_61():
             b.word_column(word, j)
 
 
-def test_reflect_rows_rewrites_its_stack_in_place():
-    b = canonical_basis(y_diagram(1, 2, 4))
-    rng = np.random.default_rng(3)
-    c = rng.integers(-99, 99, size=(20, len(b)), dtype=np.int64)
-    letters = rng.integers(0, b.diagram.n, size=len(c))
-    want = np.stack([b.action_matrices_np()[i] @ row
-                     for i, row in zip(letters, c)])
-    assert b.reflect_rows(c, letters) is c
-    assert (c == want).all()
+def test_expand_stack_refuses_what_is_off_the_basis_lattice():
+    """On E8 (_den 2): alpha_0 v alpha_0 lies outside the span, half the
+    sum of three basis elements is an integer point of the span with
+    coordinates 1/2, and a large multiple of the basis passes int64;
+    heights_within compares heights exactly, fractions included."""
+    d = y_diagram(1, 2, 4)
+    b = canonical_basis(d)
+    x = b._coords
+    assert b._den == 2
+    rows = np.arange(len(b) + 1)
+    assert (b.expand_stack(x, rows[:-1]) == np.eye(len(b))).all()
+    alpha = simple_root(d, 0)
+    outside = symsquare.pair_coords_np(np.array([[alpha, alpha]]))
+    with pytest.raises(RuntimeError, match="outside the span"):
+        b.expand_stack(np.vstack([x, outside]), rows)
+    (c, *_) = linalg.nullspace_rref(linalg.mat(x.T), 2)
+    assert sum(c) == 3 and not (np.array(c) @ x % 2).any()
+    half = np.array(c) @ x // 2
+    assert b.expand(b.combine(np.array(c) * Fraction(1, 2))) == tuple(
+        Fraction(t, 2) for t in c)
+    with pytest.raises(RuntimeError, match="not integers"):
+        b.expand_stack(np.vstack([x, half]), rows)
+    # heights 1 for the basis, 3/2 for half
+    assert b.heights_within(x, 1).all() and not b.heights_within(x, 0).any()
+    assert b.heights_within(half[None], 2) and not b.heights_within(
+        half[None], 1)
+    with pytest.raises(RuntimeError, match="pass int64"):
+        b.expand_stack(x * 2 ** 60, rows[:-1])
 
 
 def test_word_column_refuses_long_words():
