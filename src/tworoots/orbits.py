@@ -15,9 +15,9 @@ filled once before the walk, on a cut walk it grows by the roots each
 layer meets.  A pair is one int64 key of its two root indices, so a layer
 is reflected by one gather and deduplicated by one sort of single keys
 (see _pair_layers for why int64 is exact).  Only keys walk: after the
-walk one batch solve of the members' standard coordinates expands each
-over the canonical basis once, which gives membership, heights and the
-coordinatewise order.
+walk orbit_tables expands each member over the canonical basis once, by
+one int64 solve of the stack of pairs (CanonicalBasis.expand_pairs),
+which gives membership, heights and the coordinatewise order.
 """
 
 from __future__ import annotations
@@ -174,9 +174,11 @@ def _found(keys, x):
 
 def _pair_layers(d: Diagram, pairs, height_bound=None):
     """The union of the orbits of the given start pairs under the simple
-    reflections, the members' expansions over the canonical basis as the
-    rows of an int64 array, and for each member the index s of the start
-    pairs[s] it was reached from; sorted by s, then as by vee_pair.
+    reflections, as (members, vec, ends, src): each member as a pair of
+    root tuples and as the row of ends holding the indices of its two
+    roots in vec, the walk's int64 array of roots, and the index s of the
+    start pairs[s] it was reached from; sorted by s, then as by vee_pair.
+    CanonicalBasis.expand_pairs(vec, ends) gives the members' expansions.
 
     The walk runs on indices into a _RootTable.  In finite type the table
     is seeded with every positive root and their simple reflections in one
@@ -203,10 +205,9 @@ def _pair_layers(d: Diagram, pairs, height_bound=None):
     lo < hi; an index stays below 2**31 (the table raises RuntimeError
     first), so hi fits the low 32 bits, lo << 32 < 2**63, and the keys
     sort as (lo, hi).  Coordinates are solved for, never carried: a cut
-    walk's heights (CanonicalBasis.heights_within) and, in the sorted
-    order, every member's expansion (CanonicalBasis.expand_stack) come from
-    standard coordinates, exact in float64 or int64 and refused past that,
-    and the expansions are checked to lie on the basis lattice."""
+    walk reads each new pair's height off its two roots with
+    CanonicalBasis.heights_within, exact in int64 and refused past its
+    bound."""
     basis = canonical_basis(d)
     roots = _RootTable(d)
     grows = classify(d) is not TypeClass.FINITE
@@ -239,8 +240,9 @@ def _pair_layers(d: Diagram, pairs, height_bound=None):
         new = ~(_found(k, new_k)[0] | _found(last_k, new_k)[0])
         last_k, k, src = k, new_k[new], src[f[first[new]]]
         if height_bound is not None:
-            ends = roots.vec[np.stack([k >> shift, k & low], axis=1)]
-            keep = basis.heights_within(pair_coords_np(ends), height_bound)
+            keep = basis.heights_within(
+                roots.vec, np.stack([k >> shift, k & low], axis=1),
+                height_bound)
             k, src = k[keep], src[keep]
         out.append((k, src))
     k, src = (np.concatenate(x) for x in zip(*out))
@@ -255,14 +257,13 @@ def _pair_layers(d: Diagram, pairs, height_bound=None):
     # an entry a_i b_j + a_j b_i of pair_coords_np is below 2**15 when no
     # root entry passes 127, so the stack can be int16
     narrow = vec.astype(np.int16) if vec.max(initial=0) <= 127 else vec
-    coords = pair_coords_np(narrow[np.stack([a, b], 1)])
-    order = np.lexsort(coords.T[::-1])
+    ends = np.stack([a, b], axis=1)
+    order = np.lexsort(pair_coords_np(narrow[ends]).T[::-1])
     order = order[np.argsort(src[order], kind="stable")]
-    src = src[order]
+    ends, src = ends[order], src[order]
     tuples = list(map(tuple, vec.tolist()))
-    members = tuple((tuples[x], tuples[y])
-                    for x, y in zip(a[order].tolist(), b[order].tolist()))
-    return members, basis.expand_stack(coords, order), src
+    members = tuple((tuples[x], tuples[y]) for x, y in ends.tolist())
+    return members, vec, ends, src
 
 
 @functools.cache
@@ -271,11 +272,12 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     one layered walk (_pair_layers) for the whole diagram, from the least
     element of each CanonicalBasis.summands entry, its sorted members then
     split by the start they were reached from, each orbit a view of the
-    walk's expansions.  Every member's coordinates must have their support
-    inside its start's summand, so that summand holds it.  No member may
-    have a negative coordinate, the members with unit coordinates must be
-    exactly the summand's elements, and the one of greatest coordinate
-    height, the orbit's top, must be unique."""
+    members' expansions (CanonicalBasis.expand_pairs).  Every member's
+    coordinates must have their support inside its start's summand, so
+    that summand holds it.  No member may have a negative coordinate, the
+    members with unit coordinates must be exactly the summand's elements,
+    and the one of greatest coordinate height, the orbit's top, must be
+    unique."""
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
@@ -283,8 +285,9 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     if not summands:
         return ()
     least = [s[0] for s in summands]
-    members, c, src = _pair_layers(
+    members, vec, ends, src = _pair_layers(
         d, [basis.elements[j].pair for j in least])
+    c = basis.expand_pairs(vec, ends)
     cuts = np.searchsorted(src, np.arange(len(summands) + 1))
     tables = []
     for oid, summand in enumerate(summands, start=1):
@@ -316,7 +319,9 @@ def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:
     """Orbit members of coordinate height at most the bound; works in any
     type and truncates the walk at the bound.  The start must be a pair of
     orthogonal roots, and the bound and the start's height at most 2**61,
-    so that every member's expansion fits int64."""
+    so that every member's expansion fits int64; a walk that meets roots
+    past the int64 bound of CanonicalBasis.heights_within raises
+    RuntimeError."""
     p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
     start = sum(canonical_basis(d).expand_pair(*p))
     if max(height_bound, start) > 2 ** 61:

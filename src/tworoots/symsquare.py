@@ -20,8 +20,8 @@ object-dtype solve, and both routes give the same tuples.  Each simple
 reflection s_i negates the elements containing alpha_i and adds to some
 others one partner alpha_i v gamma, read off their pairs by the form; the
 basis keeps only these rows, where its matrix differs from the identity,
-and acts on words and summands through them.  expand_stack solves a whole
-stack at once, in float64 or int64 by the same kind of bound.
+and acts on words and summands through them.  expand_pairs solves a whole
+stack of pairs a v b at once, in int64 under a bound of the same kind.
 """
 
 from __future__ import annotations
@@ -121,23 +121,8 @@ def root_pair(a, b) -> tuple[Root, Root]:
 
 # --- canonical basis -------------------------------------------------------
 
-# expand_stack's rows per product, and the integers float64 holds exactly
-_STACK_ROWS, _FLOAT_EXACT = 512, 2**53
-
-
-def _product_dtype(norm: int, v):
-    """The dtype in which integer rows of L1 norm at most norm multiply
-    the integer stack v exactly: float64 when max |v| norm < 2**53, as
-    every partial sum is then an integer float64 holds (as in
-    linalg.lifted_solve), int64 below 2**63, and RuntimeError past that."""
-    big = max(int(v.max(initial=0)), -int(v.min(initial=0))) * norm
-    if big < _FLOAT_EXACT:
-        return np.float64
-    if big < 2**63:
-        return np.int64
-    raise RuntimeError("stack entries up to %d times row norms up to %d "
-                       "pass int64" % (big // norm, norm))
-
+# expand_pairs' bilinear forms per batch: 64 of D32's are 8.6 MB
+_FORMS = 64
 
 @dataclass(frozen=True)
 class BasisElement:
@@ -258,35 +243,75 @@ class CanonicalBasis:
             raise ValueError("the two roots are not orthogonal")
         return self.expand(vee(a, b))
 
-    def expand_stack(self, v, rows) -> np.ndarray:
-        """The expansions, as an (F, K) int64 array, of the rows v[rows] of
-        a 2-D integer stack of standard coordinates, such as pair_coords_np
-        makes: _solve multiplies _STACK_ROWS rows at a time, in the dtype
-        _product_dtype picks.  RuntimeError past its bounds, and for a row
-        on which a functional row does not vanish or whose coordinates do
-        not divide by _den."""
-        k, den = len(self), self._den
-        m = self._solve.T.astype(_product_dtype(self._norm, v))
-        out = np.empty((len(rows), k), dtype=np.int64)
-        for s in range(0, len(rows), _STACK_ROWS):
-            c = v[rows[s:s + _STACK_ROWS]].astype(m.dtype) @ m
-            if c[:, k:].any():
-                raise RuntimeError("a stacked element lies outside the span "
-                                   "of the canonical basis")
-            c = c[:, :k].astype(np.int64)
-            out[s:s + _STACK_ROWS] = q = c // den
-            if (q * den != c).any():
-                raise RuntimeError("a stacked element has coordinates that "
-                                   "are not integers")
+    @functools.cached_property
+    def _bilinear(self):
+        """_solve and its height row h (the sum of its first K rows) as
+        bilinear forms in the two vectors of a v b: T, an (n, n W) int64
+        array, and H, n x n, such that the products of a v b are
+        a @ T.reshape(n, n, W) @ b over the first two axes and h's is
+        a @ H @ b.  T[i, j] and T[j, i] are _solve's column at standard
+        coordinate (i, j), doubled when i == j, as that coordinate of
+        a v b is a_i b_j + a_j b_i; so the entries of T for one row of
+        _solve sum in absolute value to twice its L1 norm."""
+        n = self.diagram.n
+        rows, cols = _upper(n)
+        t = np.zeros((n, n, len(self._solve)), dtype=np.int64)
+        t[rows, cols] = t[cols, rows] = self._solve.T
+        t[np.arange(n), np.arange(n)] *= 2
+        return t.reshape(n, -1), t[..., :len(self)].sum(axis=2)
+
+    def _pair_rows(self, vec, ends):
+        """Check the bound of expand_pairs and heights_within: every
+        partial sum of their products is at most 2 m**2 times the L1 norm
+        of a row of _solve or of h, for m the largest |entry| of the rows
+        of vec that ends uses, and h's norm is at most K times the largest
+        row norm; so 2 K m**2 <= _cap keeps all of them inside int64."""
+        used = np.zeros(len(vec), dtype=bool)
+        used[ends.ravel()] = True
+        used = vec[used]
+        m = max(int(used.max(initial=0)), -int(used.min(initial=0)))
+        if 2 * len(self) * m * m > self._cap:
+            raise RuntimeError("pair entries up to %d pass int64" % m)
+
+    def expand_pairs(self, vec, ends) -> np.ndarray:
+        """The expansions, as an (F, K) int64 array, of vec[x] v vec[y] for
+        the rows (x, y) of the (F, 2) index array ends into the 2-D integer
+        array vec, exactly in int64 (see _pair_rows).  For each distinct
+        x, vec[x] @ T (see _bilinear) is the matrix of y |-> the products
+        of vec[x] v vec[y], and multiplies the stack of x's vec[y] rows.
+        RuntimeError past the bound, for a pair on which a functional row
+        of _solve does not vanish, and for one whose coordinates do not
+        divide by _den."""
+        n, k, den = self.diagram.n, len(self), self._den
+        self._pair_rows(vec, ends)
+        t = self._bilinear[0]
+        out = np.empty((len(ends), k), dtype=np.int64)
+        by = np.argsort(ends[:, 0], kind="stable")
+        xs, at = np.unique(ends[by, 0], return_index=True)
+        at = np.append(at, len(by)).tolist()
+        ys = vec[ends[by, 1]]
+        for g0 in range(0, len(xs), _FORMS):
+            block = vec[xs[g0:g0 + _FORMS]]
+            for g, form in enumerate((block @ t).reshape(len(block), n, -1),
+                                     g0):
+                c = ys[at[g]:at[g + 1]] @ form
+                if c[:, k:].any():
+                    raise RuntimeError("a pair lies outside the span of the "
+                                       "canonical basis")
+                out[by[at[g]:at[g + 1]]], r = np.divmod(c[:, :k], den)
+                if r.any():
+                    raise RuntimeError("a pair has coordinates that are not "
+                                       "integers")
         return out
 
-    def heights_within(self, v, bound) -> np.ndarray:
-        """Whether each row of a 2-D integer stack of standard coordinates
-        has coordinate height at most bound, exactly: h @ v is _den times
-        the height for the column sums h of _solve's first K rows."""
-        h = self._solve[:len(self)].sum(axis=0)
-        dtype = _product_dtype(int(np.abs(h).sum()), v)
-        return v.astype(dtype) @ h.astype(dtype) <= bound * self._den
+    def heights_within(self, vec, ends, bound) -> np.ndarray:
+        """Whether each pair vec[x] v vec[y], for the rows (x, y) of ends,
+        has coordinate height at most bound, exactly in int64 (see
+        _pair_rows): vec[x] @ H @ vec[y] is _den times the height."""
+        self._pair_rows(vec, ends)
+        h = self._bilinear[1]
+        return (((vec[ends[:, 0]] @ h) * vec[ends[:, 1]]).sum(axis=1)
+                <= bound * self._den)
 
     def combine(self, coords) -> SymMatrix:
         """The matrix with these coordinates over the basis."""

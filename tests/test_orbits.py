@@ -199,40 +199,31 @@ def test_table_expansions_agree_along_every_edge(tag):
 
 def test_cut_walk_expansions_agree_along_every_edge():
     d = y_diagram(2, 2, 3)
-    members, ex, src = _pair_layers(d, [canonical_basis(d).elements[0].pair],
-                                    12)
+    basis = canonical_basis(d)
+    members, vec, ends, src = _pair_layers(d, [basis.elements[0].pair], 12)
+    ex = basis.expand_pairs(vec, ends)
     assert (src == 0).all() and len(members) == len(ex) > 100
     assert (ex.sum(axis=1) <= 12).all()
     assert _check_edges(d, members, ex, 12) > 0
 
 
 @pytest.mark.parametrize("tag", ["E8", "D8", "Y223-12"])
-def test_float_and_int64_solves_give_the_same_expansions(tag, monkeypatch):
-    """A zero float64 bound forces every product of the walk (the final
-    expansions, and the heights of a cut walk) into int64."""
+def test_pair_solve_agrees_with_expand(tag):
+    """expand_pairs on a walk's members, against expand of each member's
+    matrix one at a time; the cut walk's members are exactly its pairs of
+    height at most the bound, which heights_within keeps."""
     d = y_diagram(2, 2, 3) if tag == "Y223-12" else FINITE[tag]
     basis = canonical_basis(d)
     starts = [basis.elements[s[0]].pair for s in basis.summands()]
     bound = 12 if tag == "Y223-12" else None
+    members, vec, ends, src = _pair_layers(d, starts[:1] if bound else starts,
+                                           bound)
+    ex = basis.expand_pairs(vec, ends)
+    assert ex.dtype == np.int64 and ex.shape == (len(members), len(basis))
+    assert ex.tolist() == [list(basis.expand(vee_pair(p))) for p in members]
     if bound:
-        starts = starts[:1]
-    routes = []
-    pick = symsquare._product_dtype
-
-    def recorded(norm, v):
-        routes.append(pick(norm, v))
-        return routes[-1]
-
-    monkeypatch.setattr(symsquare, "_product_dtype", recorded)
-    fast = _pair_layers(d, starts, bound)
-    assert set(routes) == {np.float64}
-    routes.clear()
-    monkeypatch.setattr(symsquare, "_FLOAT_EXACT", 0)
-    slow = _pair_layers(d, starts, bound)
-    assert set(routes) == {np.int64}
-    assert fast[0] == slow[0] and (fast[2] == slow[2]).all()
-    assert fast[1].dtype == slow[1].dtype == np.int64
-    assert (fast[1] == slow[1]).all()
+        assert basis.heights_within(vec, ends, bound).all()
+        assert not basis.heights_within(vec, ends, bound - 1).all()
 
 
 @pytest.mark.parametrize("arms, bound", [((2, 2, 3), 20), ((4, 4, 4), 8)],
@@ -282,14 +273,15 @@ def test_one_walk_from_every_summand_equals_one_walk_each(tag):
     basis = canonical_basis(d)
     least = [s[0] for s in basis.summands()]
     assert len(least) == (3 if tag == "D4" else 2)
-    members, c, src = _pair_layers(d, [basis.elements[j].pair
-                                       for j in least])
+    members, vec, ends, src = _pair_layers(d, [basis.elements[j].pair
+                                               for j in least])
+    c = basis.expand_pairs(vec, ends)
     assert src.tolist() == sorted(src.tolist())
     cuts = src.searchsorted(range(len(least) + 1))
     for s, j in enumerate(least):
-        alone, alone_c, _ = _pair_layers(d, [basis.elements[j].pair])
+        alone, *walk, _ = _pair_layers(d, [basis.elements[j].pair])
         assert members[cuts[s]:cuts[s + 1]] == alone
-        assert (c[cuts[s]:cuts[s + 1]] == alone_c).all()
+        assert (c[cuts[s]:cuts[s + 1]] == basis.expand_pairs(*walk)).all()
 
 
 def test_a_walk_refuses_two_equal_starts():
@@ -528,16 +520,15 @@ def test_orbit_tables_refuse_a_negative_coordinate(monkeypatch):
     """One coordinate of a height-2 member turned negative: the member is
     no unit vector and the top stays unique, so only the sign check sees
     it."""
-    walk = orbits._pair_layers
+    solve = symsquare.CanonicalBasis.expand_pairs
 
     def negated(*args):
-        members, c, src = walk(*args)
-        c = c.copy()
+        c = solve(*args)
         r = np.flatnonzero(c.sum(axis=1) == 2)[0]
         c[r, np.flatnonzero(c[r])[0]] *= -1
-        return members, c, src
+        return c
 
-    monkeypatch.setattr(orbits, "_pair_layers", negated)
+    monkeypatch.setattr(symsquare.CanonicalBasis, "expand_pairs", negated)
     orbit_tables.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="negative coordinate"):

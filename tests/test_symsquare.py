@@ -406,34 +406,34 @@ def test_word_column_takes_60_letters_and_refuses_61():
             b.word_column(word, j)
 
 
-def test_expand_stack_refuses_what_is_off_the_basis_lattice():
-    """On E8 (_den 2): alpha_0 v alpha_0 lies outside the span, half the
-    sum of three basis elements is an integer point of the span with
-    coordinates 1/2, and a large multiple of the basis passes int64;
-    heights_within compares heights exactly, fractions included."""
+def test_expand_pairs_refuses_what_is_off_the_basis_lattice():
+    """On E8: the basis pairs expand to the identity, also scaled by 2**20
+    (entries far past float64's exact products), alpha_0 v alpha_0 lies
+    outside the span, a doubled _den leaves the coordinates 1/2, and
+    entries past the int64 bound are refused; heights_within compares
+    heights exactly, fractions included."""
     d = y_diagram(1, 2, 4)
     b = canonical_basis(d)
-    x = b._coords
-    assert b._den == 2
-    rows = np.arange(len(b) + 1)
-    assert (b.expand_stack(x, rows[:-1]) == np.eye(len(b))).all()
-    alpha = simple_root(d, 0)
-    outside = symsquare.pair_coords_np(np.array([[alpha, alpha]]))
+    k = len(b)
+    vec = np.vstack([b._pairs.reshape(-1, d.n), [simple_root(d, 0)]])
+    ends = np.arange(2 * k).reshape(k, 2)
+    assert (b.expand_pairs(vec, ends) == np.eye(k)).all()
+    assert (b.expand_pairs(vec * 2**20, ends) == np.eye(k) * 2**40).all()
     with pytest.raises(RuntimeError, match="outside the span"):
-        b.expand_stack(np.vstack([x, outside]), rows)
-    (c, *_) = linalg.nullspace_rref(linalg.mat(x.T), 2)
-    assert sum(c) == 3 and not (np.array(c) @ x % 2).any()
-    half = np.array(c) @ x // 2
-    assert b.expand(b.combine(np.array(c) * Fraction(1, 2))) == tuple(
-        Fraction(t, 2) for t in c)
-    with pytest.raises(RuntimeError, match="not integers"):
-        b.expand_stack(np.vstack([x, half]), rows)
-    # heights 1 for the basis, 3/2 for half
-    assert b.heights_within(x, 1).all() and not b.heights_within(x, 0).any()
-    assert b.heights_within(half[None], 2) and not b.heights_within(
-        half[None], 1)
+        b.expand_pairs(vec, np.vstack([ends, [2 * k, 2 * k]]))
+    assert b.heights_within(vec, ends, 1).all()
+    assert not b.heights_within(vec, ends, 0).any()
     with pytest.raises(RuntimeError, match="pass int64"):
-        b.expand_stack(x * 2 ** 60, rows[:-1])
+        b.expand_pairs(vec * 2**31, ends)
+    with pytest.raises(RuntimeError, match="pass int64"):
+        b.heights_within(vec * 2**31, ends, 1)
+    halved = symsquare.CanonicalBasis(d)
+    halved._den *= 2  # every basis pair now has coordinates 0 and 1/2
+    with pytest.raises(RuntimeError, match="not integers"):
+        halved.expand_pairs(vec, ends)
+    # heights 1/2
+    assert halved.heights_within(vec, ends, 1).all()
+    assert not halved.heights_within(vec, ends, 0).any()
 
 
 def test_word_column_refuses_long_words():
