@@ -5,19 +5,13 @@ roots.  Reflections act on the pair componentwise followed by sign
 normalization, which matches the action on the symmetric square up to the
 overall sign that never shows up on positive representatives.
 
-Orbits are walked breadth first over the pair graph, one layer of pairs at
-a time as numpy arrays: all of a diagram's orbits in one walk from the
-least element of every summand of the canonical basis (orbit tables), or
-one orbit from any pair (orbit_of, cut at a coordinate height).  The walk
-keeps a table of positive roots, each with the indices of its simple
-reflections: in finite type it is seeded with every positive root and
-filled once before the walk, on a cut walk it grows by the roots each
-layer meets.  A pair is one int64 key of its two root indices, so a layer
-is reflected by one gather and deduplicated by one sort of single keys
-(see _pair_layers for why int64 is exact).  Only keys walk: after the
-walk orbit_tables expands each member over the canonical basis once, by
-one int64 solve of the stack of pairs (CanonicalBasis.expand_pairs),
-which gives membership, heights and the coordinatewise order.
+Orbits are walked breadth first over the pair graph, one layer of int64
+pair keys at a time (_pair_layers): all of a diagram's orbits in one walk
+from the least element of every summand of the canonical basis (orbit
+tables), or one orbit from any pair (orbit_of, cut at a coordinate
+height).  Only keys walk; orbit_tables then expands each member once
+(CanonicalBasis.expand_pairs), which gives membership, heights and the
+coordinatewise order.
 """
 
 from __future__ import annotations
@@ -174,40 +168,32 @@ def _found(keys, x):
 
 def _pair_layers(d: Diagram, pairs, height_bound=None):
     """The union of the orbits of the given start pairs under the simple
-    reflections, as (members, vec, ends, src): each member as a pair of
-    root tuples and as the row of ends holding the indices of its two
-    roots in vec, the walk's int64 array of roots, and the index s of the
-    start pairs[s] it was reached from; sorted by s, then as by vee_pair.
-    CanonicalBasis.expand_pairs(vec, ends) gives the members' expansions.
+    reflections, as (members, vec, ends, src), sorted by s = src[r], then
+    as by vee_pair: member r as a pair of root tuples and as ends[r], the
+    indices of its roots in the int64 root array vec (expand_pairs(vec,
+    ends) expands them), reached from the start pairs[s].
 
-    The walk runs on indices into a _RootTable.  In finite type the table
-    is seeded with every positive root and their simple reflections in one
-    numpy batch, as every orbit meets every root; on a cut walk it interns
-    each root a layer first holds and fills in its reflections per layer.
-
-    Only keys walk, breadth first from all the starts at once, one sorted
-    layer at a time, with no visited set.  The first layer is the starts;
-    two equal starts raise RuntimeError.  Layer k holds the pairs at
-    distance k from the starts, and a neighbour of such a pair is at
-    distance k - 1, k or k + 1, as reflections are involutions: so the
-    next layer is the neighbours of this one minus it and the one before.
-    Each layer is reflected by every simple root with one gather from the
-    table, at the (pair, root) edges that move the pair; np.unique of the
-    edges' keys deduplicates, each new pair keeping the start of its first
-    edge, and a searchsorted in each of the two layers drops the pairs
-    already met.  On a cut walk a new pair above the bound in coordinate
-    height is dropped and not walked from; a start never is.  At the end
-    the pairs take root_pair's order from a rank of the interned roots by
-    (height, root) and are sorted by one lexsort of their pair_coords_np,
+    The walk runs on indices into a _RootTable, in finite type seeded with
+    every positive root and their reflections in one batch, on a cut walk
+    interning each root a layer first holds and filling its reflections
+    per layer.  It goes breadth first from all the starts at once (two
+    equal starts raise RuntimeError), one sorted layer of keys at a time
+    with no visited set: as reflections are involutions, a neighbour of a
+    pair at distance k is at distance k - 1, k or k + 1, so the next layer
+    is the neighbours of this one minus it and the one before.  One gather
+    from the table reflects a layer at the edges that move a pair,
+    np.unique deduplicates the edges' keys (a new pair keeps the start of
+    its first edge) and a searchsorted in each of the two layers drops the
+    pairs met.  A cut walk drops, and does not walk from, a new pair whose
+    coordinate height (CanonicalBasis.heights_within) passes the bound.
+    At the end the pairs take root_pair's order from a rank of the roots
+    by (height, root) and are sorted by a lexsort of their pair_coords_np,
     then stably by start.
 
     Exactness: a 2-root is the int64 key lo << 32 | hi of its root indices
     lo < hi; an index stays below 2**31 (the table raises RuntimeError
     first), so hi fits the low 32 bits, lo << 32 < 2**63, and the keys
-    sort as (lo, hi).  Coordinates are solved for, never carried: a cut
-    walk reads each new pair's height off its two roots with
-    CanonicalBasis.heights_within, exact in int64 and refused past its
-    bound."""
+    sort as (lo, hi)."""
     basis = canonical_basis(d)
     roots = _RootTable(d)
     grows = classify(d) is not TypeClass.FINITE
@@ -269,15 +255,13 @@ def _pair_layers(d: Diagram, pairs, height_bound=None):
 @functools.cache
 def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
     """Partition of the positive 2-roots into orbits, finite types only:
-    one layered walk (_pair_layers) for the whole diagram, from the least
-    element of each CanonicalBasis.summands entry, its sorted members then
-    split by the start they were reached from, each orbit a view of the
-    members' expansions (CanonicalBasis.expand_pairs).  Every member's
-    coordinates must have their support inside its start's summand, so
-    that summand holds it.  No member may have a negative coordinate, the
-    members with unit coordinates must be exactly the summand's elements,
-    and the one of greatest coordinate height, the orbit's top, must be
-    unique."""
+    one _pair_layers walk from the least element of each
+    CanonicalBasis.summands entry, its members expanded once
+    (CanonicalBasis.expand_pairs) and split by start into views of one
+    array.  Each member's coordinates must lie in its start's summand and
+    be nonnegative, the members with unit coordinates must be exactly the
+    summand's elements, and the orbit's top, its member of greatest
+    coordinate height, must be unique."""
     if classify(d) is not TypeClass.FINITE:
         raise ValueError("orbit enumeration needs a finite type")
     basis = canonical_basis(d)
@@ -318,10 +302,8 @@ def orbit_tables(d: Diagram) -> tuple[OrbitTable, ...]:
 def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:
     """Orbit members of coordinate height at most the bound; works in any
     type and truncates the walk at the bound.  The start must be a pair of
-    orthogonal roots, and the bound and the start's height at most 2**61,
-    so that every member's expansion fits int64; a walk that meets roots
-    past the int64 bound of CanonicalBasis.heights_within raises
-    RuntimeError."""
+    orthogonal roots, and the bound and the start's height at most 2**61;
+    roots past the int64 bound of heights_within raise RuntimeError."""
     p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
     start = sum(canonical_basis(d).expand_pair(*p))
     if max(height_bound, start) > 2 ** 61:

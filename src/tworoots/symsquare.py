@@ -121,8 +121,8 @@ def root_pair(a, b) -> tuple[Root, Root]:
 
 # --- canonical basis -------------------------------------------------------
 
-# expand_pairs' bilinear forms per batch: 64 of D32's are 8.6 MB
-_FORMS = 64
+# expand_pairs' first roots per block: the block's products stay small
+_FORMS = 8
 
 @dataclass(frozen=True)
 class BasisElement:
@@ -245,14 +245,10 @@ class CanonicalBasis:
 
     @functools.cached_property
     def _bilinear(self):
-        """_solve and its height row h (the sum of its first K rows) as
-        bilinear forms in the two vectors of a v b: T, an (n, n W) int64
-        array, and H, n x n, such that the products of a v b are
-        a @ T.reshape(n, n, W) @ b over the first two axes and h's is
-        a @ H @ b.  T[i, j] and T[j, i] are _solve's column at standard
-        coordinate (i, j), doubled when i == j, as that coordinate of
-        a v b is a_i b_j + a_j b_i; so the entries of T for one row of
-        _solve sum in absolute value to twice its L1 norm."""
+        """_solve and h, the sum of its first K rows, as bilinear forms: a @
+        T.reshape(n, n, -1) @ b is _solve times the standard coordinates of
+        a v b and a @ H @ b is h's, as T[i, j] = T[j, i] is _solve's column
+        at coordinate (i, j), doubled for i == j."""
         n = self.diagram.n
         rows, cols = _upper(n)
         t = np.zeros((n, n, len(self._solve)), dtype=np.int64)
@@ -261,27 +257,21 @@ class CanonicalBasis:
         return t.reshape(n, -1), t[..., :len(self)].sum(axis=2)
 
     def _pair_rows(self, vec, ends):
-        """Check the bound of expand_pairs and heights_within: every
-        partial sum of their products is at most 2 m**2 times the L1 norm
-        of a row of _solve or of h, for m the largest |entry| of the rows
-        of vec that ends uses, and h's norm is at most K times the largest
-        row norm; so 2 K m**2 <= _cap keeps all of them inside int64."""
+        """RuntimeError unless 2 K m**2 <= _cap, m the largest |entry| of
+        vec[ends]: a partial sum of a product by T or H is at most m**2
+        times twice the L1 norm of a row of _solve or of h (<= K _norm)."""
         used = np.zeros(len(vec), dtype=bool)
         used[ends.ravel()] = True
-        used = vec[used]
-        m = max(int(used.max(initial=0)), -int(used.min(initial=0)))
+        m = max(int(vec[used].max(initial=0)), -int(vec[used].min(initial=0)))
         if 2 * len(self) * m * m > self._cap:
             raise RuntimeError("pair entries up to %d pass int64" % m)
 
     def expand_pairs(self, vec, ends) -> np.ndarray:
-        """The expansions, as an (F, K) int64 array, of vec[x] v vec[y] for
-        the rows (x, y) of the (F, 2) index array ends into the 2-D integer
-        array vec, exactly in int64 (see _pair_rows).  For each distinct
-        x, vec[x] @ T (see _bilinear) is the matrix of y |-> the products
-        of vec[x] v vec[y], and multiplies the stack of x's vec[y] rows.
-        RuntimeError past the bound, for a pair on which a functional row
-        of _solve does not vanish, and for one whose coordinates do not
-        divide by _den."""
+        """The (F, K) int64 expansions of vec[x] v vec[y] for the rows (x, y)
+        of the index array ends, exact (see _pair_rows): for each distinct
+        x, vec[x] @ T is the matrix of y |-> _solve times x v y, applied to
+        the stack of x's partners.  RuntimeError past the bound, outside
+        the span (a functional row nonzero) or off the basis lattice."""
         n, k, den = self.diagram.n, len(self), self._den
         self._pair_rows(vec, ends)
         t = self._bilinear[0]
@@ -291,17 +281,15 @@ class CanonicalBasis:
         at = np.append(at, len(by)).tolist()
         ys = vec[ends[by, 1]]
         for g0 in range(0, len(xs), _FORMS):
-            block = vec[xs[g0:g0 + _FORMS]]
-            for g, form in enumerate((block @ t).reshape(len(block), n, -1),
-                                     g0):
-                c = ys[at[g]:at[g + 1]] @ form
-                if c[:, k:].any():
-                    raise RuntimeError("a pair lies outside the span of the "
-                                       "canonical basis")
-                out[by[at[g]:at[g + 1]]], r = np.divmod(c[:, :k], den)
-                if r.any():
-                    raise RuntimeError("a pair has coordinates that are not "
-                                       "integers")
+            g1 = min(g0 + _FORMS, len(xs))
+            forms = (vec[xs[g0:g1]] @ t).reshape(g1 - g0, n, -1)
+            c = np.concatenate([ys[a:b] @ form for form, a, b in
+                                zip(forms, at[g0:g1], at[g0 + 1:g1 + 1])])
+            if c[:, k:].any():
+                raise RuntimeError("a pair is outside the basis span")
+            out[by[at[g0]:at[g1]]], r = np.divmod(c[:, :k], den)
+            if r.any():
+                raise RuntimeError("a pair has fractional coordinates")
         return out
 
     def heights_within(self, vec, ends, bound) -> np.ndarray:
