@@ -21,7 +21,7 @@ reflection s_i negates the elements containing alpha_i and adds to some
 others one partner alpha_i v gamma, read off their pairs by the form; the
 basis keeps only these rows, where its matrix differs from the identity,
 and acts on words and summands through them.  expand_pairs solves a whole
-stack of pairs a v b at once, in int64 under a bound of the same kind.
+stack of pairs a v b at once, in float64 under a bound of the same kind.
 """
 
 from __future__ import annotations
@@ -248,48 +248,48 @@ class CanonicalBasis:
         """_solve and h, the sum of its first K rows, as bilinear forms: a @
         T.reshape(n, n, -1) @ b is _solve times the standard coordinates of
         a v b and a @ H @ b is h's, as T[i, j] = T[j, i] is _solve's column
-        at coordinate (i, j), doubled for i == j."""
+        at coordinate (i, j), doubled for i == j.  T is float64, H int64."""
         n = self.diagram.n
         rows, cols = _upper(n)
         t = np.zeros((n, n, len(self._solve)), dtype=np.int64)
         t[rows, cols] = t[cols, rows] = self._solve.T
         t[np.arange(n), np.arange(n)] *= 2
-        return t.reshape(n, -1), t[..., :len(self)].sum(axis=2)
+        return t.reshape(n, -1).astype(float), t[..., :len(self)].sum(axis=2)
 
     def _pair_rows(self, vec, ends):
-        """RuntimeError unless 2 K m**2 <= _cap, m the largest |entry| of
-        vec[ends]: a partial sum of a product by T or H is at most m**2
-        times twice the L1 norm of a row of _solve or of h (<= K _norm)."""
+        """RuntimeError unless 2 K m**2 _norm < 2**53 for m = max |vec[ends]|:
+        then float64 holds every partial sum of a product by T or H exactly,
+        at most m**2 times twice a row norm of _solve or of h (<= K _norm)."""
         used = np.zeros(len(vec), dtype=bool)
         used[ends.ravel()] = True
         m = max(int(vec[used].max(initial=0)), -int(vec[used].min(initial=0)))
-        if 2 * len(self) * m * m > self._cap:
-            raise RuntimeError("pair entries up to %d pass int64" % m)
+        if 2 * len(self) * m * m * self._norm >= 2**53:
+            raise RuntimeError("pair entries up to %d pass float64" % m)
 
     def expand_pairs(self, vec, ends) -> np.ndarray:
         """The (F, K) int64 expansions of vec[x] v vec[y] for the rows (x, y)
         of the index array ends, exact (see _pair_rows): for each distinct
         x, vec[x] @ T is the matrix of y |-> _solve times x v y, applied to
-        the stack of x's partners.  RuntimeError past the bound, outside
-        the span (a functional row nonzero) or off the basis lattice."""
+        the stack of x's partners by np.einsum, which never calls BLAS.
+        RuntimeError past the bound, or off the basis span or lattice."""
         n, k, den = self.diagram.n, len(self), self._den
         self._pair_rows(vec, ends)
-        t = self._bilinear[0]
         out = np.empty((len(ends), k), dtype=np.int64)
         by = np.argsort(ends[:, 0], kind="stable")
         xs, at = np.unique(ends[by, 0], return_index=True)
         at = np.append(at, len(by)).tolist()
+        vec = vec.astype(np.float64)
         ys = vec[ends[by, 1]]
         for g0 in range(0, len(xs), _FORMS):
             g1 = min(g0 + _FORMS, len(xs))
-            forms = (vec[xs[g0:g1]] @ t).reshape(g1 - g0, n, -1)
-            c = np.concatenate([ys[a:b] @ form for form, a, b in
-                                zip(forms, at[g0:g1], at[g0 + 1:g1 + 1])])
-            if c[:, k:].any():
-                raise RuntimeError("a pair is outside the basis span")
-            out[by[at[g0]:at[g1]]], r = np.divmod(c[:, :k], den)
-            if r.any():
-                raise RuntimeError("a pair has fractional coordinates")
+            forms = np.einsum("xi,iw->xw", vec[xs[g0:g1]], self._bilinear[0])
+            c = np.concatenate([np.einsum("fj,jw->fw", ys[a:b], f) for f, a, b
+                                in zip(forms.reshape(g1 - g0, n, -1),
+                                       at[g0:g1], at[g0 + 1:g1 + 1])])
+            q = np.rint(c[:, :k] / den)
+            if c[:, k:].any() or (q * den != c[:, :k]).any():
+                raise RuntimeError("a pair is off the basis span or lattice")
+            out[by[at[g0]:at[g1]]] = q
         return out
 
     def heights_within(self, vec, ends, bound) -> np.ndarray:

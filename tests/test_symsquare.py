@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -407,29 +408,32 @@ def test_word_column_takes_60_letters_and_refuses_61():
 
 
 def test_expand_pairs_refuses_what_is_off_the_basis_lattice():
-    """On E8: the basis pairs expand to the identity, also scaled by 2**20
-    (entries far past float64's exact products), alpha_0 v alpha_0 lies
-    outside the span, a doubled _den leaves the coordinates 1/2, and
-    entries past the int64 bound are refused; heights_within compares
-    heights exactly, fractions included."""
+    """On E8: the basis pairs expand to the identity, also scaled to the
+    largest entries the float64 bound allows, one step past which is
+    refused; alpha_0 v alpha_0 lies outside the span and a doubled _den
+    leaves the coordinates 1/2; heights_within compares heights exactly,
+    fractions included."""
     d = y_diagram(1, 2, 4)
     b = canonical_basis(d)
     k = len(b)
     vec = np.vstack([b._pairs.reshape(-1, d.n), [simple_root(d, 0)]])
     ends = np.arange(2 * k).reshape(k, 2)
     assert (b.expand_pairs(vec, ends) == np.eye(k)).all()
-    assert (b.expand_pairs(vec * 2**20, ends) == np.eye(k) * 2**40).all()
-    with pytest.raises(RuntimeError, match="outside the basis span"):
+    top = int(vec.max())
+    s = math.isqrt((2**53 - 1) // (2 * k * b._norm)) // top
+    assert s > 10**6
+    assert (b.expand_pairs(vec * s, ends) == np.eye(k) * s * s).all()
+    with pytest.raises(RuntimeError, match="pass float64"):
+        b.expand_pairs(vec * (s + 1), ends)
+    with pytest.raises(RuntimeError, match="pass float64"):
+        b.heights_within(vec * (s + 1), ends, 1)
+    with pytest.raises(RuntimeError, match="off the basis span"):
         b.expand_pairs(vec, np.vstack([ends, [2 * k, 2 * k]]))
     assert b.heights_within(vec, ends, 1).all()
     assert not b.heights_within(vec, ends, 0).any()
-    with pytest.raises(RuntimeError, match="pass int64"):
-        b.expand_pairs(vec * 2**31, ends)
-    with pytest.raises(RuntimeError, match="pass int64"):
-        b.heights_within(vec * 2**31, ends, 1)
     halved = symsquare.CanonicalBasis(d)
     halved._den *= 2  # every basis pair now has coordinates 0 and 1/2
-    with pytest.raises(RuntimeError, match="fractional"):
+    with pytest.raises(RuntimeError, match="or lattice"):
         halved.expand_pairs(vec, ends)
     # heights 1/2
     assert halved.heights_within(vec, ends, 1).all()
