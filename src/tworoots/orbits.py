@@ -303,7 +303,7 @@ def orbit_of(d: Diagram, p: Pair, height_bound: int) -> tuple[Pair, ...]:
     """Orbit members of coordinate height at most the bound; works in any
     type and truncates the walk at the bound.  The start must be a pair of
     orthogonal roots, and the bound and the start's height at most 2**61;
-    roots past the int64 bound of heights_within raise RuntimeError."""
+    roots past the float64 bound of heights_within raise RuntimeError."""
     p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
     start = sum(canonical_basis(d).expand_pair(*p))
     if max(height_bound, start) > 2 ** 61:

@@ -121,8 +121,8 @@ def root_pair(a, b) -> tuple[Root, Root]:
 
 # --- canonical basis -------------------------------------------------------
 
-# expand_pairs' first roots per block: the block's products stay small
-_FORMS = 8
+_FORMS = 8  # first roots per block of expand_pairs: its products stay small
+
 
 @dataclass(frozen=True)
 class BasisElement:
@@ -256,7 +256,7 @@ class CanonicalBasis:
         t[np.arange(n), np.arange(n)] *= 2
         return t.reshape(n, -1).astype(float), t[..., :len(self)].sum(axis=2)
 
-    def _pair_rows(self, vec, ends):
+    def _pair_bound(self, vec, ends):
         """RuntimeError unless 2 K m**2 _norm < 2**53 for m = max |vec[ends]|:
         then float64 holds every partial sum of a product by T or H exactly,
         at most m**2 times twice a row norm of _solve or of h (<= K _norm)."""
@@ -268,12 +268,12 @@ class CanonicalBasis:
 
     def expand_pairs(self, vec, ends) -> np.ndarray:
         """The (F, K) int64 expansions of vec[x] v vec[y] for the rows (x, y)
-        of the index array ends, exact (see _pair_rows): for each distinct
+        of the index array ends, exact (see _pair_bound): for each distinct
         x, vec[x] @ T is the matrix of y |-> _solve times x v y, applied to
         the stack of x's partners by np.einsum, which never calls BLAS.
         RuntimeError past the bound, or off the basis span or lattice."""
         n, k, den = self.diagram.n, len(self), self._den
-        self._pair_rows(vec, ends)
+        self._pair_bound(vec, ends)
         out = np.empty((len(ends), k), dtype=np.int64)
         by = np.argsort(ends[:, 0], kind="stable")
         xs, at = np.unique(ends[by, 0], return_index=True)
@@ -295,8 +295,8 @@ class CanonicalBasis:
     def heights_within(self, vec, ends, bound) -> np.ndarray:
         """Whether each pair vec[x] v vec[y], for the rows (x, y) of ends,
         has coordinate height at most bound, exactly in int64 (see
-        _pair_rows): vec[x] @ H @ vec[y] is _den times the height."""
-        self._pair_rows(vec, ends)
+        _pair_bound): vec[x] @ H @ vec[y] is _den times the height."""
+        self._pair_bound(vec, ends)
         h = self._bilinear[1]
         return (((vec[ends[:, 0]] @ h) * vec[ends[:, 1]]).sum(axis=1)
                 <= bound * self._den)
