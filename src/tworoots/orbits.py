@@ -342,17 +342,19 @@ CLIMB_STEPS = 100000
 def highest_pair(d: Diagram, p: Pair, rng=None) -> Pair:
     """Climb from p by simple reflections that strictly increase the
     expansion coordinates, until none applies.  The scan order is fixed
-    unless an rng is supplied to shuffle it.  Each step computes, for
-    every simple root at once, just the rows of the coordinates that its
-    reflection rewrites (the padded slots of CanonicalBasis._rows; a
-    padded row repeats one of them), and moves the pair by the first
-    rising reflection in the scan order; a reflection that fixes the pair
-    sends c to +-c, which never rises.  p must be two orthogonal roots;
-    anything else raises ValueError."""
+    unless an rng is supplied to shuffle it.  The climb runs on the
+    coordinates alone: each step computes, for every simple root at once,
+    just the rows of the coordinates that its reflection rewrites (the
+    padded slots of CanonicalBasis._rows; a padded row repeats one of
+    them), takes the first rising reflection in the scan order, rewrites
+    its rows and records its letter; a reflection that fixes the pair
+    sends c to +-c, which never rises.  The pair itself moves once, at
+    the top, by pair_action of the recorded letters, last letter leftmost.
+    p must be two orthogonal roots; anything else raises ValueError."""
     basis = canonical_basis(d)
     c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
     rows, cols, coefs = basis._rows
-    order = list(range(d.n))
+    order, taken = list(range(d.n)), []
     for _ in range(CLIMB_STEPS):
         if rng is not None:
             rng.shuffle(order)
@@ -361,8 +363,8 @@ def highest_pair(d: Diagram, p: Pair, rng=None) -> Pair:
         rises = diff.any(axis=1) & (diff >= 0).all(axis=1)
         i = next((i for i in order if rises[i]), None)
         if i is None:
-            return p
-        p = simple_pair_action(d, i, p)
+            return pair_action(d, taken[::-1], p)
+        taken.append(i)
         c[rows[i]] = new[i]
     raise RuntimeError("no highest element reached within the step budget")
 

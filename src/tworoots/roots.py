@@ -68,6 +68,9 @@ def simple_reflect(d: Diagram, i: int, v):
     return tuple(out)
 
 
+_INT16_MAX = (1 << 15) - 1
+
+
 @functools.cache
 def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, ...]:
     """All positive roots in (height, root) order, up to the height bound;
@@ -82,34 +85,55 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
     each root r, s_i r = r - c_i alpha_i is a child of r when c_i < 0 and
     i is the least j with B(s_i r, alpha_j) > 0, that is, when no j < i
     has c_j - c_i a_ij > 0: a running count of the columns j < i with
-    c_j > 0, less the neighbours j < i with 0 < c_j <= -c_i, must be 0.
-    Each layer is sorted by packed keys: its entries as fields of the bit
-    length of layer.max(), as many to an int64 word as fit, and one
-    lexsort over the words.  Cached per call signature: positive_roots(d)
-    and positive_roots(d, None) are separate entries."""
+    c_j > 0, less the lower neighbour j of i when 0 < c_j <= -c_i, must be
+    0.  Both numberings go outward from vertex 0, so every other vertex
+    has exactly one lower neighbour, and that correction is one column
+    per edge.  Each layer is sorted by packed keys: its entries as fields
+    of the bit length of layer.max(), as many to an int64 word as fit, and
+    one lexsort over the words.
+
+    Width: the layer of height h runs in int16 when 2 h and n are at
+    most 2**15 - 1, and in int64 past that.  Its roots are nonnegative of
+    height h, so every entry lies in [0, h], and every form c_j = 2 r_j -
+    (the sum of r_k over the neighbours k of j) lies in [-h, 2 h], as the
+    neighbours' entries sum to at most h; so -c_j and h - c_j lie in
+    [-2 h, 2 h].  A child's step -c_i is at most h, so its height and
+    each of its entries are at most 2 h, and a running count lies in
+    [0, n].  So every value the layer computes lies in int16's range, and
+    as int16 arithmetic is exact modulo 2**16, the product by the Cartan
+    matrix is exact whatever its partial sums.  The Python ints that meet
+    an int16 array are h, a step, 0 and the bound capped at 2**15 - 1,
+    all in range, so NumPy 2's NEP 50 promotion (a Python int takes the
+    array's dtype) and the value-based casting of NumPy 1.24 on (a Python
+    int takes the least dtype that holds its value) both keep every
+    result int16.  Cached per call signature: positive_roots(d) and
+    positive_roots(d, None) are separate entries."""
     if height_bound is not None and height_bound < 1:
         raise ValueError("height bound must be at least 1, got %d"
                          % height_bound)
     if height_bound is None and classify(d) is not TypeClass.FINITE:
         raise ValueError("infinite root system: pass a height bound")
     limit = np.inf if height_bound is None else height_bound
-    a = np.array(cartan(d), dtype=np.int64)
+    a = np.array(cartan(d), dtype=np.int16)  # an int64 layer promotes it
     lo, hi = np.sort(np.array(d.edges, dtype=np.intp).reshape(-1, 2), 1).T
-    up = np.eye(d.n, dtype=np.int64)[hi]  # edge e -> its upper end hi[e]
-    buckets, found = {1: [np.eye(d.n, dtype=np.int64)]}, []
+    buckets, found = {1: [np.eye(d.n, dtype=np.int16)]}, []
     while buckets:
         h = min(buckets)
-        layer = np.concatenate(buckets.pop(h))
+        if max(2 * h, d.n) <= _INT16_MAX:
+            dt, cap = np.int16, min(limit, _INT16_MAX)
+        else:
+            dt, cap = np.int64, limit
+        layer = np.concatenate(buckets.pop(h)).astype(dt, copy=False)
         layer = layer[np.lexsort(_packed_keys(layer)[::-1])]
         found.extend(zip(*layer.T.tolist()))
         if h == limit:  # no child fits under the bound
             break
         c = layer @ a  # c[r, j] = B(r, alpha_j)
         pos = c > 0
-        count = np.cumsum(pos, axis=1)
+        count = np.cumsum(pos, axis=1, dtype=dt)
         count -= pos
-        count -= (pos[:, lo] & (c[:, lo] <= -c[:, hi])) @ up
-        r, i = np.nonzero((c < 0) & (count == 0) & (h - c <= limit))
+        count[:, hi] -= pos[:, lo] & (c[:, lo] <= -c[:, hi])
+        r, i = np.nonzero((c < 0) & (count == 0) & (h - c <= cap))
         step = -c[r, i]  # s_i r = r + step alpha_i
         del c, pos, count  # free them before the next layer is gathered
         for s in set(step.tolist()):
@@ -121,7 +145,7 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
 
 
 def _packed_keys(rows: np.ndarray) -> np.ndarray:
-    """Keys (W, R) of the nonnegative int64 rows (R, N), most significant
+    """Keys (W, R) of the nonnegative integer rows (R, N), most significant
     word first, whose lexicographic order is that of the rows: each word
     holds the next 63 // b columns as b-bit fields, b the bit length of
     rows.max(), so every key stays below 2**63."""
@@ -137,28 +161,42 @@ def _packed_keys(rows: np.ndarray) -> np.ndarray:
 
 def is_root(d: Diagram, v, height_bound: int | None = None) -> bool:
     """Whether v is a root, of |height| at most the bound if one is given.
+    A root has integer entries: v is refused unless every entry equals
+    int() of itself, so (1/2, 1/2, 0) and (0.5, 0.5, 0) are not roots.
     By descent: a positive root beta other than a simple root has
     B(beta, alpha_i) > 0 for some i (see positive_roots), and s_i beta is
     then a positive root of lower height.  So v is a root exactly when
     repeatedly reflecting in the least such alpha_i reaches a simple root
-    with no coordinate turning negative.  Needs no enumeration, so it
-    answers in every type, on infinite ones without a bound too."""
-    if len(v) != d.n or (height_bound is not None
-                         and abs(height(v)) > height_bound):
+    with no coordinate turning negative; the descent rewrites one list of
+    Python ints in place and keeps its height as it goes.  Needs no
+    enumeration, so it answers in every type, on infinite ones without a
+    bound too."""
+    try:
+        r = [int(x) for x in v]
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
         return False
-    if is_negative(v):
-        v = negate(v)
-    elif not is_positive(v):
+    if len(r) != d.n or r != list(v):
+        return False
+    h = sum(r)
+    if h < 0:
+        r, h = [-x for x in r], -h
+    if h == 0 or min(r) < 0 or (height_bound is not None
+                                and h > height_bound):
         return False
     adj = neighbors(d)
-    while height(v) > 1:
-        i = next((i for i in range(d.n)
-                  if 2 * v[i] > sum(v[j] for j in adj[i])), None)
-        if i is None:
+    while h > 1:
+        for i, nbrs in enumerate(adj):
+            c = 2 * r[i]
+            for j in nbrs:
+                c -= r[j]
+            if c > 0:
+                break
+        else:
             return False
-        v = simple_reflect(d, i, v)
-        if v[i] < 0:
+        r[i] -= c  # s_i r = r - B(r, alpha_i) alpha_i
+        if r[i] < 0:
             return False
+        h -= c
     return True
 
 

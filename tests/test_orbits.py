@@ -4,6 +4,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import permutations
 from math import comb
 from pathlib import Path
@@ -400,21 +401,26 @@ def _full_rise_climb(d, p, rng):
 @pytest.mark.parametrize("tag", ["E6", "D6", "E8"])
 def test_highest_pair_takes_the_letters_of_the_full_rise_test(tag,
                                                               monkeypatch):
+    """The climb moves the pair once, by pair_action of its letters with
+    the last one leftmost; the letters, read back in climb order, are
+    those of the rise test on whole coordinate vectors."""
     d = FINITE[tag]
-    taken = []
+    words = []
 
-    def recorded(d, i, p):
-        taken.append(i)
-        return simple_pair_action(d, i, p)
+    def recorded(d, word, p):
+        words.append(list(word))
+        return pair_action(d, word, p)
 
-    monkeypatch.setattr(orbits, "simple_pair_action", recorded)
+    monkeypatch.setattr(orbits, "pair_action", recorded)
     rng = random.Random("climb:" + tag)
     for t in orbit_tables(d):
         for start in rng.sample(t.members, min(12, t.size)):
             seed = rng.random()
             for fresh in (lambda: None, lambda: random.Random(seed)):
-                taken.clear()
+                words.clear()
                 top = highest_pair(d, start, rng=fresh())
+                assert len(words) == 1
+                taken = words[0][::-1]
                 assert (taken, top) == _full_rise_climb(d, start, fresh())
                 assert top == t.highest
 
@@ -431,7 +437,10 @@ def test_highest_pair_step_budget(monkeypatch):
 @pytest.mark.parametrize("p, match", [
     (((0, 0, 0, 0, 1), (2, 0, 0, 0, 0)), "not a root"),
     (((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)), "not orthogonal"),
-], ids=["non-root", "non-orthogonal"])
+    (((Fraction(1, 2), Fraction(1, 2), 0, 0, 0), (0, 0, 0, 0, 1)),
+     "not a root"),
+    (((0.5, 0.5, 0, 0, 0), (0, 0, 0, 0, 1)), "not a root"),
+], ids=["non-root", "non-orthogonal", "half-integer", "float"])
 def test_highest_and_ht2_refuse_pairs_that_are_not_2_roots(p, match):
     d = y_diagram(1, 1, 2)
     with pytest.raises(ValueError, match=match):

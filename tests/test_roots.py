@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,12 +67,53 @@ def test_infinite_needs_bound():
     assert len(positive_roots(d, height_bound=3)) == 19
 
 
+def test_affine_walk_matches_the_closed_form_in_both_widths():
+    """Affine E6, Y(2,2,2), on each side of the height where the walk's
+    layers leave int16 (2 h <= 2**15 - 1): its positive roots are alpha
+    with alpha a positive root of E6, and alpha + k delta for k >= 1 and
+    alpha any root of E6, delta of height 12.  E6 is Y(2,2,2) without
+    vertex 6, and its roots are its nonzero vectors of norm 2, found here
+    by brute force over entries 0..3."""
+    d, e6 = y_diagram(2, 2, 2), y_diagram(2, 2, 1)
+    dl = delta(d)
+    assert height(dl) == 12
+    pos = [v + (0,) for v in itertools.product(range(4), repeat=6)
+           if any(v) and bform(e6, v, v) == 2]
+    assert len(pos) == 36
+    lower, upper = 16383, 16390  # every layer int16; layers past 16383 not
+    closed = set(pos)
+    for k in range(1, upper // 12 + 2):
+        for a in pos:
+            for sign in (1, -1):
+                closed.add(tuple(sign * x + k * y for x, y in zip(a, dl)))
+    walks = {}
+    for bound in (lower, upper):
+        walks[bound] = positive_roots(d, bound)
+        assert list(walks[bound]) == sorted(
+            (r for r in closed if height(r) <= bound),
+            key=lambda r: (height(r), r))
+    assert len(walks[upper]) > len(walks[lower])
+    assert walks[upper][:len(walks[lower])] == walks[lower]
+
+
 def test_is_root():
     d = path_diagram(3)
     assert is_root(d, (1, 1, 0))
     assert is_root(d, (0, -1, 0))
     assert not is_root(d, (1, 0, 1))
     assert not is_root(d, (0, 0, 0))
+
+
+def test_is_root_refuses_non_integer_entries():
+    d = path_diagram(3)
+    for v in [(Fraction(1, 2), Fraction(1, 2), 0), (0.5, 0.5, 0),
+              (-0.5, -0.5, 0), (1.5, 0, -0.5), (float("nan"), 1, 0),
+              (float("inf"), 0, 0)]:
+        assert not is_root(d, v), v
+    # integral values of other types are still roots
+    assert is_root(d, (Fraction(1), Fraction(1), 0))
+    assert is_root(d, (0.0, 1.0, 1.0))
+    assert is_root(d, np.array([1, 1, 1]))
 
 
 @pytest.mark.parametrize("arms, bound", [
