@@ -33,10 +33,6 @@ def is_positive(v) -> bool:
     return any(x != 0 for x in v) and all(x >= 0 for x in v)
 
 
-def is_negative(v) -> bool:
-    return any(x != 0 for x in v) and all(x <= 0 for x in v)
-
-
 def negate(v):
     return tuple(-x for x in v)
 
