@@ -27,6 +27,10 @@ class TypeClass(Enum):
 
 @dataclass(frozen=True)
 class Diagram:
+    """A tree numbered outward from vertex 0: every vertex but 0 has
+    exactly one neighbour of lower number.  y_diagram and path_diagram
+    number their vertices so, and roots.positive_roots relies on it; a
+    Diagram built by hand must keep it."""
     kind: str                          # "Y" or "Path"
     n: int
     arms: tuple[int, ...]              # (a, b, c) for Y diagrams, () for paths
@@ -43,6 +47,8 @@ class Diagram:
 
 
 def y_diagram(a: int, b: int, c: int) -> Diagram:
+    """Y(a, b, c) numbered as the module describes: each arm vertex's one
+    lower neighbour is the next vertex inward, the branch for the first."""
     if min(a, b, c) < 1:
         raise ValueError("arm lengths must be at least 1")
     n = a + b + c + 1
@@ -57,6 +63,8 @@ def y_diagram(a: int, b: int, c: int) -> Diagram:
 
 
 def path_diagram(n: int) -> Diagram:
+    """Path(n) numbered 0..n-1 along the path: vertex i > 0 has the one
+    lower neighbour i - 1."""
     if n < 1:
         raise ValueError("a path needs at least one vertex")
     return Diagram("Path", n, (), tuple((i, i + 1) for i in range(n - 1)))

@@ -82,11 +82,11 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
     i is the least j with B(s_i r, alpha_j) > 0, that is, when no j < i
     has c_j - c_i a_ij > 0: a running count of the columns j < i with
     c_j > 0, less the lower neighbour j of i when 0 < c_j <= -c_i, must be
-    0.  Both numberings go outward from vertex 0, so every other vertex
-    has exactly one lower neighbour, and that correction is one column
-    per edge.  Each layer is sorted by packed keys: its entries as fields
-    of the bit length of layer.max(), as many to an int64 word as fit, and
-    one lexsort over the words.
+    0.  A Diagram is numbered outward from vertex 0 (see Diagram), so
+    every other vertex has exactly one lower neighbour, and that
+    correction is one column per edge.  Each layer is sorted by packed
+    keys: its entries as fields of the bit length of layer.max(), as many
+    to an int64 word as fit, and one lexsort over the words.
 
     Width: the layer of height h runs in int16 when 2 h and n are at
     most 2**15 - 1, and in int64 past that.  Its roots are nonnegative of
