@@ -178,7 +178,8 @@ def cmd_matrix(args) -> int:
     m = basis.word_matrix(word)
     coherent = all(sign_coherent(col)[1] in (1, -1) for col in zip(*m))
     rec = {"word": word, "matrix": [list(row) for row in m]}
-    lines = [" ".join("%3d" % x for x in row) for row in m]
+    lines = ([" ".join("%3d" % x for x in row) for row in m]
+             or ["no 2-roots, so the matrix is empty"])
     if args.check_sign_coherence:
         rec["sign_coherent"] = coherent
         lines.append("sign coherent: %s" % coherent)

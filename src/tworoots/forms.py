@@ -13,11 +13,11 @@ from fractions import Fraction as Q
 import numpy as np
 
 from . import linalg
-from .diagram import (Diagram, TypeClass, cartan, classify, neighbors,
-                      weyl_order, y_diagram)
+from .diagram import (Diagram, TypeClass, cartan, classify, closure,
+                      neighbors, weyl_order, y_diagram)
 from .roots import delta, negate, positive_roots, simple_root
 from .symsquare import (SymMatrix, canonical_basis, reflection_matrix,
-                        sign_coherent, standard_coords, vee)
+                        sign_coherent, simple_matrices, standard_coords, vee)
 
 
 def _as_int(x):
@@ -151,60 +151,18 @@ def decompose_s2v(d: Diagram, p: int | None = None) -> dict:
 @functools.cache
 def _weyl_walk(d: Diagram) -> np.ndarray:
     """The elements of W as one read-only int8 stack of matrices on
-    coefficient columns, by length from the identity, in a tree walk.
-    Column j of w is the root w(alpha_j), whose sign is that of its
-    height, and each w other than 1 has the parent w s_i, one shorter,
-    for the least i with w(alpha_i) < 0.  So w s_i is a child of w when
-    its column i is negative and its columns before i are positive, and
-    each element is reached once: layer by layer, and within a layer by
-    letter, then by parent.  The child w s_i differs from w in few
-    columns: column i is negated and each neighbour j of i gets column j
-    plus column i.  The column heights of a layer are carried in int16
-    and updated the same way.  Entries are root coefficients (at most 6,
-    on E8); a parent with an entry past 63, whose children could leave
-    int8, is refused, and so is a rank whose heights could leave int16."""
-    order, n, adj = weyl_order(d), d.n, neighbors(d)
-    if 126 * n >= 2 ** 15:
-        raise RuntimeError("rank %d is past the int16 heights" % n)
-    lower = [(k, i) for i in range(n) for k in adj[i] if k < i]
-    group = np.empty((order, n, n), dtype=np.int8)
-    group[0] = np.eye(n, dtype=np.int8)
-    heights = np.ones((n, 1), dtype=np.int16)  # [k, l]: of column k of l
-    start, end = 0, 1
-    while end > start:
-        layer = group[start:end]
-        if layer.max() > 63 or layer.min() < -63:
-            raise RuntimeError("a group element has an entry past 63, "
-                               "whose children could leave int8")
-        # bad[i, l]: how many of the columns 0..i of (parent l) s_i are
-        # positive where they must be negative (i) or negative where they
-        # must be positive (k < i).  A column k < i not joined to i is the
-        # parent's; a joined one is the parent's column k plus column i.
-        neg = heights < 0
-        bad = np.cumsum(neg, axis=0, dtype=np.int16)
-        for k, i in lower:
-            bad[i] -= neg[k]
-            bad[i] += heights[k] + heights[i] < 0
-        # by letter, then by parent
-        letters, parents = np.divmod(np.flatnonzero(bad == 0), end - start)
-        if end + len(parents) > order:
-            raise RuntimeError("walk found more than %d elements" % order)
-        child = group[end:end + len(parents)]
-        # parents are in range; mode "raise" would buffer a copy of child
-        np.take(layer, parents, axis=0, out=child, mode="clip")
-        heights = heights[:, parents]
-        cuts = np.searchsorted(letters, np.arange(n + 1))
-        for i, js in enumerate(adj):
-            w, h = child[cuts[i]:cuts[i + 1]], heights[:, cuts[i]:cuts[i + 1]]
-            for j in js:
-                w[:, :, j] += w[:, :, i]
-                h[j] += h[i]
-            w[:, :, i] *= -1
-            h[i] *= -1
-        start, end = end, end + len(parents)
-    if end != order:
+    coefficient columns, the identity first: the closure of the simple
+    reflections, each element times each s_i on the right.  weyl_order
+    refuses the affine and indefinite diagrams, whose walk would never
+    end.  int8 is exact: every entry is a root coefficient (at most 6, on
+    E8), and an entry of w s_i sums at most two entries of w."""
+    order = weyl_order(d)
+    gens = np.array(simple_matrices(d), dtype=np.int8)
+    group = np.stack(list(closure([np.eye(d.n, dtype=np.int8)],
+                                  lambda w: w @ gens, key=np.ndarray.tobytes)))
+    if len(group) != order:
         raise RuntimeError("walk found %d elements, expected %d"
-                           % (end, order))
+                           % (len(group), order))
     group.flags.writeable = False
     return group
 

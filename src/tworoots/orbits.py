@@ -350,9 +350,12 @@ def highest_pair(d: Diagram, p: Pair, rng=None) -> Pair:
     its rows and records its letter; a reflection that fixes the pair
     sends c to +-c, which never rises.  The pair itself moves once, at
     the top, by pair_action of the recorded letters, last letter leftmost.
-    p must be two orthogonal roots; anything else raises ValueError."""
+    p must be two orthogonal roots of any signs and order (anything else
+    raises ValueError); the top comes back as positive roots in root_pair
+    order, also when p is already highest."""
     basis = canonical_basis(d)
     c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
+    p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
     rows, cols, coefs = basis._rows
     order, taken = list(range(d.n)), []
     for _ in range(CLIMB_STEPS):

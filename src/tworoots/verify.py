@@ -17,7 +17,8 @@ import numpy as np
 
 from . import linalg
 from .diagram import (TypeClass, adjacent, classify, closure,
-                      component_count, h_graph, path_diagram, y_diagram)
+                      component_count, h_graph, path_diagram, weyl_order,
+                      y_diagram)
 from .forms import (_fixing, _weyl_walk, action_kernel_order,
                     affine_radical_witness, bprime, btilde, c_apply,
                     decompose_s2v, gram, kernel_intersection, kernel_orders,
@@ -592,21 +593,14 @@ def suite_kernels(seed=0):
     k = action_kernel_order(d, t, 51840)
     yield Check("kernels: E6 action is faithful", k == 1, "got %d" % k)
 
-    bad = []
-    for d in map(_family, ["A4", "D4", "D5"]):
-        gens = [np.array(m, dtype=np.int64) for m in simple_matrices(d)]
-        walk = {g.tobytes() for g in closure(
-            [np.eye(d.n, dtype=np.int64)], lambda g: (g @ r for r in gens),
-            key=np.ndarray.tobytes)}
-        ws = [w.tobytes() for w in _weyl_walk(d).astype(np.int64)]
-        if len(set(ws)) != len(ws) or set(ws) != walk:
-            bad.append(repr(d))
-    yield _listed("kernels: the Weyl group tree walk has distinct elements "
-                  "and equals the closure of the simple reflections on A4, "
-                  "D4, D5", bad)
+    small = list(map(_family, ["A3", "A4", "A5", "D4", "D5", "D6", "E6"]))
+    bad = [repr(d) for d in small
+           if len({w.tobytes() for w in _weyl_walk(d)}) != weyl_order(d)]
+    yield _listed("kernels: the cached walk of W holds weyl_order(d) "
+                  "distinct elements on A3-A5, D4-D6 and E6", bad)
 
     bad = []
-    for d in map(_family, ["A3", "A4", "A5", "D4", "D5", "D6", "E6"]):
+    for d in small:
         group, summands = _weyl_walk(d), canonical_basis(d).summands()
         inter = _fixing(d, sum(summands, ()), group)
         one = np.eye(d.n, dtype=np.int8)

@@ -161,6 +161,16 @@ def test_matrix_involution(capsys):
     assert data["matrix"] == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_matrix_without_2_roots_answers_in_one_line(capsys, n):
+    code, out, _ = run(capsys, "matrix", "--path", n, "--word", "0")
+    assert (code, out) == (0, "no 2-roots, so the matrix is empty\n")
+    code, out, _ = run(capsys, "matrix", "--path", n, "--word", "0",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["matrix"] == []
+
+
 @pytest.mark.parametrize("word", ["-1", "7"])
 def test_matrix_rejects_letters_outside_the_diagram(capsys, word):
     code, out, err = run(capsys, "matrix", "--path", "3", "--word", word)

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
 import tworoots
-from tworoots import linalg
+from tworoots import forms, linalg
 from tworoots.diagram import path_diagram, weyl_order, y_diagram
 from tworoots.forms import (_fixing, _in_weyl, _kernel_order, _weyl_walk,
                             action_kernel_order,
@@ -227,6 +227,17 @@ def test_weyl_group_is_closed_under_the_simple_reflections(d):
     for r in simple_matrices(d):
         moved = np.matmul(group, np.array(r, dtype=np.int64))
         assert {w.tobytes() for w in moved} == elements
+
+
+@pytest.mark.parametrize("d", [y_diagram(2, 2, 2), y_diagram(2, 2, 3)],
+                         ids=["affine", "indefinite"])
+def test_weyl_walk_refuses_infinite_groups_before_walking(d, monkeypatch):
+    # The walk is a closure over W, which never ends on these forks.
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+    monkeypatch.setattr(forms, "closure", walk)
+    with pytest.raises(ValueError, match="finite diagrams"):
+        _weyl_walk(d)
 
 
 def test_weyl_group_is_cached_and_read_only():

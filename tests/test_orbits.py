@@ -434,6 +434,21 @@ def test_highest_pair_step_budget(monkeypatch):
         highest_pair(d, low)
 
 
+@pytest.mark.parametrize("d", [path_diagram(4), y_diagram(1, 1, 2),
+                               y_diagram(1, 2, 2)], ids=["A4", "D5", "E6"])
+def test_highest_pair_returns_the_top_in_root_pair_order(d):
+    """However the start is given (reversed, as lists, with a root
+    negated), the climb returns the root_pair-ordered tuple of positive
+    roots t.highest, also from the top itself, where it takes no step."""
+    for t in orbit_tables(d):
+        for a, b in (t.highest,) + t.members[:3]:
+            for start in [(b, a), [list(b), list(a)],
+                          (a, tuple(-x for x in b)), [[-x for x in a], list(b)]]:
+                top = highest_pair(d, start)
+                assert top == t.highest
+                assert all(type(r) is tuple for r in top)
+
+
 @pytest.mark.parametrize("p, match", [
     (((0, 0, 0, 0, 1), (2, 0, 0, 0, 0)), "not a root"),
     (((1, 0, 0, 0, 0), (1, 1, 0, 0, 0)), "not orthogonal"),
