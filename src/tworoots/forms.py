@@ -64,7 +64,9 @@ def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
     largest |entry|: every entry of L_i and every partial sum of the
     trace is then inside int64.  Any other stack takes the exact
     object-dtype matmul over Python ints and Fractions; both give the
-    same entries."""
+    same entries.  An int64 product with no odd entry is halved by one
+    shift of the array; any other is halved entry by entry (_half), an
+    odd entry to a Fraction."""
     if p is not None:
         linalg.check_prime(p)
     k, n = len(mats), d.n
@@ -78,7 +80,10 @@ def gram(d: Diagram, mats, p: int | None = None) -> linalg.Mat:
                 @ linalg.exact(mats).reshape(k, n, n))
     twice = (left.reshape(k, n * n)
              @ left.transpose(0, 2, 1).reshape(k, n * n).T)
-    g = [[_half(x) for x in row] for row in twice.tolist()]
+    if twice.dtype == np.int64 and not (twice & 1).any():
+        g = (twice >> 1).tolist()
+    else:
+        g = [[_half(x) for x in row] for row in twice.tolist()]
     if p is not None:
         if any(isinstance(x, Q) for row in g for x in row):
             raise ValueError("modular Gram needs integer entries")

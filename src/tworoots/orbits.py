@@ -47,14 +47,14 @@ def simple_pair_action(d: Diagram, i: int, p: Pair) -> Pair:
 
 def pair_action(d: Diagram, word, p: Pair) -> Pair:
     """Act by s_{w[0]} ... s_{w[-1]}, rightmost letter first, on a pair of
-    roots of either sign and in either order; the empty word returns p
-    unchanged.  Equals the fold of simple_pair_action over the word, but
-    reflects both roots as plain coefficient lists through the whole word
-    and normalises once at the end: reflections are linear, so
-    s(-r) = -s(r), and the sign and order that each step of the fold picks
-    commute with the letters still to come."""
-    if len(word) == 0:
-        return p
+    roots of either sign and in either order, and return the image as
+    positive roots in root_pair order, on the empty word too (which
+    normalises p alone, as s_i s_i does).  Equals the fold of
+    simple_pair_action over the word, but reflects both roots as plain
+    coefficient lists through the whole word and normalises once at the
+    end: reflections are linear, so s(-r) = -s(r), and the sign and order
+    that each step of the fold picks commute with the letters still to
+    come."""
     n, adj = d.n, neighbors(d)
     a, b = list(p[0]), list(p[1])
     for i in reversed(word):
@@ -248,7 +248,9 @@ def _pair_layers(d: Diagram, pairs, height_bound=None):
     order = order[np.argsort(src[order], kind="stable")]
     ends, src = ends[order], src[order]
     tuples = list(map(tuple, vec.tolist()))
-    members = tuple((tuples[x], tuples[y]) for x, y in ends.tolist())
+    lo, hi = ends.T.tolist()
+    members = tuple(zip(map(tuples.__getitem__, lo),
+                        map(tuples.__getitem__, hi)))
     return members, vec, ends, src
 
 
@@ -352,10 +354,10 @@ def highest_pair(d: Diagram, p: Pair, rng=None) -> Pair:
     the top, by pair_action of the recorded letters, last letter leftmost.
     p must be two orthogonal roots of any signs and order (anything else
     raises ValueError); the top comes back as positive roots in root_pair
-    order, also when p is already highest."""
+    order, also when p is already highest, as pair_action normalises on
+    the empty word too."""
     basis = canonical_basis(d)
     c = np.array([int(x) for x in basis.expand_pair(*p)], dtype=np.int64)
-    p = root_pair(normalize_root(p[0]), normalize_root(p[1]))
     rows, cols, coefs = basis._rows
     order, taken = list(range(d.n)), []
     for _ in range(CLIMB_STEPS):

@@ -8,6 +8,7 @@ Reflection in a norm-2 root alpha sends v to v - B(alpha, v) alpha.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,7 +20,9 @@ from .diagram import Diagram, TypeClass, cartan, classify, closure, neighbors
 Root = tuple[int, ...]
 
 
+@functools.cache
 def simple_root(d: Diagram, i: int) -> Root:
+    """alpha_i as a coefficient tuple, cached per (d, i)."""
     if not 0 <= i < d.n:
         raise ValueError("vertex out of range")
     return tuple(1 if j == i else 0 for j in range(d.n))
@@ -86,7 +89,9 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
     every other vertex has exactly one lower neighbour, and that
     correction is one column per edge.  Each layer is sorted by packed
     keys: its entries as fields of the bit length of layer.max(), as many
-    to an int64 word as fit, and one lexsort over the words.
+    to an int64 word as fit, and one lexsort over the words.  The sorted
+    layer becomes tuples of Python ints in one pass, struct.iter_unpack
+    on its bytes.
 
     Width: the layer of height h runs in int16 when 2 h and n are at
     most 2**15 - 1, and in int64 past that.  Its roots are nonnegative of
@@ -121,7 +126,8 @@ def positive_roots(d: Diagram, height_bound: int | None = None) -> tuple[Root, .
             dt, cap = np.int64, limit
         layer = np.concatenate(buckets.pop(h)).astype(dt, copy=False)
         layer = layer[np.lexsort(_packed_keys(layer)[::-1])]
-        found.extend(zip(*layer.T.tolist()))
+        found.extend(struct.iter_unpack(
+            "=%d%s" % (d.n, "h" if dt is np.int16 else "q"), layer.tobytes()))
         if h == limit:  # no child fits under the bound
             break
         c = layer @ a  # c[r, j] = B(r, alpha_j)

@@ -7,6 +7,8 @@ R S R^T, and the distinguished codimension-one submodule is the kernel of
 S |-> trace(A S).  Arrays inside, tuples at the API: matrix arithmetic runs
 on linalg's exact object arrays, and every matrix handed out is a tuple of
 row tuples of Python ints and Fractions, so that it can be a dict key.
+Only what a caller reads is built: a basis element's matrix is vee of
+its pair on first read, and the basis itself builds none.
 
 The canonical basis pairs each simple root alpha_i with its elementary
 partners.  One certified elimination per diagram (linalg.lifted_solve, or
@@ -16,12 +18,16 @@ and the functionals that vanish on its span.  expand multiplies by them in
 int64 when every entry of the input is at most a cap, (2**63 - 1) over the
 largest row sum of |entries| of the two matrices, so that no sum can
 overflow; past the cap, and on Fractions, it falls back to the exact
-object-dtype solve, and both routes give the same tuples.  Each simple
-reflection s_i negates the elements containing alpha_i and adds to some
-others one partner alpha_i v gamma, read off their pairs by the form; the
-basis keeps only these rows, where its matrix differs from the identity,
-and acts on words and summands through them.  expand_pairs solves a whole
-stack of pairs a v b at once, in float64 under a bound of the same kind.
+object-dtype solve, and both routes give the same tuples.  expand_pair
+goes to the same int64 solve straight from the standard coordinates of
+its two roots, with no matrix, when their entries are Python ints of
+size m with 2 m**2 <= the cap, and is expand of their matrix otherwise.
+Each simple reflection s_i negates the elements containing alpha_i and
+adds to some others one partner alpha_i v gamma, read off their pairs by
+the form; the basis keeps only these rows, where its matrix differs from
+the identity, and acts on words and summands through them.  expand_pairs
+solves a whole stack of pairs a v b at once, in float64 under a bound of
+the same kind.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import chain
 
 import numpy as np
 
@@ -42,8 +49,14 @@ SymMatrix = tuple[tuple, ...]
 
 def vee(a, b) -> SymMatrix:
     """Symmetrized product: matrix of a (x) b + b (x) a.  Row i is
-    a_i b + b_i a; vectors of unequal length raise ValueError."""
-    return tuple(tuple([x * bj + y * aj for aj, bj in zip(a, b)])
+    a_i b + b_i a; vectors of unequal length raise ValueError.  When
+    every entry is a Python int, the rows with a_i = b_i = 0 are one
+    shared tuple of int zeros, which is what the sum would give; any
+    other entry (a Fraction, a float, a numpy scalar) can make 0 x of
+    another type, so then every row is summed."""
+    ints, zero = all(type(x) is int for x in chain(a, b)), (0,) * len(a)
+    return tuple(zero if ints and x == 0 == y
+                 else tuple([x * bj + y * aj for aj, bj in zip(a, b)])
                  for x, y in zip(a, b, strict=True))
 
 
@@ -126,9 +139,13 @@ _FORMS = 8  # first roots per block of expand_pairs: its products stay small
 
 @dataclass(frozen=True)
 class BasisElement:
-    matrix: SymMatrix
     pair: tuple[Root, Root]
     labels: tuple[tuple[int, Root], ...]  # (vertex i, elementary partner)
+
+    @functools.cached_property
+    def matrix(self) -> SymMatrix:
+        """vee(*pair), built on first read and kept."""
+        return vee(*self.pair)
 
     def __repr__(self) -> str:
         i, beta = self.labels[0]
@@ -150,7 +167,7 @@ class CanonicalBasis:
             for beta in elementary_roots(d, i):
                 labels.setdefault(root_pair(simple_root(d, i), beta),
                                   []).append((i, beta))
-        self.elements = tuple(BasisElement(vee(*p), p, tuple(lbl))
+        self.elements = tuple(BasisElement(p, tuple(lbl))
                               for p, lbl in labels.items())
         k = len(self.elements)
         self._pairs = np.array(list(labels), dtype=np.int64).reshape(k, 2, d.n)
@@ -216,9 +233,10 @@ class CanonicalBasis:
         v = m[_upper(n)]
         # s is symmetric, so its largest |entry| is v's
         if ints is not None and ints[1] <= self._cap:
-            c = self._solve @ v.astype(np.int64, copy=False)
-        else:
-            c = self._solve @ v.astype(object)
+            got = self._int_solve(v.astype(np.int64, copy=False))
+            if got is not None:
+                return got
+        c = self._solve @ v.astype(object)
         c, outside = c[:len(self.elements)], c[len(self.elements):]
         if outside.any():
             if self.diagram.kind == "Y" and m_functional(self.diagram, s) != 0:
@@ -226,21 +244,42 @@ class CanonicalBasis:
                                  "submodule (nonzero trace functional)")
             raise ValueError("element is not in the span of the canonical basis")
         den = self._den
-        if c.dtype == np.int64:
-            q, r = np.divmod(c, den)
-            if not r.any():
-                return tuple(q.tolist())
         return tuple(x // den if x % den == 0 else Q(x, den)
                      for x in c.tolist())
 
+    def _int_solve(self, v) -> tuple | None:
+        """The coordinates of the int64 standard coordinates v, max |v| <=
+        _cap, as Python ints: one int64 product by _solve, where no sum
+        can overflow (see __init__), and one divmod by _den.  None when v
+        is off the span or a coordinate is not an integer; the caller
+        then takes the exact route, which gives the same product."""
+        c = self._solve @ v
+        q, r = np.divmod(c[:len(self.elements)], self._den)
+        if c[len(self.elements):].any() or r.any():
+            return None
+        return tuple(q.tolist())
+
     def expand_pair(self, a, b) -> tuple:
-        """Coordinates of a v b; a and b must be orthogonal roots."""
+        """Coordinates of a v b; a and b must be orthogonal roots.  When
+        every entry is a Python int and m, the largest |entry|, has
+        2 m**2 <= _cap, no matrix is built: the standard coordinates of
+        a v b, each a_i b_j + a_j b_i of size at most 2 m**2, go to
+        expand's int64 solve.  Any other pair, or one off the span or
+        with a coordinate that is not an integer, is expand(vee(a, b)),
+        so every answer keeps the value and type that expand gives."""
         d = self.diagram
         for v in (a, b):
             if not is_root(d, v):
                 raise ValueError("%s is not a root" % (tuple(v),))
         if bform(d, a, b) != 0:
             raise ValueError("the two roots are not orthogonal")
+        if all(type(x) is int for x in chain(a, b)):
+            m = max(map(abs, chain(a, b)))
+            if 2 * m * m <= self._cap:
+                got = self._int_solve(
+                    pair_coords_np(np.array((a, b), dtype=np.int64)))
+                if got is not None:
+                    return got
         return self.expand(vee(a, b))
 
     @functools.cached_property

@@ -1,5 +1,6 @@
-"""CanonicalBasis.expand: its int64 route against the exact object-dtype
-solve, the bound that chooses between them, and the inputs it refuses."""
+"""CanonicalBasis.expand and expand_pair: their int64 route against the
+exact object-dtype solve, the bound that chooses between them, and the
+inputs they refuse."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ from hypothesis import given, seed, settings, strategies as st
 
 from tworoots import linalg
 from tworoots.diagram import path_diagram, y_diagram
-from tworoots.orbits import orbit_tables, pair_action
-from tworoots.roots import bform, negate, positive_roots
+from tworoots.orbits import (orbit_of, orbit_tables, pair_action,
+                             simple_pair_action)
+from tworoots.roots import (bform, height, negate, positive_roots,
+                            simple_root)
 from tworoots.symsquare import _upper, canonical_basis, standard_coords, vee
 
 
@@ -211,6 +214,84 @@ def test_expand_pair_expands_or_refuses(d, data):
     except ValueError:
         return
     assert b.combine(coords) == vee(a, c)
+
+
+FINITE = {"A%d" % n: path_diagram(n) for n in range(4, 9)}
+FINITE.update({"D%d" % n: y_diagram(1, 1, n - 3) for n in range(4, 9)})
+FINITE.update({"E%d" % n: y_diagram(1, 2, n - 4) for n in range(6, 9)})
+
+
+@pytest.mark.parametrize("tag", [*FINITE, "Y223-12"])
+def test_expand_pair_solves_without_a_matrix(tag, monkeypatch):
+    """On every orbit member of A4-A8, D4-D8 and E6-E8, and every pair of
+    the Y(2,2,3) cut walk at height 12, expand_pair gives what expand of
+    the pair's matrix gives, ints of the same values, and never calls
+    expand: the int64 route takes them all."""
+    if tag == "Y223-12":
+        d = y_diagram(2, 2, 3)
+        basis = canonical_basis(d)
+        members = orbit_of(d, basis.elements[0].pair, 12)
+        assert len(members) > 100
+    else:
+        d = FINITE[tag]
+        basis = canonical_basis(d)
+        members = [p for t in orbit_tables(d) for p in t.members]
+    want = [basis.expand(vee(*p)) for p in members]
+
+    def refuse(s):
+        raise AssertionError("expand_pair built a matrix")
+
+    monkeypatch.setattr(basis, "expand", refuse)
+    for p, w in zip(members, want):
+        assert_same(basis.expand_pair(*p), w)
+        assert_same(basis.expand_pair(*p[::-1]), w)
+
+
+def test_expand_pair_takes_the_exact_route_past_the_cap(monkeypatch):
+    """Climbing in Y(2,2,3) by the reflection that raises the height most,
+    the last pair with 2 m**2 <= _cap (m its largest entry) is solved in
+    int64 and the first one past it by expand; both answers are exact."""
+    d = y_diagram(2, 2, 3)
+    b = canonical_basis(d)
+    p = (simple_root(d, 1), simple_root(d, 3))
+    while True:
+        q = max((simple_pair_action(d, i, p) for i in range(d.n)),
+                key=lambda q: sum(map(height, q)))
+        if 2 * max(map(max, q)) ** 2 > b._cap:
+            break
+        p = q
+    calls = []
+    expand = b.expand
+
+    def counted(s):
+        calls.append(s)
+        return expand(s)
+
+    monkeypatch.setattr(b, "expand", counted)
+    for pair, routed in ((p, []), (q, [vee(*q)])):
+        coords = b.expand_pair(*pair)
+        assert calls == routed
+        assert b.combine(coords) == vee(*pair)
+        assert all(type(x) is int for x in coords)
+
+
+@pytest.mark.parametrize("convert, kind", [(float, float), (Fraction, int),
+                                           (np.int64, int)],
+                         ids=["float", "fraction", "numpy"])
+def test_expand_pair_keeps_the_types_of_other_entries(convert, kind):
+    """Roots with entries that are not Python ints are expanded as expand
+    of their matrix, as before the int64 route: integral floats give
+    floats, Fractions and numpy ints give ints."""
+    b = canonical_basis(y_diagram(1, 1, 1))
+    a, c = (tuple(map(convert, r)) for r in ((1, 0, 1, 1), (1, 1, 1, 0)))
+    assert_same(b.expand_pair(a, c),
+                tuple(kind(k in (1, 3, 7)) for k in range(len(b))))
+    e8 = canonical_basis(y_diagram(1, 2, 4))
+    for t in orbit_tables(e8.diagram):
+        for p in t.members[::97]:
+            q = [tuple(map(convert, r)) for r in p]
+            assert_same(e8.expand_pair(*q), e8.expand(vee(*q)))
+            assert e8.expand_pair(*q) == e8.expand_pair(*p)
 
 
 @pytest.mark.parametrize("d", [y_diagram(1, 2, 4), y_diagram(1, 1, 17),

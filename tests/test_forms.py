@@ -107,6 +107,38 @@ def test_singular_gram_radical_is_the_bareiss_route(g):
     assert repr(rad) == repr(linalg.nullspace_rref(g))
 
 
+@pytest.mark.parametrize("d", [y_diagram(1, 2, 2), y_diagram(1, 2, 3),
+                               y_diagram(1, 2, 4), y_diagram(1, 2, 6)],
+                         ids=["E6", "E7", "E8", "Y126"])
+def test_gram_halves_the_array_as_entry_by_entry(d):
+    """Every orbit summand of E6-E8, and the whole Y(1,2,6) module, takes
+    the int64 product with no odd entry, halved by one shift: the same
+    ints as half of btilde entry by entry, and mod a prime their
+    residues."""
+    basis = canonical_basis(d)
+    parts = basis.summands() if d.n < 10 else [range(len(basis))]
+    for members in parts:
+        mats = [basis.elements[k].matrix for k in members]
+        g = gram(d, mats)
+        want = tuple(tuple(bprime(d, s, t) for t in mats) for s in mats)
+        assert repr(g) == repr(want)
+        for p in (3, 2**31 - 1):
+            assert repr(gram(d, mats, p)) == repr(
+                tuple(tuple(x % p for x in row) for row in want))
+
+
+def test_gram_of_an_integer_stack_with_odd_entries_has_fractions():
+    """On A2 the product of alpha_0 (x) alpha_0 and alpha_1 (x) alpha_1
+    has trace 1, so the int64 route halves entry by entry to 1/2, and
+    the mod-p route refuses it as before."""
+    d = path_diagram(2)
+    mats = [((1, 0), (0, 0)), ((0, 0), (0, 1))]
+    assert repr(gram(d, mats)) == repr(
+        ((2, Fraction(1, 2)), (Fraction(1, 2), 2)))
+    with pytest.raises(ValueError, match="integer entries"):
+        gram(d, mats, p=3)
+
+
 def test_gram_of_no_elements_is_empty():
     d = y_diagram(1, 1, 1)
     assert gram(d, []) == () == gram(d, [], p=3)

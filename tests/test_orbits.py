@@ -17,8 +17,9 @@ from tworoots import orbits, symsquare
 from tworoots.diagram import neighbors, path_diagram, y_diagram
 from tworoots.orbits import (_pair_layers, cgw_less, closed_form_highest,
                              highest_pair, ht2_of_pair, monoidal_covers,
-                             orbit_of, orbit_tables, orthogonal_pairs,
-                             pair_action, simple_pair_action, vee_pair)
+                             normalize_root, orbit_of, orbit_tables,
+                             orthogonal_pairs, pair_action,
+                             simple_pair_action, vee_pair)
 from tworoots.roots import closure, positive_roots, simple_root, theta
 from tworoots.symsquare import canonical_basis, root_pair, simple_matrices
 
@@ -47,7 +48,8 @@ def test_pair_action_applies_rightmost_first():
 def test_pair_action_is_the_fold_of_simple_pair_action(d):
     """Reflecting the plain roots through the word and normalising once
     gives what normalising after every letter gives, also from a start
-    with a negated root or with the two roots swapped."""
+    with a negated root or with the two roots swapped.  The empty word
+    normalises the start alone."""
     basis = canonical_basis(d)
     rng = random.Random("pair_action:%r" % (d,))
     for _ in range(40):
@@ -55,10 +57,27 @@ def test_pair_action_is_the_fold_of_simple_pair_action(d):
         a, b = basis.elements[rng.randrange(len(basis))].pair
         for p in ((a, b), (b, a), (tuple(-x for x in a), b),
                   (a, tuple(-x for x in b))):
-            want = p
+            want = p if word else root_pair(*map(normalize_root, p))
             for i in reversed(word):
                 want = simple_pair_action(d, i, want)
             assert pair_action(d, word, p) == want
+
+
+@pytest.mark.parametrize("d", [path_diagram(5), y_diagram(1, 1, 3),
+                               y_diagram(1, 2, 4)], ids=["A5", "D6", "E8"])
+def test_pair_action_on_the_empty_word_is_s_i_s_i(d):
+    """The empty word and s_i s_i are the same element of W, so they give
+    the same pair: positive roots in root_pair order, from every start of
+    either order and sign, given as tuples or lists."""
+    for a, b in (e.pair for e in canonical_basis(d).elements):
+        na, nb = tuple(-x for x in a), tuple(-x for x in b)
+        for p in ((a, b), (b, a), (na, b), (b, na), (na, nb), (nb, na),
+                  ([*b], [*na])):
+            got = pair_action(d, [], p)
+            assert got == root_pair(a, b)
+            assert all(type(r) is tuple for r in got)
+            for i in range(d.n):
+                assert pair_action(d, [i, i], p) == got
 
 
 @pytest.mark.parametrize("letter", [-1, 4])

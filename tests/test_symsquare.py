@@ -25,6 +25,63 @@ def test_vee_symmetric():
     assert s[0][2] == 1 and s[0][0] == 0
 
 
+def _vee_by_sums(a, b):
+    """vee as the plain sum in every row, shared zero rows aside."""
+    return tuple(tuple(x * bj + y * aj for aj, bj in zip(a, b))
+                 for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1, 0, 0, 2), (0, 0, 1, -1)),
+    ((0, 0, 0), (0, 0, 0)),
+    ((Fraction(1, 2), 0, 0), (0, 0, Fraction(3))),
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 2.5)),
+    ((1, 0, 0), (0, 0, Fraction(1, 2))),
+    ((1, 0, 0), (0, 0, 2.0)),
+    ((np.int64(1), 0, 0), (0, 0, 1)),
+    ((True, False, False), (False, False, True)),
+], ids=["int", "zero", "fraction", "float", "int-fraction", "int-float",
+        "numpy", "bool"])
+def test_vee_keeps_the_value_and_type_of_every_entry(a, b):
+    """Zero rows are shared only when every entry is a Python int, where
+    0 is what the sum gives; with a Fraction, a float or a numpy scalar
+    anywhere, a zero row is summed like any other row."""
+    got, want = vee(a, b), _vee_by_sums(a, b)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == \
+        [[type(x) for x in row] for row in want]
+    zero = [row for x, y, row in zip(a, b, got) if x == 0 == y]
+    ints = all(type(x) is int for x in a + b)
+    assert all((row is zero[0]) == ints for row in zero[1:])
+
+
+def test_d48_basis_builds_no_matrices(monkeypatch):
+    """Building a basis calls vee zero times; an element's matrix is
+    built on its first read."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _vee_by_sums(a, b)
+
+    monkeypatch.setattr(symsquare, "vee", counted)
+    b = CanonicalBasis(y_diagram(1, 1, 45))
+    assert len(b) == 1175 and calls == []
+    assert b.elements[7].matrix == _vee_by_sums(*b.elements[7].pair)
+    assert calls == [b.elements[7].pair]
+
+
+@pytest.mark.parametrize("d", [path_diagram(8), y_diagram(1, 1, 5),
+                               y_diagram(1, 2, 4), y_diagram(4, 4, 4)],
+                         ids=["A8", "D8", "E8", "Y444"])
+def test_matrix_is_vee_of_the_pair_on_first_read(d):
+    for e in CanonicalBasis(d).elements:
+        assert "matrix" not in vars(e)
+        m = e.matrix
+        assert m == vee(*e.pair)
+        assert e.matrix is m
+
+
 def test_basis_element_repr():
     """An element prints as its vertex and partner, a_i v beta."""
     assert [repr(e) for e in canonical_basis(y_diagram(1, 1, 1)).elements] \
