@@ -248,11 +248,12 @@ class CanonicalBasis:
                      for x in c.tolist())
 
     def _int_solve(self, v) -> tuple | None:
-        """The coordinates of the int64 standard coordinates v, max |v| <=
-        _cap, as Python ints: one int64 product by _solve, where no sum
-        can overflow (see __init__), and one divmod by _den.  None when v
-        is off the span or a coordinate is not an integer; the caller
-        then takes the exact route, which gives the same product."""
+        """The coordinates over the basis, as Python ints, of the element
+        whose standard coordinates are the int64 vector v, max |v| <=
+        _cap: one int64 product by _solve, where no sum can overflow (see
+        __init__), and one divmod by _den.  None when v is off the span
+        or a coordinate is not an integer; the caller then takes the
+        exact route, which gives the same product."""
         c = self._solve @ v
         q, r = np.divmod(c[:len(self.elements)], self._den)
         if c[len(self.elements):].any() or r.any():
